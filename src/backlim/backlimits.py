@@ -97,12 +97,11 @@ class BackwardTree:
         ]
         self.truncated: list[bool] = [False]
         self.has_sampled = False
-        self._sorted: list[tuple[list[Fraction], set[Fraction]]] = []
+        self._sorted: list[list[Fraction]] = []
         self._index_level(0)
 
     def _index_level(self, d: int) -> None:
-        vals = sorted(n.value for n in self.levels[d] if n.value is not None)
-        self._sorted.append((vals, set(vals)))
+        self._sorted.append(sorted(n.value for n in self.levels[d] if n.value is not None))
 
     def _expand(self) -> None:
         d = len(self.levels)
@@ -135,19 +134,12 @@ class BackwardTree:
     def depth_available(self) -> int:
         return len(self.levels) - 1
 
-    def contains_value_at(self, d: int, values: frozenset | set) -> Fraction | None:
-        """Least tree value at level d that belongs to `values`."""
-        self.ensure_depth(d)
-        _, have = self._sorted[d]
-        hits = have & values
-        return min(hits) if hits else None
-
     def first_in_interval(
         self, d: int, window: Interval, exclude: Fraction | None = None
     ) -> Fraction | None:
         """Least tree value at level d inside `window` (optionally skipping one)."""
         self.ensure_depth(d)
-        vals, _ = self._sorted[d]
+        vals = self._sorted[d]
         i = bisect_left(vals, window.lo)
         while i < len(vals) and vals[i] <= window.hi:
             if vals[i] != exclude:
@@ -186,10 +178,6 @@ class ExactTailCert:
     orbit: PeriodicOrbit
     connector_z: Fraction
     connector_k: int
-
-    @property
-    def certified_points(self) -> frozenset[Fraction]:
-        return self.orbit.point_set
 
 
 @dataclass(frozen=True)
@@ -233,22 +221,14 @@ OrbitCert = ExactTailCert | ContractionCert
 # searches
 
 
-def find_exact_tail(
-    f: PLMap,
-    y: Fraction,
-    orbit: PeriodicOrbit,
-    depth: int,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-    tree: BackwardTree | None = None,
-) -> ExactTailCert | None:
-    """First backward-tree node of y lying on the orbit, in level order."""
-    tree = tree if tree is not None else BackwardTree(f, y, width_cap)
-    pts = orbit.point_set
-    for d in range(depth + 1):
-        z = tree.contains_value_at(d, pts)
-        if z is not None:
-            return ExactTailCert(orbit, z, d)
-    return None
+def find_exact_tail(f: PLMap, y: Fraction, orbit: PeriodicOrbit) -> ExactTailCert | None:
+    """First backward-tree node of y lying on the orbit, in level order.
+
+    That node is y itself or nothing: a node z at level d has f^d(z) = y, and
+    the orbit of f is forward-invariant, so z on the orbit puts y on it, where
+    level 0 already hits. No tree needs expanding.
+    """
+    return ExactTailCert(orbit, y, 0) if y in orbit.point_set else None
 
 
 @dataclass(frozen=True)
@@ -619,7 +599,7 @@ def certified_period_set(
         p = orbit.least_period
         if p in periods:
             continue
-        cert: OrbitCert | None = find_exact_tail(f, y, orbit, depth, tree=tree)
+        cert: OrbitCert | None = find_exact_tail(f, y, orbit)
         if cert is None:
             for t in orbit.points:
                 cert = find_contraction(f, y, t, p, depth, tree=tree)
@@ -745,7 +725,7 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     orbit_certs: list[OrbitCert] = []
     certified: set[Fraction] = set()
     for orbit in analysis.orbit_targets:
-        cert: OrbitCert | None = find_exact_tail(f, y, orbit, budget.depth, tree=tree)
+        cert: OrbitCert | None = find_exact_tail(f, y, orbit)
         if cert is None:
             for t in orbit.points:
                 cert = find_contraction(f, y, t, orbit.least_period, budget.depth, tree=tree)

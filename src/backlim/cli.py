@@ -51,7 +51,8 @@ from .markov import (
     markov_partition,
 )
 from .orbits import PeriodicOrbit, least_period_of, periodic_orbits
-from .plmap import InvalidMap, PLMap, make_plmap, map_digest, map_to_obj, parse_map
+from .plmap import (InvalidMap, PieceBudgetExceeded, PLMap, make_plmap, map_digest,
+                    map_to_obj, parse_map)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -190,8 +191,10 @@ def _cmd_certify(args) -> int:
         return EXIT_PRECONDITION
     orbit = PeriodicOrbit.from_point(f, t, least)
     tree = BackwardTree(f, y, args.width)
-    cert = find_exact_tail(f, y, orbit, args.depth, tree=tree)
+    cert = find_exact_tail(f, y, orbit)
     if cert is None:
+        # the stats report the tree the search explores, to the full depth
+        tree.ensure_depth(args.depth)
         for pt in orbit.points:
             cert = find_contraction(f, y, pt, least, args.depth, tree=tree)
             if cert is not None:
@@ -224,7 +227,7 @@ def _cmd_exclude(args) -> int:
         raise _InputError(f"point {y} outside domain {f.domain}")
     try:
         seed = parse_interval_set(args.seed)
-    except RationalParseError as e:
+    except ValueError as e:  # malformed rationals, or bounds out of order
         raise _InputError(str(e)) from e
     got = avoided_region(f, y, seed, args.depth)
     inputs = {"point": str(y), "seed": args.seed}
@@ -379,7 +382,7 @@ def _cmd_scan(args) -> int:
             y = Fraction(k)
             try:
                 periods = certified_period_set(f, y, args.max_period, depth=args.depth)
-            except Exception:
+            except (PieceBudgetExceeded, PreconditionError):
                 continue
             if 3 not in periods:
                 continue
@@ -457,6 +460,13 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="backlim",
@@ -468,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_budget(p, depth=DEFAULT_DEPTH):
         p.add_argument("--depth", type=int, default=depth)
         p.add_argument("--width", type=int, default=DEFAULT_WIDTH_CAP)
-        p.add_argument("--max-period", dest="max_period", type=int,
+        p.add_argument("--max-period", dest="max_period", type=positive_int,
                        default=DEFAULT_MAX_PERIOD)
         p.add_argument("--json", default=None)
 
@@ -496,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic", help="periodic orbits and continua")
     p.add_argument("map")
-    p.add_argument("--max-period", dest="max_period", type=int,
+    p.add_argument("--max-period", dest="max_period", type=positive_int,
                    default=DEFAULT_MAX_PERIOD)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_periodic)
@@ -518,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan integer maps for period-forcing evidence")
     p.add_argument("--dots", type=int, required=True)
     p.add_argument("--domain", required=True, help="0..D")
-    p.add_argument("--max-period", dest="max_period", type=int, default=6)
+    p.add_argument("--max-period", dest="max_period", type=positive_int, default=6)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--json", default=None)

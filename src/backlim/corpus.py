@@ -487,7 +487,7 @@ def _run_member(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
     budget = p.get("budget", entry.budget)
     if p["mechanism"] == "tail":
         orbit = PeriodicOrbit(p["orbit"])
-        cert = find_exact_tail(f, y, orbit, budget.depth, budget.width_cap)
+        cert = find_exact_tail(f, y, orbit)
     else:
         cert = find_contraction(
             f, y, p["target"], p["period"], budget.depth, budget.width_cap

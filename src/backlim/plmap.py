@@ -66,6 +66,13 @@ class PLMap:
     domain: Interval
     dots: tuple[tuple[Fraction, Fraction], ...]
 
+    def __hash__(self) -> int:  # immutable cache key: hash the dots once
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.domain, self.dots))
+
     def __post_init__(self) -> None:
         if len(self.dots) < 2:
             raise InvalidMap("need at least two dots")
@@ -140,22 +147,19 @@ def _drop_collinear(dots: list[tuple[Fraction, Fraction]]) -> list[tuple[Fractio
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """Exact h with h(x) = f(g(x)); breakpoints are g's dots plus the
-    g-preimages of f's dot x-coordinates."""
+    """Exact h with h(x) = f(g(x)); breakpoints are g's dots (x, v), where
+    h = f(v), plus the g-preimages of f's dots (cx, cy), where h = cy."""
     if f.domain != g.domain:
         raise DomainMismatch(f"{f.domain} vs {g.domain}")
-    xs = {x for x, _ in g.dots}
+    values = {x: f.eval_at(v) for x, v in g.dots}
     for piece in g.pieces:
         if piece.slope == 0:
             continue
         vr = piece.value_range
-        for cx, _ in f.dots:
+        for cx, cy in f.dots:
             if vr.contains(cx):
-                x = piece.solve(cx)
-                if piece.span.contains(x):
-                    xs.add(x)
-    ordered = sorted(xs)
-    dots = [(x, f.eval_at(g.eval_at(x))) for x in ordered]
+                values.setdefault(piece.solve(cx), cy)
+    dots = sorted(values.items())
     return PLMap(g.domain, tuple(_drop_collinear(dots)))
 
 

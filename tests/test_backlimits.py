@@ -104,17 +104,17 @@ class TestBackwardTree:
 
 class TestExactTail:
     def test_f5_orbit_at_root(self):
-        cert = find_exact_tail(f5(), Q(0), PeriodicOrbit((Q(0), Q(1), Q(5))), 6)
+        cert = find_exact_tail(f5(), Q(0), PeriodicOrbit((Q(0), Q(1), Q(5))))
         assert cert is not None and cert.connector_z == 0 and cert.connector_k == 0
         assert verify_certificate(f5(), Q(0), cert)
 
     def test_f8_orbit_at_root(self):
-        cert = find_exact_tail(f8(), Q(0), PeriodicOrbit((Q(0), Q(4), Q(8))), 6)
+        cert = find_exact_tail(f8(), Q(0), PeriodicOrbit((Q(0), Q(4), Q(8))))
         assert cert is not None and cert.connector_k == 0
 
     def test_four_orbit_never_reaches_zero(self):
         orbit = PeriodicOrbit((Q(1), Q(5), Q(3), Q(7)))
-        assert find_exact_tail(f8(), Q(0), orbit, 12) is None
+        assert find_exact_tail(f8(), Q(0), orbit) is None
 
 
 class TestContraction:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from backlim import cli
 from backlim.cli import enumerate_scan_maps, main
 from backlim.corpus import build_f5, build_overlap
 from backlim.plmap import map_digest, serialize_map
@@ -82,6 +83,24 @@ class TestCertify:
         assert code == 1
         assert json.loads(out)["result"]["found"] is False
 
+    def test_contraction_stats_cover_the_full_depth(self, capsys, f5_path):
+        # the connector sits at level 0, yet the reported tree is the one the
+        # search explores: expanded to --depth
+        code, out = run(capsys, "certify", f5_path, "--point", "0", "--target", "2",
+                        "--depth", "5")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["certificate"]["kind"] == "contraction"
+        assert result["certificate"]["connector_k"] == 0
+        assert result["stats"] == {"tree_nodes": 12, "depth_explored": 5}
+
+    def test_exact_tail_stats_cover_the_root(self, capsys, f5_path):
+        code, out = run(capsys, "certify", f5_path, "--point", "0", "--target", "0")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["certificate"]["kind"] == "exact-tail"
+        assert result["stats"] == {"tree_nodes": 1, "depth_explored": 0}
+
     def test_nonperiodic_target(self, capsys, f5_path):
         code, _ = run(capsys, "certify", f5_path, "--point", "0", "--target", "7/2",
                       "--period", "1")
@@ -103,6 +122,33 @@ class TestExclude:
     def test_parse_failure(self, capsys, f5_path):
         code, _ = run(capsys, "exclude", f5_path, "--point", "0", "--seed", "[2;4]")
         assert code == 2
+
+    def test_bounds_out_of_order(self, capsys, f5_path):
+        code = main(["exclude", f5_path, "--point", "0", "--seed", "[4,2]"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: interval bounds out of order: 4 > 2\n"
+
+
+class TestMaxPeriod:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["analyze", "certify", "periodic", "scan"])
+    def test_below_one_is_an_input_error(self, capsys, f5_path, command, value):
+        argv = {
+            "analyze": [command, f5_path, "--point", "0"],
+            "certify": [command, f5_path, "--point", "0", "--target", "2"],
+            "periodic": [command, f5_path],
+            "scan": [command, "--dots", "4", "--domain", "0..4", "--limit", "5"],
+        }[command] + ["--max-period", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument --max-period: must be at least 1, got {value}"
+        )
 
 
 class TestPeriodicMarkov:
@@ -143,6 +189,23 @@ class TestScan:
                         "--limit", "0")
         assert code == 0
         assert json.loads(out)["result"]["maps_scanned"] == 0
+
+    def test_budget_exhaustion_skips_the_point(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise cli.PieceBudgetExceeded("too many pieces")
+
+        monkeypatch.setattr(cli, "certified_period_set", exhausted)
+        code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..4", "--limit", "3")
+        assert code == 0
+        assert json.loads(out)["result"]["reports"] == []
+
+    def test_other_errors_are_not_swallowed(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(cli, "certified_period_set", broken)
+        with pytest.raises(ValueError, match="broken"):
+            main(["scan", "--dots", "4", "--domain", "0..4", "--limit", "3"])
 
     def test_enumeration_deterministic(self):
         a = [map_digest(f) for f in enumerate_scan_maps(4, 5, 40)]
