@@ -25,14 +25,11 @@ from .plmap import (
     serialize_map,
 )
 from .orbits import (
-    EventualPeriod,
     PeriodicOrbit,
     PeriodicStructure,
-    eventual_period,
     fixed_point_set,
     forward_orbit,
     periodic_orbits,
-    periodic_points,
     sharkovsky_precedes,
 )
 from .markov import (

@@ -26,9 +26,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
-from .exactnum import EMPTY, Interval, IntervalSet
+from .exactnum import EMPTY, Interval, IntervalSet, parse_rational
 from .markov import (
     CycleOfIntervals,
     ExceptionalReport,
@@ -57,6 +57,23 @@ DEFAULT_AVOID_LAYERS = 4
 
 class PreconditionError(ValueError):
     """A stated precondition of an operation does not hold."""
+
+
+def _per_map(fn):
+    """Memoise fn(f, *args) in f.memo, so work done for one query on a map is
+    shared by every later query on that map object and freed with it. A
+    fresh map starts cold; equal maps built separately share nothing."""
+
+    @wraps(fn)
+    def memoised(f: PLMap, *args):
+        key = (fn.__name__, *args)
+        try:
+            return f.memo[key]
+        except KeyError:
+            out = f.memo[key] = fn(f, *args)
+            return out
+
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -238,7 +255,7 @@ class _Word:
     slope: Fraction
 
 
-@lru_cache(maxsize=65536)
+@_per_map
 def _contraction_words(f: PLMap, t: Fraction, p: int, max_words: int = 64) -> tuple[_Word, ...]:
     """Inverse piece-words of length p around the orbit of t composing to a
     strict contraction fixing t, with the largest valid basin interval.
@@ -305,6 +322,21 @@ def find_contraction(
             z = tree.first_in_interval(d, word.basin, exclude=t)
             if z is not None:
                 return ContractionCert(t, p, word.pieces, word.basin, z, d)
+    return None
+
+
+def certify_orbit(
+    f: PLMap, y: Fraction, orbit: PeriodicOrbit, depth: int, tree: BackwardTree
+) -> OrbitCert | None:
+    """An exact tail of y on the orbit, else the first contraction found at
+    any point of the orbit, taken in orbit order."""
+    cert = find_exact_tail(f, y, orbit)
+    if cert is not None:
+        return cert
+    for t in orbit.points:
+        cert = find_contraction(f, y, t, orbit.least_period, depth, tree=tree)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -560,12 +592,12 @@ _CYCLE_PERIOD_CAP = 4
 _SEED_CAP = 64
 
 
-@lru_cache(maxsize=2048)
+@_per_map
 def _structure(f: PLMap, max_period: int) -> PeriodicStructure:
     return periodic_orbits(f, max_period)
 
 
-@lru_cache(maxsize=2048)
+@_per_map
 def orbit_targets(f: PLMap, max_period: int) -> tuple[PeriodicOrbit, ...]:
     """Certification targets: isolated orbits plus the (periodic) endpoints of
     periodic continua, which carry the only certifiable orbits of a continuum."""
@@ -597,20 +629,12 @@ def certified_period_set(
     periods: set[int] = set()
     for orbit in orbit_targets(f, max_period):
         p = orbit.least_period
-        if p in periods:
-            continue
-        cert: OrbitCert | None = find_exact_tail(f, y, orbit)
-        if cert is None:
-            for t in orbit.points:
-                cert = find_contraction(f, y, t, p, depth, tree=tree)
-                if cert is not None:
-                    break
-        if cert is not None:
+        if p not in periods and certify_orbit(f, y, orbit, depth, tree) is not None:
             periods.add(p)
     return periods
 
 
-@lru_cache(maxsize=64)
+@_per_map
 def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
     """Point-independent analysis shared by all enclosure queries on a map."""
     structure = _structure(f, max_period)
@@ -713,7 +737,7 @@ class SalphaEnclosure:
         return periods
 
 
-@lru_cache(maxsize=256)
+@_per_map
 def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> SalphaEnclosure:
     """Certified inner bound and sound closed outer bound for the backward
     limit set of y. Budget exhaustion can lose exactness, never soundness."""
@@ -725,12 +749,7 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     orbit_certs: list[OrbitCert] = []
     certified: set[Fraction] = set()
     for orbit in analysis.orbit_targets:
-        cert: OrbitCert | None = find_exact_tail(f, y, orbit)
-        if cert is None:
-            for t in orbit.points:
-                cert = find_contraction(f, y, t, orbit.least_period, budget.depth, tree=tree)
-                if cert is not None:
-                    break
+        cert = certify_orbit(f, y, orbit, budget.depth, tree)
         if cert is not None:
             orbit_certs.append(cert)
             certified.update(orbit.points)
@@ -833,49 +852,54 @@ def cert_to_obj(cert) -> dict:
 
 
 def cert_from_obj(obj: dict):
-    from .exactnum import parse_rational
-
+    """Inverse of cert_to_obj; any malformed object raises ValueError."""
     def iv(pair) -> Interval:
-        return Interval(parse_rational(pair[0]), parse_rational(pair[1]))
+        lo, hi = pair
+        return Interval(parse_rational(lo), parse_rational(hi))
 
     def iset(pairs) -> IntervalSet:
         return IntervalSet.of(iv(p) for p in pairs)
 
+    if not isinstance(obj, dict):
+        raise ValueError(f"a certificate is a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "exact-tail":
-        return ExactTailCert(
-            PeriodicOrbit(tuple(parse_rational(p) for p in obj["orbit"])),
-            parse_rational(obj["connector_z"]),
-            int(obj["connector_k"]),
-        )
-    if kind == "contraction":
-        return ContractionCert(
-            parse_rational(obj["target"]),
-            int(obj["period"]),
-            tuple(int(i) for i in obj["piece_word"]),
-            iv(obj["basin"]),
-            parse_rational(obj["connector_z"]),
-            int(obj["connector_k"]),
-        )
-    if kind == "avoidance":
-        return AvoidanceCert(
-            iset(obj["seed"]),
-            int(obj["layers_used"]),
-            iset(obj["final"]),
-            bool(obj["stabilized"]),
-        )
-    if kind == "cycle-membership":
-        components = iset(obj["components"])
-        cycle = CycleOfIntervals(iv(obj["base"]), int(obj["period"]), components)
-        report = ExceptionalReport(
-            cycle,
-            tuple(parse_rational(e) for e in obj["exceptional"]),
-            tuple(parse_rational(e) for e in obj["accessible_endpoints"]),
-            (),
-        )
-        return CycleMembershipCert(
-            cycle, parse_rational(obj["hop_z"]), int(obj["hop_k"]), report
-        )
+    try:
+        if kind == "exact-tail":
+            return ExactTailCert(
+                PeriodicOrbit(tuple(parse_rational(p) for p in obj["orbit"])),
+                parse_rational(obj["connector_z"]),
+                int(obj["connector_k"]),
+            )
+        if kind == "contraction":
+            return ContractionCert(
+                parse_rational(obj["target"]),
+                int(obj["period"]),
+                tuple(int(i) for i in obj["piece_word"]),
+                iv(obj["basin"]),
+                parse_rational(obj["connector_z"]),
+                int(obj["connector_k"]),
+            )
+        if kind == "avoidance":
+            return AvoidanceCert(
+                iset(obj["seed"]),
+                int(obj["layers_used"]),
+                iset(obj["final"]),
+                bool(obj["stabilized"]),
+            )
+        if kind == "cycle-membership":
+            components = iset(obj["components"])
+            cycle = CycleOfIntervals(iv(obj["base"]), int(obj["period"]), components)
+            report = ExceptionalReport(
+                cycle,
+                tuple(parse_rational(e) for e in obj["exceptional"]),
+                tuple(parse_rational(e) for e in obj["accessible_endpoints"]),
+                (),
+            )
+            return CycleMembershipCert(
+                cycle, parse_rational(obj["hop_z"]), int(obj["hop_k"]), report
+            )
+    except (KeyError, TypeError, OverflowError) as e:
+        raise ValueError(f"malformed {kind} certificate: {e!r}") from e
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 

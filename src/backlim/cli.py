@@ -12,7 +12,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .backlimits import (
     DEFAULT_DEPTH,
     DEFAULT_MAX_PERIOD,
     DEFAULT_WIDTH_CAP,
+    ExactTailCert,
     PreconditionError,
     RejectedSeed,
     SalphaEnclosure,
@@ -30,8 +30,7 @@ from .backlimits import (
     beta_upper,
     cert_to_obj,
     certified_period_set,
-    find_contraction,
-    find_exact_tail,
+    certify_orbit,
     salpha_enclosure,
     verify_certificate,
 )
@@ -191,14 +190,10 @@ def _cmd_certify(args) -> int:
         return EXIT_PRECONDITION
     orbit = PeriodicOrbit.from_point(f, t, least)
     tree = BackwardTree(f, y, args.width)
-    cert = find_exact_tail(f, y, orbit)
-    if cert is None:
+    cert = certify_orbit(f, y, orbit, args.depth, tree)
+    if not isinstance(cert, ExactTailCert):
         # the stats report the tree the search explores, to the full depth
         tree.ensure_depth(args.depth)
-        for pt in orbit.points:
-            cert = find_contraction(f, y, pt, least, args.depth, tree=tree)
-            if cert is not None:
-                break
     stats = {
         "tree_nodes": len(tree.point_values(tree.depth_available())),
         "depth_explored": tree.depth_available(),
@@ -326,19 +321,17 @@ def _cmd_corpus(args) -> int:
         if entry is None:
             raise _InputError(f"unknown corpus entry {args.name!r}")
         entries = (entry,)
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        all_results = list(pool.map(verify_entry, entries))
     result: dict = {"entries": {}}
     ok = True
-    for entry, results in zip(entries, all_results):
+    for entry in entries:
+        results = verify_entry(entry)
         result["entries"][entry.name] = [
             {"label": r.label, "ok": r.ok, "detail": r.detail} for r in results
         ]
         ok = ok and all(r.ok for r in results)
     result["all_ok"] = ok
     _emit(
-        _report("corpus", None, {"name": args.name, "workers": args.workers},
-                result, started=started),
+        _report("corpus", None, {"name": args.name}, result, started=started),
         args.json,
     )
     return EXIT_OK if ok else EXIT_FAIL
@@ -442,6 +435,8 @@ def _cmd_plot(args) -> int:
             depth = int(depth_s)
         except ValueError as e:
             raise _InputError(f"malformed tree argument {args.tree!r}") from e
+        if depth < 0:
+            raise _InputError(f"tree depth must be at least 0, got {depth}")
         if not f.domain.contains(root):
             raise _InputError(f"tree root {root} outside domain")
         tree = BackwardTree(f, root, DEFAULT_WIDTH_CAP)
@@ -460,11 +455,19 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -476,8 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_budget(p, depth=DEFAULT_DEPTH):
-        p.add_argument("--depth", type=int, default=depth)
-        p.add_argument("--width", type=int, default=DEFAULT_WIDTH_CAP)
+        p.add_argument("--depth", type=nonnegative_int, default=depth)
+        p.add_argument("--width", type=positive_int, default=DEFAULT_WIDTH_CAP)
         p.add_argument("--max-period", dest="max_period", type=positive_int,
                        default=DEFAULT_MAX_PERIOD)
         p.add_argument("--json", default=None)
@@ -492,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.add_argument("--point", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--period", type=int, default=None)
+    p.add_argument("--period", type=positive_int, default=None)
     add_budget(p)
     p.set_defaults(func=_cmd_certify)
 
@@ -500,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.add_argument("--point", required=True)
     p.add_argument("--seed", required=True, help='intervals "[a,b];[c,d]"')
-    p.add_argument("--depth", type=int, default=DEFAULT_AVOID_LAYERS)
+    p.add_argument("--depth", type=nonnegative_int, default=DEFAULT_AVOID_LAYERS)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_exclude)
 
@@ -513,14 +516,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("markov", help="Markov partition and transition matrix")
     p.add_argument("map")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=positive_int, default=64)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_markov)
 
     p = sub.add_parser("corpus", help="verify or export the bundled examples")
     p.add_argument("action", choices=["verify", "export"])
     p.add_argument("name")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--dir", default=".")
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_corpus)
@@ -529,8 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dots", type=int, required=True)
     p.add_argument("--domain", required=True, help="0..D")
     p.add_argument("--max-period", dest="max_period", type=positive_int, default=6)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--limit", type=nonnegative_int, required=True)
+    p.add_argument("--depth", type=nonnegative_int, default=6)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_scan)
 

@@ -23,6 +23,8 @@ class RationalParseError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse "2", "-1/8", "14/3" style rationals (exact, no floats)."""
+    if not isinstance(text, str):
+        raise RationalParseError(f"expected a rational as text, got {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise RationalParseError(f"malformed rational {text!r}")
@@ -193,11 +195,6 @@ class IntervalSet:
             if x == p.hi == domain.hi:
                 return True
         return False
-
-    def hull(self) -> Interval | None:
-        if not self.parts:
-            return None
-        return Interval(self.parts[0].lo, self.parts[-1].hi)
 
     def __str__(self) -> str:
         return "{" + ";".join(str(p) for p in self.parts) + "}"

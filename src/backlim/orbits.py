@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Interval, IntervalSet
-from .plmap import DEFAULT_PIECE_CAP, PieceBudgetExceeded, PLMap, compose, iterate
+from .plmap import DEFAULT_PIECE_CAP, PieceBudgetExceeded, PLMap, compose
 
 
 def forward_orbit(f: PLMap, x: Fraction, n: int) -> list[Fraction]:
@@ -19,28 +19,6 @@ def forward_orbit(f: PLMap, x: Fraction, n: int) -> list[Fraction]:
     for _ in range(n):
         out.append(f.eval_at(out[-1]))
     return out
-
-
-@dataclass(frozen=True)
-class EventualPeriod:
-    preperiod: int
-    period: int
-
-
-def eventual_period(f: PLMap, x: Fraction, cap: int = 64) -> EventualPeriod | None:
-    """Smallest (m, p) with f^{m+p}(x) = f^m(x), or None within cap steps.
-
-    Rational denominators can grow without bound, so an honest None is
-    returned when no exact repeat shows up.
-    """
-    seen: dict[Fraction, int] = {}
-    v = x
-    for i in range(cap + 1):
-        if v in seen:
-            return EventualPeriod(seen[v], i - seen[v])
-        seen[v] = i
-        v = f.eval_at(v)
-    return None
 
 
 def fixed_point_set(f: PLMap) -> IntervalSet:
@@ -55,12 +33,6 @@ def fixed_point_set(f: PLMap) -> IntervalSet:
         if piece.span.contains(x):
             out.append(Interval(x, x))
     return IntervalSet.of(out)
-
-
-def periodic_points(f: PLMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> IntervalSet:
-    if n < 1:
-        raise ValueError("period must be at least 1")
-    return fixed_point_set(iterate(f, n, piece_cap))
 
 
 def least_period_of(f: PLMap, x: Fraction, bound: int) -> int | None:

@@ -99,6 +99,11 @@ class PLMap:
     def _xs(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.dots)
 
+    @cached_property
+    def memo(self) -> dict:
+        """Results kept on the map by `backlimits._per_map`; not compared or hashed."""
+        return {}
+
     def piece_at(self, x: Fraction) -> Piece:
         """Leftmost piece whose span contains x."""
         if not self.domain.contains(x):

@@ -1,13 +1,17 @@
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, strategies as st
 
 from backlim.backlimits import (
     AvoidanceCert,
     BackwardTree,
     Budget,
     ContractionCert,
+    CycleMembershipCert,
     ExactTailCert,
     PreconditionError,
     RejectedSeed,
@@ -310,6 +314,37 @@ class TestBetaUpper:
         assert beta_upper(squash, Q(0), Budget(depth=1)).is_empty
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_WELL_FORMED = (
+    {"kind": "exact-tail", "orbit": ["0", "1", "5"], "connector_z": "0", "connector_k": 0},
+    {"kind": "contraction", "target": "2", "period": 2, "piece_word": [2, 2],
+     "basin": ["2", "4"], "connector_z": "3", "connector_k": 1},
+    {"kind": "avoidance", "seed": [["2", "4"]], "layers_used": 1,
+     "final": [["2", "4"]], "stabilized": True},
+    {"kind": "cycle-membership", "base": ["1/3", "2/3"], "period": 1,
+     "components": [["1/3", "2/3"]], "hop_z": "1/2", "hop_k": 0,
+     "exceptional": [], "accessible_endpoints": []},
+)
+
+
+@st.composite
+def _damaged_cert_obj(draw):
+    """A well-formed certificate object with one field dropped or replaced by
+    an arbitrary JSON value."""
+    obj = dict(draw(st.sampled_from(_WELL_FORMED)))
+    key = draw(st.sampled_from(sorted(obj)))
+    if draw(st.booleans()):
+        del obj[key]
+    else:
+        obj[key] = draw(_JSON)
+    return obj
+
+
 class TestSerialization:
     def test_round_trip_all_kinds(self):
         f = f8()
@@ -329,3 +364,48 @@ class TestSerialization:
         cert = find_contraction(f, Q(0), Q(2), 2, 8)
         back = cert_from_obj(cert_to_obj(cert))
         assert verify_certificate(f, Q(0), back)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "contraction"},
+            {"kind": "avoidance", "seed": [["2"]], "layers_used": 1, "final": [],
+             "stabilized": True},
+            {"kind": "exact-tail", "orbit": [0, 1, 5], "connector_z": "0",
+             "connector_k": 0},
+            {"kind": "exact-tail", "orbit": [], "connector_z": "0",
+             "connector_k": float("inf")},
+            ["kind", "contraction"],
+            None,
+        ],
+    )
+    def test_malformed_object_is_a_value_error(self, obj):
+        with pytest.raises(ValueError):
+            cert_from_obj(obj)
+
+    @given(st.one_of(_JSON, _damaged_cert_obj()))
+    def test_arbitrary_json_is_a_cert_or_a_value_error(self, obj):
+        try:
+            cert = cert_from_obj(obj)
+        except ValueError:
+            return
+        assert isinstance(
+            cert, (ExactTailCert, ContractionCert, AvoidanceCert, CycleMembershipCert)
+        )
+
+
+class TestMapLifetime:
+    def test_map_is_freed_after_a_query(self):
+        f = f5()
+        salpha_enclosure(f, Q(0))
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+
+    def test_analysis_stays_on_its_map_object(self):
+        a, b = f5(), f5()
+        enc = salpha_enclosure(a, Q(0))
+        assert salpha_enclosure(a, Q(0)) is enc
+        assert a == b and hash(a) == hash(b)
+        assert b.memo == {}

@@ -57,6 +57,14 @@ class TestAnalyze:
         code, _ = run(capsys, "analyze", str(bad), "--point", "0")
         assert code == 2
 
+    def test_numeric_coordinates(self, capsys, tmp_path):
+        bad = tmp_path / "numbers.json"
+        bad.write_text('{"domain":[0,5],"dots":[[0,1],[5,0]]}')
+        code = main(["analyze", str(bad), "--point", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: malformed coordinates: expected a rational")
+
     def test_json_output(self, capsys, f5_path, tmp_path):
         out_path = tmp_path / "report.json"
         code, out = run(capsys, "analyze", f5_path, "--point", "0", "--json", str(out_path))
@@ -149,6 +157,48 @@ class TestMaxPeriod:
         assert captured.err.splitlines()[-1].endswith(
             f"error: argument --max-period: must be at least 1, got {value}"
         )
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "command,option,value,least",
+        [
+            ("analyze", "--depth", "-1", 0),
+            ("analyze", "--width", "0", 1),
+            ("certify", "--depth", "-1", 0),
+            ("certify", "--period", "0", 1),
+            ("exclude", "--depth", "-1", 0),
+            ("markov", "--cap", "-3", 1),
+            ("scan", "--limit", "-1", 0),
+            ("scan", "--depth", "-2", 0),
+        ],
+    )
+    def test_below_the_least_is_an_input_error(self, capsys, f5_path, command, option,
+                                                value, least):
+        argv = {
+            "analyze": [command, f5_path, "--point", "0"],
+            "certify": [command, f5_path, "--point", "0", "--target", "2"],
+            "exclude": [command, f5_path, "--point", "0", "--seed", "[2,4]"],
+            "markov": [command, f5_path],
+            "scan": [command, "--dots", "4", "--domain", "0..4", "--limit", "5"],
+        }[command] + [option, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {option}: must be at least {least}, got {value}"
+        )
+
+    def test_negative_plot_tree_depth(self, capsys, f5_path, tmp_path):
+        code = main(["plot", f5_path, "--samples", "4", "--out", str(tmp_path / "x.tsv"),
+                     "--tree", "1/2,-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: tree depth must be at least 0, got -1\n"
+        assert not (tmp_path / "x.tsv").exists()
 
 
 class TestPeriodicMarkov:

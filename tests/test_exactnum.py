@@ -27,7 +27,8 @@ class TestRationalText:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["", "1.5", "1/0", "a/b", "1/-2", "--3", "1 / 2"])
+    @pytest.mark.parametrize("text", ["", "1.5", "1/0", "a/b", "1/-2", "--3", "1 / 2",
+                                      5, None, ["1"]])
     def test_rejects(self, text):
         with pytest.raises(RationalParseError):
             parse_rational(text)

@@ -5,14 +5,11 @@ import pytest
 
 from backlim.exactnum import IntervalSet, interval
 from backlim.orbits import (
-    EventualPeriod,
     PeriodicOrbit,
-    eventual_period,
     fixed_point_set,
     forward_orbit,
     least_period_of,
     periodic_orbits,
-    periodic_points,
     sharkovsky_precedes,
 )
 from backlim.plmap import identity_map, iterate, make_plmap
@@ -41,18 +38,6 @@ class TestForwardOrbit:
         assert forward_orbit(identity_map(interval(0, 1)), Q(1, 2), 2) == [Q(1, 2)] * 3
 
 
-class TestEventualPeriod:
-    def test_f5_preperiodic(self):
-        # 9/2 -> 1 -> 5 -> 0 -> 1: lands on the 3-cycle after one step
-        assert eventual_period(f5(), Q(9, 2)) == EventualPeriod(1, 3)
-
-    def test_f8_fixed(self):
-        assert eventual_period(f8(), Q(14, 3)) == EventualPeriod(0, 1)
-
-    def test_undetermined_within_cap(self):
-        assert eventual_period(f5(), Q(1, 7), cap=3) is None
-
-
 class TestFixedPoints:
     def test_f5(self):
         assert fixed_point_set(f5()) == iset((3, 3))
@@ -67,27 +52,27 @@ class TestFixedPoints:
 class TestPeriodicPoints:
     def test_f5_period_two(self):
         expected = iset((Q(8, 9), Q(8, 9)), (2, 4), (Q(41, 9), Q(41, 9)))
-        assert periodic_points(f5(), 2) == expected
+        assert fixed_point_set(iterate(f5(), 2)) == expected
 
     def test_f8_contains_two_six(self):
-        pts = periodic_points(f8(), 2)
+        pts = fixed_point_set(iterate(f8(), 2))
         assert pts.contains(Q(2)) and pts.contains(Q(6))
 
     def test_identity_whole_domain(self):
         ident = identity_map(interval(0, 1))
-        assert periodic_points(ident, 5) == iset((0, 1))
+        assert fixed_point_set(iterate(ident, 5)) == iset((0, 1))
 
     def test_exactness_invariant(self):
         for f, n in ((f5(), 3), (f8(), 4)):
             h = iterate(f, n)
-            for part in periodic_points(f, n).parts:
+            for part in fixed_point_set(h).parts:
                 assert h.eval_at(part.lo) == part.lo
                 assert h.eval_at(part.hi) == part.hi
 
     def test_divisor_containment(self):
         for f, n, k in ((f5(), 2, 2), (f5(), 1, 3), (f8(), 2, 2), (f8(), 1, 4)):
-            base = periodic_points(f, n)
-            assert periodic_points(f, n * k).contains_set(base)
+            base = fixed_point_set(iterate(f, n))
+            assert fixed_point_set(iterate(f, n * k)).contains_set(base)
 
 
 class TestPeriodicOrbits:
