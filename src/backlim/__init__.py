@@ -5,7 +5,6 @@ from .exactnum import (
     EMPTY,
     Interval,
     IntervalSet,
-    Rational,
     format_rational,
     parse_interval,
     parse_interval_set,
@@ -55,7 +54,6 @@ from .backlimits import (
     RejectedSeed,
     SalphaEnclosure,
     avoided_region,
-    backward_tree,
     beta_upper,
     cert_from_obj,
     cert_to_obj,

@@ -83,73 +83,58 @@ class Budget:
     max_period: int = DEFAULT_MAX_PERIOD
     avoid_layers: int = DEFAULT_AVOID_LAYERS
 
-
-@dataclass(frozen=True)
-class TreeNode:
-    depth: int
-    value: Fraction | None       # None for interval-valued nodes
-    span: Interval | None        # set for interval-valued nodes
-    parent: int                  # index into the previous level (-1 at root)
-    piece: int                   # producing piece index (-1 at root)
-    sampled: bool                # descends from a sampled representative
+    def __post_init__(self) -> None:
+        least = {"depth": 0, "width_cap": 1, "max_period": 1, "avoid_layers": 0}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"budget {name} must be at least {low}, got {value}")
 
 
 class BackwardTree:
-    """Breadth-first exact preimage tree of a point, expanded lazily.
+    """Breadth-first exact preimage values of a point, expanded lazily.
 
-    Levels are deterministic: children appear in parent order, then piece
-    index order. Interval-valued preimages (through constant pieces) are kept
-    as interval nodes and continued from three sampled representatives; any
-    result relying on such a level is flagged so exactness degrades honestly.
+    `levels[d]` holds the values z with f^d(z) = root that the tree reaches,
+    children in parent order, then piece order; `_sorted[d]` is the same
+    level sorted for bisection. A constant piece maps a whole interval onto a
+    value; that interval is continued from three sampled representatives (its
+    ends and midpoint) and sets `has_sampled`. A level keeps at most
+    `width_cap` values and `truncated[d]` records that level d was cut. Either
+    makes the tree `degraded`, so exactness relying on it degrades honestly.
     """
 
     def __init__(self, f: PLMap, root: Fraction, width_cap: int = DEFAULT_WIDTH_CAP):
         if not f.domain.contains(root):
             raise ValueError(f"{root} outside domain {f.domain}")
         self.f = f
-        self.root = root
         self.width_cap = width_cap
-        self.levels: list[list[TreeNode]] = [
-            [TreeNode(0, root, None, -1, -1, False)]
-        ]
+        self.levels: list[list[Fraction]] = [[root]]
+        self._sorted: list[list[Fraction]] = [[root]]
         self.truncated: list[bool] = [False]
         self.has_sampled = False
-        self._sorted: list[list[Fraction]] = []
-        self._index_level(0)
 
-    def _index_level(self, d: int) -> None:
-        self._sorted.append(sorted(n.value for n in self.levels[d] if n.value is not None))
-
-    def _expand(self) -> None:
-        d = len(self.levels)
-        nxt: list[TreeNode] = []
-        truncated = False
-        for idx, node in enumerate(self.levels[-1]):
-            if node.value is None:
-                continue
-            for piece_idx, hit in point_preimages(self.f, node.value):
-                if isinstance(hit, Interval):
-                    self.has_sampled = True
-                    nxt.append(TreeNode(d, None, hit, idx, piece_idx, True))
-                    reps = dict.fromkeys((hit.lo, hit.midpoint, hit.hi))
-                    for rep in reps:
-                        nxt.append(TreeNode(d, rep, None, idx, piece_idx, True))
-                else:
-                    nxt.append(TreeNode(d, hit, None, idx, piece_idx, node.sampled))
-            if len(nxt) > self.width_cap:
-                truncated = True
-                nxt = nxt[: self.width_cap]
-                break
-        self.levels.append(nxt)
-        self.truncated.append(truncated)
-        self._index_level(d)
+    @property
+    def degraded(self) -> bool:
+        return self.has_sampled or any(self.truncated)
 
     def ensure_depth(self, depth: int) -> None:
-        while len(self.levels) - 1 < depth:
-            self._expand()
-
-    def depth_available(self) -> int:
-        return len(self.levels) - 1
+        while len(self.levels) <= depth:
+            nxt: list[Fraction] = []
+            truncated = False
+            for value in self.levels[-1]:
+                for _, hit in point_preimages(self.f, value):
+                    if isinstance(hit, Interval):
+                        self.has_sampled = True
+                        nxt.extend(dict.fromkeys((hit.lo, hit.midpoint, hit.hi)))
+                    else:
+                        nxt.append(hit)
+                if len(nxt) > self.width_cap:
+                    truncated = True
+                    del nxt[self.width_cap:]
+                    break
+            self.levels.append(nxt)
+            self._sorted.append(sorted(nxt))
+            self.truncated.append(truncated)
 
     def first_in_interval(
         self, d: int, window: Interval, exclude: Fraction | None = None
@@ -164,26 +149,9 @@ class BackwardTree:
             i += 1
         return None
 
-    def degraded_upto(self, depth: int) -> bool:
-        self.ensure_depth(depth)
-        return self.has_sampled or any(self.truncated[: depth + 1])
-
     def point_values(self, depth: int) -> list[tuple[int, Fraction]]:
         self.ensure_depth(depth)
-        out = []
-        for d in range(depth + 1):
-            for node in self.levels[d]:
-                if node.value is not None:
-                    out.append((d, node.value))
-        return out
-
-
-def backward_tree(
-    f: PLMap, y: Fraction, depth: int, width_cap: int = DEFAULT_WIDTH_CAP
-) -> BackwardTree:
-    tree = BackwardTree(f, y, width_cap)
-    tree.ensure_depth(depth)
-    return tree
+        return [(d, value) for d in range(depth + 1) for value in self.levels[d]]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +459,12 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
             return _fail(bad)
         if cert.connector_z not in cert.orbit.point_set:
             return _fail("connector not on the orbit")
-        if f.eval_chain(cert.connector_z, cert.connector_k) != y:
+        if cert.connector_k < 0:
+            return _fail("negative step count")
+        # the connector is on the verified orbit, so its images repeat with
+        # the orbit's length and k steps land where k mod that length do
+        k = cert.connector_k % len(cert.orbit.points)
+        if f.eval_chain(cert.connector_z, k) != y:
             return _fail("connector does not map onto the point")
         return Verification(True)
 
@@ -528,6 +501,8 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
         z = cert.connector_z
         if z == t or not cert.basin.contains(z):
             return _fail("connector not in the basin minus the target")
+        if cert.connector_k < 0:
+            return _fail("negative step count")
         if f.eval_chain(z, cert.connector_k) != y:
             return _fail("connector does not map onto the point")
         return Verification(True)
@@ -567,6 +542,8 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
             return _fail("hop lands on an exceptional point")
         if not any(p.strictly_contains(z) for p in cyc.components.parts):
             return _fail("hop is not strictly inside the cycle")
+        if cert.hop_k < 0:
+            return _fail("negative step count")
         if f.eval_chain(z, cert.hop_k) != y:
             return _fail("hop does not map onto the point")
         return Verification(True)
@@ -710,7 +687,6 @@ class SalphaEnclosure:
     lower_intervals: IntervalSet
     upper: IntervalSet
     exact: bool
-    depth: int
     orbit_certs: tuple[OrbitCert, ...] = field(default=())
     cycle_certs: tuple[CycleMembershipCert, ...] = field(default=())
     avoidance_certs: tuple[AvoidanceCert, ...] = field(default=())
@@ -780,19 +756,17 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     )
     if not upper.contains_set(closure):
         raise RuntimeError("soundness violation: certified lower set escapes the upper bound")
-    degraded = tree.degraded_upto(min(budget.depth, tree.depth_available()))
-    exact = (not degraded) and closure == upper
+    exact = (not tree.degraded) and closure == upper
     return SalphaEnclosure(
         y,
         lower_points,
         lower_intervals,
         upper,
         exact,
-        budget.depth,
         tuple(orbit_certs),
         tuple(cycle_certs),
         tuple(avoidance_certs),
-        degraded,
+        tree.degraded,
     )
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 certification/verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -26,6 +27,7 @@ from .backlimits import (
     PreconditionError,
     RejectedSeed,
     SalphaEnclosure,
+    _set_obj,
     avoided_region,
     beta_upper,
     cert_to_obj,
@@ -37,7 +39,6 @@ from .backlimits import (
 from .corpus import all_entries, entry_by_name, verify_entry
 from .exactnum import (
     Interval,
-    IntervalSet,
     RationalParseError,
     parse_interval_set,
     parse_rational,
@@ -77,10 +78,6 @@ def _rat(text: str) -> Fraction:
         return parse_rational(text)
     except RationalParseError as e:
         raise _InputError(str(e)) from e
-
-
-def _set_obj(s: IntervalSet) -> list[list[str]]:
-    return [[str(p.lo), str(p.hi)] for p in s.parts]
 
 
 def _enclosure_obj(enc: SalphaEnclosure) -> dict:
@@ -127,21 +124,7 @@ def _emit(report: dict, json_path: str | None) -> None:
 
 
 def _budget_from(args) -> Budget:
-    return Budget(
-        depth=args.depth,
-        width_cap=args.width,
-        max_period=args.max_period,
-        avoid_layers=getattr(args, "avoid_layers", DEFAULT_AVOID_LAYERS),
-    )
-
-
-def _budget_obj(b: Budget) -> dict:
-    return {
-        "depth": b.depth,
-        "width_cap": b.width_cap,
-        "max_period": b.max_period,
-        "avoid_layers": b.avoid_layers,
-    }
+    return Budget(depth=args.depth, width_cap=args.width, max_period=args.max_period)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +147,7 @@ def _cmd_analyze(args) -> int:
     }
     _emit(
         _report("analyze", f, {"point": str(y)}, result,
-                budgets=_budget_obj(budget), exact=enc.exact, started=started),
+                budgets=dataclasses.asdict(budget), exact=enc.exact, started=started),
         args.json,
     )
     return EXIT_OK
@@ -195,8 +178,8 @@ def _cmd_certify(args) -> int:
         # the stats report the tree the search explores, to the full depth
         tree.ensure_depth(args.depth)
     stats = {
-        "tree_nodes": len(tree.point_values(tree.depth_available())),
-        "depth_explored": tree.depth_available(),
+        "tree_nodes": sum(map(len, tree.levels)),
+        "depth_explored": len(tree.levels) - 1,
     }
     inputs = {"point": str(y), "target": str(t), "period": least}
     if cert is None:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
@@ -116,10 +114,6 @@ class IntervalSet:
     @staticmethod
     def single(lo, hi) -> "IntervalSet":
         return IntervalSet((interval(lo, hi),))
-
-    @staticmethod
-    def point(x) -> "IntervalSet":
-        return IntervalSet.single(x, x)
 
     @property
     def is_empty(self) -> bool:

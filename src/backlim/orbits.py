@@ -74,9 +74,6 @@ class PeriodicStructure:
     isolated_orbits: tuple[PeriodicOrbit, ...]
     fixed_intervals: tuple[tuple[int, IntervalSet], ...]
 
-    def orbits_of_period(self, p: int) -> tuple[PeriodicOrbit, ...]:
-        return tuple(o for o in self.isolated_orbits if o.least_period == p)
-
 
 def periodic_orbits(
     f: PLMap, n_max: int, piece_cap: int = DEFAULT_PIECE_CAP

@@ -125,9 +125,6 @@ class PLMap:
             v = self.eval_at(v)
         return v
 
-    def is_surjective(self) -> bool:
-        return image(self, IntervalSet((self.domain,))) == IntervalSet((self.domain,))
-
 
 def make_plmap(domain: Interval, dots: Iterable) -> PLMap:
     frozen = tuple((Fraction(x), Fraction(y)) for x, y in dots)

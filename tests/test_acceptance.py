@@ -15,10 +15,10 @@ import pytest
 
 import backlim.backlimits as bl
 from backlim.backlimits import (
+    BackwardTree,
     Budget,
     ContractionCert,
     ExactTailCert,
-    backward_tree,
     salpha_enclosure,
     verify_certificate,
 )
@@ -239,8 +239,8 @@ def test_criterion_7_property_suites():
                 if isinstance(cert, bl.AvoidanceCert):
                     key = (entry.name, y)
                     if key not in trees:
-                        trees[key] = backward_tree(entry.map, y, 12, 10_000)
-                    for _, value in trees[key].point_values(12):
+                        trees[key] = BackwardTree(entry.map, y, 10_000).point_values(12)
+                    for _, value in trees[key]:
                         assert not cert.final.contains(value)
                     checked += 1
     _verdict(

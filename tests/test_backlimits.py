@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import time
 import weakref
 from fractions import Fraction as Q
 
@@ -16,7 +17,6 @@ from backlim.backlimits import (
     PreconditionError,
     RejectedSeed,
     avoided_region,
-    backward_tree,
     beta_upper,
     cert_from_obj,
     cert_to_obj,
@@ -60,50 +60,46 @@ def iset(*pairs):
     return IntervalSet.of(interval(lo, hi) for lo, hi in pairs)
 
 
-def level_values(tree, d):
-    return [n.value for n in tree.levels[d] if n.value is not None]
+def expanded(f, y, depth, width_cap=10_000):
+    tree = BackwardTree(f, y, width_cap)
+    tree.ensure_depth(depth)
+    return tree
 
 
 class TestBackwardTree:
     def test_f5_levels(self):
-        tree = backward_tree(f5(), Q(0), 3)
-        assert level_values(tree, 0) == [0]
-        assert level_values(tree, 1) == [5]
-        assert level_values(tree, 2) == [1]
-        assert sorted(level_values(tree, 3)) == [0, Q(9, 2)]
+        tree = expanded(f5(), Q(0), 3)
+        assert tree.levels[0] == [0]
+        assert tree.levels[1] == [5]
+        assert tree.levels[2] == [1]
+        assert sorted(tree.levels[3]) == [0, Q(9, 2)]
 
     def test_f8_levels(self):
-        tree = backward_tree(f8(), Q(0), 3)
-        assert level_values(tree, 1) == [8]
-        assert level_values(tree, 2) == [4]
-        assert sorted(level_values(tree, 3)) == [0, Q(24, 5)]
+        tree = expanded(f8(), Q(0), 3)
+        assert tree.levels[1] == [8]
+        assert tree.levels[2] == [4]
+        assert sorted(tree.levels[3]) == [0, Q(24, 5)]
 
     def test_identity_single_branch(self):
-        tree = backward_tree(identity_map(interval(0, 1)), Q(1, 2), 4)
+        tree = expanded(identity_map(interval(0, 1)), Q(1, 2), 4)
         for d in range(5):
-            assert level_values(tree, d) == [Q(1, 2)]
+            assert tree.levels[d] == [Q(1, 2)]
 
     def test_soundness_every_edge(self):
         f = f8()
-        tree = backward_tree(f, Q(0), 8)
+        tree = expanded(f, Q(0), 8)
         for d in range(1, 9):
-            for node in tree.levels[d]:
-                parent = tree.levels[d - 1][node.parent]
-                if node.value is not None:
-                    assert f.eval_at(node.value) == parent.value
-                else:
-                    got = image(f, IntervalSet((node.span,)))
-                    assert got == iset((parent.value, parent.value))
+            for value in tree.levels[d]:
+                assert f.eval_at(value) in tree.levels[d - 1]
 
     def test_width_cap_flags_truncation(self):
-        tree = BackwardTree(overlap(), Q(1, 2), width_cap=5)
-        tree.ensure_depth(4)
-        assert any(tree.truncated)
+        tree = expanded(overlap(), Q(1, 2), 4, width_cap=5)
+        assert any(tree.truncated) and tree.degraded
 
     def test_sampled_levels_flagged(self):
         flat = make_plmap(interval(0, 2), [(0, 1), (1, 1), (2, 0)])
-        tree = backward_tree(flat, Q(1), 2)
-        assert tree.has_sampled
+        tree = expanded(flat, Q(1), 2)
+        assert tree.has_sampled and tree.degraded
 
 
 class TestExactTail:
@@ -194,6 +190,31 @@ class TestVerifier:
         for bad in perturbations:
             assert not verify_certificate(f, Q(0), bad)
 
+    def test_negative_steps_rejected(self):
+        tail = ExactTailCert(PeriodicOrbit((Q(0), Q(1), Q(5))), Q(0), 0)
+        contraction = find_contraction(f5(), Q(0), Q(2), 2, 8)
+        f = overlap()
+        cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
+        hop = cycle_membership(f, Q(1, 2), cyc, markov_partition(f), 6)
+        # with zero steps each certificate holds for its own connector
+        cases = [
+            (f5(), tail, "connector_k", tail.connector_z),
+            (f5(), contraction, "connector_k", contraction.connector_z),
+            (f, hop, "hop_k", hop.hop_z),
+        ]
+        for g, cert, steps, z in cases:
+            assert verify_certificate(g, z, dataclasses.replace(cert, **{steps: 0}))
+            got = verify_certificate(g, z, dataclasses.replace(cert, **{steps: -1}))
+            assert not got and "negative" in got.reason
+
+    def test_exact_tail_steps_wrap_around_the_orbit(self):
+        orbit = PeriodicOrbit((Q(0), Q(1), Q(5)))
+        start = time.monotonic()
+        assert verify_certificate(f5(), Q(0), ExactTailCert(orbit, Q(0), 3 * 10**11))
+        assert verify_certificate(f5(), Q(1), ExactTailCert(orbit, Q(0), 3 * 10**11 + 1))
+        assert not verify_certificate(f5(), Q(0), ExactTailCert(orbit, Q(0), 3 * 10**11 + 1))
+        assert time.monotonic() - start < 0.5
+
 
 class TestAvoidance:
     def test_f5_seed_middle(self):
@@ -221,8 +242,7 @@ class TestAvoidance:
     def test_brute_force_tree_disjoint(self):
         f = f5()
         got = avoided_region(f, Q(0), iset((2, 4)), 4)
-        tree = backward_tree(f, Q(0), 12)
-        for d, value in tree.point_values(12):
+        for d, value in BackwardTree(f, Q(0)).point_values(12):
             assert not got.final.contains(value)
 
 
@@ -299,6 +319,16 @@ class TestEnclosure:
             salpha_enclosure(f5(), Q(6))
 
 
+class TestBudget:
+    @pytest.mark.parametrize(
+        "field,least", [("depth", 0), ("width_cap", 1), ("max_period", 1), ("avoid_layers", 0)]
+    )
+    def test_below_the_least_is_a_value_error(self, field, least):
+        assert getattr(Budget(**{field: least}), field) == least
+        with pytest.raises(ValueError, match=field):
+            Budget(**{field: least - 1})
+
+
 class TestBetaUpper:
     def test_overlap_half(self):
         got = beta_upper(overlap(), Q(1, 2), Budget(depth=8, avoid_layers=2))
@@ -306,7 +336,8 @@ class TestBetaUpper:
 
     def test_surjective_nonempty(self):
         for f in (f5(), f8(), overlap()):
-            assert f.is_surjective()
+            whole = IntervalSet((f.domain,))
+            assert image(f, whole) == whole
             assert not beta_upper(f, Q(0), Budget(depth=6)).is_empty
 
     def test_empty_outside_image(self):

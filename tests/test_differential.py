@@ -1,13 +1,23 @@
-"""Differential tests: the shortcuts in `compose` and `find_exact_tail` against
-the plain algorithms they replaced, kept here as references."""
+"""Differential tests: the shortcuts in `compose` and `find_exact_tail`, and the
+flat-list `BackwardTree`, against the plain algorithms and the node-based tree
+they replaced, kept here as references."""
 
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
 
 from backlim.backlimits import BackwardTree, ExactTailCert, find_exact_tail, orbit_targets
-from backlim.exactnum import interval
-from backlim.plmap import PLMap, _drop_collinear, compose, iterate, make_plmap, parse_map
+from backlim.exactnum import Interval, interval
+from backlim.plmap import (
+    PLMap,
+    _drop_collinear,
+    compose,
+    iterate,
+    make_plmap,
+    parse_map,
+    point_preimages,
+)
 
 
 def reference_compose(f: PLMap, g: PLMap) -> PLMap:
@@ -26,12 +36,63 @@ def reference_compose(f: PLMap, g: PLMap) -> PLMap:
     return PLMap(g.domain, tuple(_drop_collinear(dots)))
 
 
-def reference_exact_tail(f, y, orbit, depth, width_cap):
-    """Least node of y's backward tree on the orbit, searched level by level."""
-    tree = BackwardTree(f, y, width_cap)
-    for d in range(depth + 1):
-        tree.ensure_depth(d)
-        hits = {n.value for n in tree.levels[d] if n.value is not None} & orbit.point_set
+@dataclass(frozen=True)
+class TreeNode:
+    depth: int
+    value: Q | None              # None for interval-valued nodes
+    span: Interval | None        # set for interval-valued nodes
+    parent: int                  # index into the previous level (-1 at root)
+    piece: int                   # producing piece index (-1 at root)
+    sampled: bool                # descends from a sampled representative
+
+
+class ReferenceTree:
+    """Breadth-first preimage tree with one node per preimage: an interval
+    preimage through a constant piece is a node of its own, followed by its
+    three sampled representatives, and takes a slot under the width cap."""
+
+    def __init__(self, f: PLMap, root: Q, width_cap: int):
+        self.f = f
+        self.width_cap = width_cap
+        self.levels: list[list[TreeNode]] = [[TreeNode(0, root, None, -1, -1, False)]]
+        self.truncated: list[bool] = [False]
+        self.has_sampled = False
+
+    def _expand(self) -> None:
+        d = len(self.levels)
+        nxt: list[TreeNode] = []
+        truncated = False
+        for idx, node in enumerate(self.levels[-1]):
+            if node.value is None:
+                continue
+            for piece_idx, hit in point_preimages(self.f, node.value):
+                if isinstance(hit, Interval):
+                    self.has_sampled = True
+                    nxt.append(TreeNode(d, None, hit, idx, piece_idx, True))
+                    reps = dict.fromkeys((hit.lo, hit.midpoint, hit.hi))
+                    for rep in reps:
+                        nxt.append(TreeNode(d, rep, None, idx, piece_idx, True))
+                else:
+                    nxt.append(TreeNode(d, hit, None, idx, piece_idx, node.sampled))
+            if len(nxt) > self.width_cap:
+                truncated = True
+                nxt = nxt[: self.width_cap]
+                break
+        self.levels.append(nxt)
+        self.truncated.append(truncated)
+
+    def ensure_depth(self, depth: int) -> None:
+        while len(self.levels) - 1 < depth:
+            self._expand()
+
+    def values(self, d: int) -> list[Q]:
+        return [n.value for n in self.levels[d] if n.value is not None]
+
+
+def reference_exact_tail(level_sets, orbit):
+    """Least node of a tree on the orbit, searched level by level."""
+    for d, values in enumerate(level_sets):
+        hits = values & orbit.point_set
         if hits:
             return ExactTailCert(orbit, min(hits), d)
     return None
@@ -67,21 +128,43 @@ def test_iterate_matches_reference(f, n):
     assert iterate(f, n).dots == h.dots
 
 
-@settings(deadline=None)
-@given(
-    uppers.flatmap(
-        lambda u: st.tuples(integer_maps(u), st.fractions(0, u, max_denominator=6))
-    )
+maps_and_points = uppers.flatmap(
+    lambda u: st.tuples(integer_maps(u), st.fractions(0, u, max_denominator=6))
 )
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points)
 def test_exact_tail_matches_tree_search(case):
     f, y = case
     targets = orbit_targets(f, 4)
     # the drawn point, then every orbit point: the latter are the hits
     points = [y, *(p for orbit in targets for p in orbit.points)]
     for point in points:
+        tree = ReferenceTree(f, point, width_cap=300)
+        tree.ensure_depth(5)
+        level_sets = [set(tree.values(d)) for d in range(6)]
         for orbit in targets:
-            want = reference_exact_tail(f, point, orbit, depth=5, width_cap=300)
+            want = reference_exact_tail(level_sets, orbit)
             assert find_exact_tail(f, point, orbit) == want
+
+
+@settings(deadline=None)
+@given(maps_and_points, st.integers(1, 60))
+def test_tree_matches_reference(case, width_cap):
+    f, y = case
+    tree, ref = BackwardTree(f, y, width_cap), ReferenceTree(f, y, width_cap)
+    tree.ensure_depth(5)
+    ref.ensure_depth(5)
+    assert tree.has_sampled == ref.has_sampled
+    if not ref.has_sampled:
+        assert tree.truncated == ref.truncated
+    for d in range(6):
+        # the width cap counts values here but nodes in the reference, so the
+        # levels agree until either tree is first cut
+        if tree.truncated[d] or ref.truncated[d]:
+            break
+        assert tree.levels[d] == ref.values(d)
 
 
 @given(uppers.flatmap(integer_maps))
