@@ -5,7 +5,6 @@ from .exactnum import (
     EMPTY,
     Interval,
     IntervalSet,
-    format_rational,
     parse_interval,
     parse_interval_set,
     parse_rational,

@@ -24,6 +24,7 @@ certificate can be re-checked without trusting the search that found it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
@@ -59,20 +60,31 @@ class PreconditionError(ValueError):
     """A stated precondition of an operation does not hold."""
 
 
+MemoInfo = namedtuple("MemoInfo", "hits misses")
+
+
 def _per_map(fn):
     """Memoise fn(f, *args) in f.memo, so work done for one query on a map is
     shared by every later query on that map object and freed with it. A
-    fresh map starts cold; equal maps built separately share nothing."""
+    fresh map starts cold; equal maps built separately share nothing.
+
+    `cache_info()` returns the hits and misses counted since import, over all
+    maps; the counters only count, and no result reads them."""
+    counts = [0, 0]
 
     @wraps(fn)
     def memoised(f: PLMap, *args):
         key = (fn.__name__, *args)
         try:
-            return f.memo[key]
+            out = f.memo[key]
         except KeyError:
+            counts[1] += 1
             out = f.memo[key] = fn(f, *args)
-            return out
+        else:
+            counts[0] += 1
+        return out
 
+    memoised.cache_info = lambda: MemoInfo(*counts)
     return memoised
 
 
@@ -223,8 +235,11 @@ class _Word:
     slope: Fraction
 
 
+_MAX_WORDS = 64
+
+
 @_per_map
-def _contraction_words(f: PLMap, t: Fraction, p: int, max_words: int = 64) -> tuple[_Word, ...]:
+def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
     """Inverse piece-words of length p around the orbit of t composing to a
     strict contraction fixing t, with the largest valid basin interval.
 
@@ -237,7 +252,7 @@ def _contraction_words(f: PLMap, t: Fraction, p: int, max_words: int = 64) -> tu
     results: list[_Word] = []
 
     def rec(i: int, word: tuple[int, ...], hs: Fraction, hi_: Fraction, feas: Interval):
-        if len(results) >= max_words:
+        if len(results) >= _MAX_WORDS:
             return
         if i == p:
             s = hs
@@ -349,36 +364,25 @@ def avoided_region(
             pieces.append(Interval((y + anchor) / 2, part.hi))
         return pieces
 
-    region = seed
-    used = 0
-    stabilized = False
-    for _ in range(layers):
+    def fresh_parts(region: IntervalSet) -> list[Interval]:
         fresh: list[Interval] = []
         for part in preimage(f, region).parts:
             chunks = split_at_point(part, region) if part.contains(y) else [part]
             for q in chunks:
-                if q.is_point:
-                    continue
-                if region.contains_set(IntervalSet((q,))):
-                    continue
-                fresh.append(q)
-        if not fresh:
-            stabilized = True
-            break
+                if not q.is_point and not region.contains_set(IntervalSet((q,))):
+                    fresh.append(q)
+        return fresh
+
+    # the step after the last layer is probed too, so `stabilized` is honest
+    # when the budget runs out
+    region = seed
+    used = 0
+    fresh = fresh_parts(region)
+    while fresh and used < layers:
         region = region.union(IntervalSet.of(fresh))
         used += 1
-    else:
-        # one more probe so the flag is honest after exhausting the budget
-        stabilized = True
-        for part in preimage(f, region).parts:
-            chunks = split_at_point(part, region) if part.contains(y) else [part]
-            if any(
-                not q.is_point and not region.contains_set(IntervalSet((q,)))
-                for q in chunks
-            ):
-                stabilized = False
-                break
-    return AvoidanceCert(seed, used, region, stabilized)
+        fresh = fresh_parts(region)
+    return AvoidanceCert(seed, used, region, not fresh)
 
 
 def cycle_membership(
@@ -440,6 +444,36 @@ def _fail(reason: str) -> Verification:
     return Verification(False, reason)
 
 
+_MAX_STEPS = 4096
+
+
+def _image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
+    """f^k(z) for k >= 0, settled at once for any k: once a value of z's
+    forward orbit repeats, k is reduced modulo that cycle. None when k
+    exceeds _MAX_STEPS and no value repeats within that many steps."""
+    first: dict[Fraction, int] = {}  # step at which each value was first seen
+    x = z
+    for i in range(min(k, _MAX_STEPS) + 1):
+        if i == k:
+            return x
+        if x in first:
+            j = first[x]
+            return list(first)[j + (k - j) % (i - j)]
+        first[x] = i
+        x = f.eval_at(x)
+    return None
+
+
+def _lands_on(f: PLMap, z: Fraction, k: int, y: Fraction, what: str) -> Verification:
+    """Whether f^k(z) = y, for the certificate's step `what` (z, k)."""
+    if k < 0:
+        return _fail("negative step count")
+    got = _image_after(f, z, k)
+    if got is None:
+        return _fail(f"{what} step count exceeds {_MAX_STEPS} without a repeat")
+    return Verification(True) if got == y else _fail(f"{what} does not map onto the point")
+
+
 def _verify_orbit(f: PLMap, points: tuple[Fraction, ...]) -> str | None:
     if not points:
         return "empty orbit"
@@ -459,14 +493,7 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
             return _fail(bad)
         if cert.connector_z not in cert.orbit.point_set:
             return _fail("connector not on the orbit")
-        if cert.connector_k < 0:
-            return _fail("negative step count")
-        # the connector is on the verified orbit, so its images repeat with
-        # the orbit's length and k steps land where k mod that length do
-        k = cert.connector_k % len(cert.orbit.points)
-        if f.eval_chain(cert.connector_z, k) != y:
-            return _fail("connector does not map onto the point")
-        return Verification(True)
+        return _lands_on(f, cert.connector_z, cert.connector_k, y, "connector")
 
     if isinstance(cert, ContractionCert):
         t, p = cert.target, cert.period
@@ -501,11 +528,7 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
         z = cert.connector_z
         if z == t or not cert.basin.contains(z):
             return _fail("connector not in the basin minus the target")
-        if cert.connector_k < 0:
-            return _fail("negative step count")
-        if f.eval_chain(z, cert.connector_k) != y:
-            return _fail("connector does not map onto the point")
-        return Verification(True)
+        return _lands_on(f, z, cert.connector_k, y, "connector")
 
     if isinstance(cert, AvoidanceCert):
         if cert.seed.is_empty:
@@ -542,11 +565,7 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
             return _fail("hop lands on an exceptional point")
         if not any(p.strictly_contains(z) for p in cyc.components.parts):
             return _fail("hop is not strictly inside the cycle")
-        if cert.hop_k < 0:
-            return _fail("negative step count")
-        if f.eval_chain(z, cert.hop_k) != y:
-            return _fail("hop does not map onto the point")
-        return Verification(True)
+        return _lands_on(f, z, cert.hop_k, y, "hop")
 
     return _fail(f"unknown certificate type {type(cert).__name__}")
 
@@ -696,9 +715,6 @@ class SalphaEnclosure:
     def lower_closure(self) -> IntervalSet:
         points = [Interval(p, p) for p in self.lower_points]
         return IntervalSet.of(points + list(self.lower_intervals.parts))
-
-    def certifies_member(self, x: Fraction) -> bool:
-        return x in self.lower_points or self.lower_intervals.contains(x)
 
     def certifies_excluded(self, x: Fraction) -> bool:
         return not self.upper.contains(x)

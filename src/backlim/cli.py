@@ -36,7 +36,7 @@ from .backlimits import (
     salpha_enclosure,
     verify_certificate,
 )
-from .corpus import all_entries, entry_by_name, verify_entry
+from .corpus import CorpusEntry, all_entries, entry_by_name, verify_entry
 from .exactnum import (
     Interval,
     RationalParseError,
@@ -73,11 +73,14 @@ def _load_map(path: str) -> PLMap:
         raise _InputError(str(e)) from e
 
 
-def _rat(text: str) -> Fraction:
+def _point(f: PLMap, text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        y = parse_rational(text)
     except RationalParseError as e:
         raise _InputError(str(e)) from e
+    if not f.domain.contains(y):
+        raise _InputError(f"point {y} outside domain {f.domain}")
+    return y
 
 
 def _enclosure_obj(enc: SalphaEnclosure) -> dict:
@@ -94,22 +97,10 @@ def _enclosure_obj(enc: SalphaEnclosure) -> dict:
     }
 
 
-def _report(command: str, f: PLMap | None, inputs: dict, result: dict,
-            budgets: dict | None = None, exact: bool | None = None,
-            started: float | None = None) -> dict:
-    out: dict = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-    }
+def _report(command: str, f: PLMap | None, inputs: dict, result: dict, **extra) -> dict:
+    out = {"command": command, "inputs": inputs, "result": result, **extra}
     if f is not None:
         out["map_digest"] = map_digest(f)
-    if budgets is not None:
-        out["budgets"] = budgets
-    if exact is not None:
-        out["exact"] = exact
-    if started is not None:
-        out["wall_time_ms"] = int((time.monotonic() - started) * 1000)
     return out
 
 
@@ -127,16 +118,21 @@ def _budget_from(args) -> Budget:
     return Budget(depth=args.depth, width_cap=args.width, max_period=args.max_period)
 
 
+def _entry(name: str) -> CorpusEntry:
+    entry = entry_by_name(name)
+    if entry is None:
+        raise _InputError(f"unknown corpus entry {name!r}")
+    return entry
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (report, exit code); `main` times and emits the
+# report, or leaves it to the command when it is None
 
 
-def _cmd_analyze(args) -> int:
-    started = time.monotonic()
+def _cmd_analyze(args) -> tuple[dict, int]:
     f = _load_map(args.map)
-    y = _rat(args.point)
-    if not f.domain.contains(y):
-        raise _InputError(f"point {y} outside domain {f.domain}")
+    y = _point(f, args.point)
     budget = _budget_from(args)
     enc = salpha_enclosure(f, y, budget)
     beta = beta_upper(f, y, budget)
@@ -145,32 +141,21 @@ def _cmd_analyze(args) -> int:
         "beta_upper": _set_obj(beta),
         "beta_empty": beta.is_empty,
     }
-    _emit(
-        _report("analyze", f, {"point": str(y)}, result,
-                budgets=dataclasses.asdict(budget), exact=enc.exact, started=started),
-        args.json,
-    )
-    return EXIT_OK
+    report = _report("analyze", f, {"point": str(y)}, result,
+                     budgets=dataclasses.asdict(budget), exact=enc.exact)
+    return report, EXIT_OK
 
 
-def _cmd_certify(args) -> int:
-    started = time.monotonic()
+def _cmd_certify(args) -> tuple[dict, int]:
     f = _load_map(args.map)
-    y = _rat(args.point)
-    t = _rat(args.target)
-    if not f.domain.contains(y) or not f.domain.contains(t):
-        raise _InputError("point or target outside the domain")
-    if args.period is not None:
-        if f.eval_chain(t, args.period) != t:
-            print(f"target {t} is not {args.period}-periodic", file=sys.stderr)
-            return EXIT_PRECONDITION
-        bound = args.period
-    else:
-        bound = 64
+    y = _point(f, args.point)
+    t = _point(f, args.target)
+    if args.period is not None and f.eval_chain(t, args.period) != t:
+        raise PreconditionError(f"target {t} is not {args.period}-periodic")
+    bound = args.period or 64
     least = least_period_of(f, t, bound)
     if least is None:
-        print(f"target {t} is not periodic within {bound} steps", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise PreconditionError(f"target {t} is not periodic within {bound} steps")
     orbit = PeriodicOrbit.from_point(f, t, least)
     tree = BackwardTree(f, y, args.width)
     cert = certify_orbit(f, y, orbit, args.depth, tree)
@@ -183,9 +168,7 @@ def _cmd_certify(args) -> int:
     }
     inputs = {"point": str(y), "target": str(t), "period": least}
     if cert is None:
-        result = {"found": False, "stats": stats}
-        _emit(_report("certify", f, inputs, result, started=started), args.json)
-        return EXIT_FAIL
+        return _report("certify", f, inputs, {"found": False, "stats": stats}), EXIT_FAIL
     check = verify_certificate(f, y, cert)
     result = {
         "found": True,
@@ -193,16 +176,12 @@ def _cmd_certify(args) -> int:
         "verified": bool(check),
         "stats": stats,
     }
-    _emit(_report("certify", f, inputs, result, started=started), args.json)
-    return EXIT_OK if check else EXIT_FAIL
+    return _report("certify", f, inputs, result), EXIT_OK if check else EXIT_FAIL
 
 
-def _cmd_exclude(args) -> int:
-    started = time.monotonic()
+def _cmd_exclude(args) -> tuple[dict, int]:
     f = _load_map(args.map)
-    y = _rat(args.point)
-    if not f.domain.contains(y):
-        raise _InputError(f"point {y} outside domain {f.domain}")
+    y = _point(f, args.point)
     try:
         seed = parse_interval_set(args.seed)
     except ValueError as e:  # malformed rationals, or bounds out of order
@@ -211,22 +190,18 @@ def _cmd_exclude(args) -> int:
     inputs = {"point": str(y), "seed": args.seed}
     if isinstance(got, RejectedSeed):
         result = {"accepted": False, "reason": got.reason}
-        _emit(_report("exclude", f, inputs, result, started=started), args.json)
-        return EXIT_PRECONDITION
+        return _report("exclude", f, inputs, result), EXIT_PRECONDITION
     check = verify_certificate(f, y, got)
-    excluded = got.final.complement(f.domain)
     result = {
         "accepted": True,
         "certificate": cert_to_obj(got),
         "verified": bool(check),
-        "limit_set_upper_bound": _set_obj(excluded),
+        "limit_set_upper_bound": _set_obj(got.final.complement(f.domain)),
     }
-    _emit(_report("exclude", f, inputs, result, started=started), args.json)
-    return EXIT_OK if check else EXIT_FAIL
+    return _report("exclude", f, inputs, result), EXIT_OK if check else EXIT_FAIL
 
 
-def _cmd_periodic(args) -> int:
-    started = time.monotonic()
+def _cmd_periodic(args) -> tuple[dict, int]:
     f = _load_map(args.map)
     structure = periodic_orbits(f, args.max_period)
     result = {
@@ -238,32 +213,27 @@ def _cmd_periodic(args) -> int:
             {"period": n, "set": _set_obj(s)} for n, s in structure.fixed_intervals
         ],
     }
-    _emit(
-        _report("periodic", f, {"max_period": args.max_period}, result, started=started),
-        args.json,
-    )
-    return EXIT_OK
+    return _report("periodic", f, {"max_period": args.max_period}, result), EXIT_OK
 
 
-def _cmd_markov(args) -> int:
-    started = time.monotonic()
+def _cmd_markov(args) -> tuple[dict, int]:
     f = _load_map(args.map)
     ms = markov_partition(f, args.cap)
     if ms is None:
         result = {"markov": False}
     else:
+        base = Interval(ms.cuts[0], ms.cuts[-1])
+        got = check_cycle_of_intervals(f, base, 1)
         cycles = []
-        for base, period in [(Interval(ms.cuts[0], ms.cuts[-1]), 1)]:
-            got = check_cycle_of_intervals(f, base, period)
-            if isinstance(got, CycleOfIntervals):
-                cycles.append(
-                    {
-                        "base": [str(base.lo), str(base.hi)],
-                        "period": period,
-                        "transitive": is_transitive(ms, got).value,
-                        "mixing": is_mixing(ms, got).value,
-                    }
-                )
+        if isinstance(got, CycleOfIntervals):
+            cycles.append(
+                {
+                    "base": [str(base.lo), str(base.hi)],
+                    "period": 1,
+                    "transitive": is_transitive(ms, got).value,
+                    "mixing": is_mixing(ms, got).value,
+                }
+            )
         result = {
             "markov": True,
             "cuts": [str(c) for c in ms.cuts],
@@ -272,16 +242,12 @@ def _cmd_markov(args) -> int:
             "expanding": ms.expanding,
             "whole_domain_cycle": cycles,
         }
-    _emit(_report("markov", f, {"cap": args.cap}, result, started=started), args.json)
-    return EXIT_OK
+    return _report("markov", f, {"cap": args.cap}, result), EXIT_OK
 
 
-def _cmd_corpus(args) -> int:
-    started = time.monotonic()
+def _cmd_corpus(args) -> tuple[dict | None, int]:
     if args.action == "export":
-        entry = entry_by_name(args.name)
-        if entry is None:
-            raise _InputError(f"unknown corpus entry {args.name!r}")
+        entry = _entry(args.name)
         outdir = Path(args.dir)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{entry.name}.json").write_text(
@@ -295,15 +261,9 @@ def _cmd_corpus(args) -> int:
             json.dumps(expectations, indent=2) + "\n", encoding="utf-8"
         )
         print(f"wrote {entry.name}.json and {entry.name}.expectations.json to {outdir}")
-        return EXIT_OK
+        return None, EXIT_OK
 
-    if args.name == "all":
-        entries = all_entries()
-    else:
-        entry = entry_by_name(args.name)
-        if entry is None:
-            raise _InputError(f"unknown corpus entry {args.name!r}")
-        entries = (entry,)
+    entries = all_entries() if args.name == "all" else (_entry(args.name),)
     result: dict = {"entries": {}}
     ok = True
     for entry in entries:
@@ -313,11 +273,7 @@ def _cmd_corpus(args) -> int:
         ]
         ok = ok and all(r.ok for r in results)
     result["all_ok"] = ok
-    _emit(
-        _report("corpus", None, {"name": args.name}, result, started=started),
-        args.json,
-    )
-    return EXIT_OK if ok else EXIT_FAIL
+    return _report("corpus", None, {"name": args.name}, result), EXIT_OK if ok else EXIT_FAIL
 
 
 def enumerate_scan_maps(dots: int, upper: int, limit: int) -> list[PLMap]:
@@ -338,8 +294,7 @@ def enumerate_scan_maps(dots: int, upper: int, limit: int) -> list[PLMap]:
     return out
 
 
-def _cmd_scan(args) -> int:
-    started = time.monotonic()
+def _cmd_scan(args) -> tuple[dict, int]:
     if args.dots > 6 or args.dots < 2:
         raise _InputError("dots must be between 2 and 6")
     try:
@@ -398,11 +353,10 @@ def _cmd_scan(args) -> int:
         "max_period": args.max_period,
         "limit": args.limit,
     }
-    _emit(_report("scan", None, inputs, result, started=started), args.json)
-    return EXIT_OK
+    return _report("scan", None, inputs, result), EXIT_OK
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> tuple[None, int]:
     f = _load_map(args.map)
     if args.samples < 2:
         raise _InputError("need at least 2 samples")
@@ -413,15 +367,13 @@ def _cmd_plot(args) -> int:
     lines = [f"{x}\t{f.eval_at(x)}" for x in sorted(xs)]
     if args.tree:
         point_s, _, depth_s = args.tree.partition(",")
-        root = _rat(point_s)
+        root = _point(f, point_s)
         try:
             depth = int(depth_s)
         except ValueError as e:
             raise _InputError(f"malformed tree argument {args.tree!r}") from e
         if depth < 0:
             raise _InputError(f"tree depth must be at least 0, got {depth}")
-        if not f.domain.contains(root):
-            raise _InputError(f"tree root {root} outside domain")
         tree = BackwardTree(f, root, DEFAULT_WIDTH_CAP)
         lines.append("")
         for d, value in tree.point_values(depth):
@@ -432,7 +384,7 @@ def _cmd_plot(args) -> int:
     except OSError as e:
         raise _InputError(f"cannot write {args.out}: {e}") from e
     print(f"wrote {args.out}")
-    return EXIT_OK
+    return None, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +482,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if report is not None:
+            report["wall_time_ms"] = int((time.monotonic() - started) * 1000)
+            _emit(report, args.json)
+        return code
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

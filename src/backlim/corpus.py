@@ -468,6 +468,9 @@ def verify_chuxiong_properties(entry: CorpusEntry, n: int) -> BulletReport:
 # expectation runner
 
 
+_Outcome = tuple[bool, str, tuple[tuple[Fraction, Any], ...]]  # ok, detail, certs
+
+
 def _enclosure_for(entry: CorpusEntry, y: Fraction, params: dict) -> SalphaEnclosure:
     budget = params.get("budget", entry.budget)
     return salpha_enclosure(entry.map, y, budget)
@@ -480,111 +483,88 @@ def _enclosure_certs(y: Fraction, enc: SalphaEnclosure):
     return tuple(certs)
 
 
-def _run_member(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
+def _run_member(entry: CorpusEntry, p: dict) -> _Outcome:
     f = entry.map
-    p = exp.params
     y = p["y"]
     budget = p.get("budget", entry.budget)
     if p["mechanism"] == "tail":
-        orbit = PeriodicOrbit(p["orbit"])
-        cert = find_exact_tail(f, y, orbit)
+        cert = find_exact_tail(f, y, PeriodicOrbit(p["orbit"]))
     else:
         cert = find_contraction(
             f, y, p["target"], p["period"], budget.depth, budget.width_cap
         )
     if cert is None:
-        return ExpectationResult(entry.name, exp.label, False, "no certificate found")
+        return False, "no certificate found", ()
     check = verify_certificate(f, y, cert)
     if not check:
-        return ExpectationResult(entry.name, exp.label, False, f"verifier: {check.reason}")
+        return False, f"verifier: {check.reason}", ()
     if isinstance(cert, ContractionCert):
         slope = Fraction(1)
         for pi in cert.piece_word:
             slope /= f.pieces[pi].slope
         want = p.get("slope_abs")
         if want is not None and abs(slope) != want:
-            return ExpectationResult(
-                entry.name, exp.label, False, f"inverse slope {slope}, wanted |{want}|"
-            )
+            return False, f"inverse slope {slope}, wanted |{want}|", ()
         if p.get("orbit") is not None and frozenset(cert.orbit_points(f)) != frozenset(p["orbit"]):
-            return ExpectationResult(entry.name, exp.label, False, "certified a different orbit")
-    return ExpectationResult(entry.name, exp.label, True, "certificate verified", ((y, cert),))
+            return False, "certified a different orbit", ()
+    return True, "certificate verified", ((y, cert),)
 
 
-def _run_excluded(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
+def _run_excluded(entry: CorpusEntry, p: dict) -> _Outcome:
     f = entry.map
-    p = exp.params
     y, point, seed = p["y"], p["point"], p["seed"]
     layers = p.get("budget", entry.budget).avoid_layers
     got = avoided_region(f, y, seed, layers)
     if not isinstance(got, AvoidanceCert):
-        return ExpectationResult(entry.name, exp.label, False, f"seed rejected: {got.reason}")
+        return False, f"seed rejected: {got.reason}", ()
     check = verify_certificate(f, y, got)
     if not check:
-        return ExpectationResult(entry.name, exp.label, False, f"verifier: {check.reason}")
+        return False, f"verifier: {check.reason}", ()
     if not got.final.relative_interior_contains(point, f.domain):
-        return ExpectationResult(
-            entry.name, exp.label, False, f"{point} not interior to the avoided region"
-        )
-    return ExpectationResult(entry.name, exp.label, True, "exclusion certified", ((y, got),))
+        return False, f"{point} not interior to the avoided region", ()
+    return True, "exclusion certified", ((y, got),)
 
 
-def _run_enclosure_exact(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
-    p = exp.params
+def _run_enclosure_exact(entry: CorpusEntry, p: dict) -> _Outcome:
     y = p["y"]
     enc = _enclosure_for(entry, y, p)
     if not enc.exact:
-        return ExpectationResult(entry.name, exp.label, False, "enclosure not exact")
+        return False, "enclosure not exact", ()
     if enc.upper != p["expected"] or enc.lower_closure != p["expected"]:
-        return ExpectationResult(
-            entry.name, exp.label, False, f"enclosure {enc.upper} != expected {p['expected']}"
-        )
-    return ExpectationResult(entry.name, exp.label, True, "exact enclosure matches",
-                             _enclosure_certs(y, enc))
+        return False, f"enclosure {enc.upper} != expected {p['expected']}", ()
+    return True, "exact enclosure matches", _enclosure_certs(y, enc)
 
 
-def _run_enclosure_bounds(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
-    p = exp.params
+def _run_enclosure_bounds(entry: CorpusEntry, p: dict) -> _Outcome:
     y = p["y"]
     enc = _enclosure_for(entry, y, p)
-    if enc.lower_points != tuple(sorted(p["lower_points"])):
-        return ExpectationResult(
-            entry.name,
-            exp.label,
-            False,
-            f"lower points {enc.lower_points} != expected {tuple(sorted(p['lower_points']))}",
-        )
+    want = tuple(sorted(p["lower_points"]))
+    if enc.lower_points != want:
+        return False, f"lower points {enc.lower_points} != expected {want}", ()
     if not enc.lower_intervals.is_empty:
-        return ExpectationResult(entry.name, exp.label, False, "unexpected interval members")
+        return False, "unexpected interval members", ()
     missing = [x for x in p["excluded"] if not enc.certifies_excluded(x)]
     if missing:
-        return ExpectationResult(
-            entry.name, exp.label, False, f"not certified excluded: {missing}"
-        )
-    return ExpectationResult(entry.name, exp.label, True, "bounds match",
-                             _enclosure_certs(y, enc))
+        return False, f"not certified excluded: {missing}", ()
+    return True, "bounds match", _enclosure_certs(y, enc)
 
 
-def _run_cycle_valid(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
-    got = check_cycle_of_intervals(entry.map, exp.params["base"], exp.params["period"])
+def _run_cycle_valid(entry: CorpusEntry, p: dict) -> _Outcome:
+    got = check_cycle_of_intervals(entry.map, p["base"], p["period"])
     if isinstance(got, CycleOfIntervals):
-        return ExpectationResult(entry.name, exp.label, True, "cycle verified")
-    return ExpectationResult(entry.name, exp.label, False, got.reason)
+        return True, "cycle verified", ()
+    return False, got.reason, ()
 
 
-def _check_period_forcing(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
-    y = exp.params["y"]
-    enc = _enclosure_for(entry, y, exp.params)
+def _check_period_forcing(entry: CorpusEntry, p: dict) -> _Outcome:
+    y = p["y"]
+    enc = _enclosure_for(entry, y, p)
     periods = enc.certified_periods(entry.map)
     ok = 3 in periods and (1 in periods or 2 in periods)
-    return ExpectationResult(
-        entry.name, exp.label, ok, f"certified periods {sorted(periods)}",
-        _enclosure_certs(y, enc),
-    )
+    return ok, f"certified periods {sorted(periods)}", _enclosure_certs(y, enc)
 
 
-def _check_three_enclosures(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
-    p = exp.params
+def _check_three_enclosures(entry: CorpusEntry, p: dict) -> _Outcome:
     den = p["grid_denominator"]
     window: Interval = p["window"]
     distinct: set[IntervalSet] = set()
@@ -592,64 +572,52 @@ def _check_three_enclosures(entry: CorpusEntry, exp: Expectation) -> Expectation
         y = Fraction(k, den)
         enc = _enclosure_for(entry, y, p)
         if not enc.exact:
-            return ExpectationResult(
-                entry.name, exp.label, False, f"grid point {y} not exact"
-            )
+            return False, f"grid point {y} not exact", ()
         if any(q.lo <= window.lo and window.hi <= q.hi for q in enc.upper.parts):
             distinct.add(enc.upper)
     ok = len(distinct) == p["expected_count"]
-    return ExpectationResult(
-        entry.name, exp.label, ok,
-        f"{len(distinct)} distinct enclosures contain the window",
-    )
+    return ok, f"{len(distinct)} distinct enclosures contain the window", ()
 
 
-def _check_increasing_chain(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
-    bands = exp.params["bands"]
+def _check_increasing_chain(entry: CorpusEntry, p: dict) -> _Outcome:
     lowers = []
-    for n in range(1, bands + 1):
+    for n in range(1, p["bands"] + 1):
         y = (_nomax_a(n + 1) + _nomax_a(n)) / 2
-        enc = _enclosure_for(entry, y, exp.params)
+        enc = _enclosure_for(entry, y, p)
         lowers.append((n, set(enc.lower_points), enc))
     for (n1, l1, _), (n2, l2, _) in zip(lowers, lowers[1:]):
         if not (l1 < l2):
-            return ExpectationResult(
-                entry.name, exp.label, False, f"band {n1} not strictly below band {n2}"
-            )
+            return False, f"band {n1} not strictly below band {n2}", ()
     # finite witness that no enclosure bounds the whole family: each one
     # provably omits the next fixed point of the chain
     for n, _, enc in lowers:
         if not enc.certifies_excluded(_nomax_a(n + 1)):
-            return ExpectationResult(
-                entry.name, exp.label, False,
-                f"band {n} enclosure does not omit a_{n + 1}",
-            )
-    return ExpectationResult(entry.name, exp.label, True,
-                             "chain strictly increasing, every enclosure omits a member")
+            return False, f"band {n} enclosure does not omit a_{n + 1}", ()
+    return True, "chain strictly increasing, every enclosure omits a member", ()
 
 
-def _check_tower_properties(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
+def _check_tower_properties(entry: CorpusEntry, p: dict) -> _Outcome:
     failures = []
-    for n in exp.params["levels"]:
+    for n in p["levels"]:
         report = verify_chuxiong_properties(entry, n)
         for name, passed in report.bullets:
             if not passed:
                 failures.append(f"level {n}: {name}")
     if failures:
-        return ExpectationResult(entry.name, exp.label, False, "; ".join(failures))
-    return ExpectationResult(entry.name, exp.label, True, "all bullets pass")
+        return False, "; ".join(failures), ()
+    return True, "all bullets pass", ()
 
 
-def _check_tower_gaps(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
+def _check_tower_gaps(entry: CorpusEntry, p: dict) -> _Outcome:
     levels = entry.meta["levels"]
     geo = _fifth_geometry(levels)
     x = geo.lefts[levels]
     gaps = [abs(geo.lefts[n] - x) for n in range(levels - 1)]
     ok = all(a > b for a, b in zip(gaps, gaps[1:]))
-    return ExpectationResult(entry.name, exp.label, ok, f"gaps {[str(g) for g in gaps]}")
+    return ok, f"gaps {[str(g) for g in gaps]}", ()
 
 
-_PROPERTY_CHECKS: dict[str, Callable[[CorpusEntry, Expectation], ExpectationResult]] = {
+_PROPERTY_CHECKS: dict[str, Callable[[CorpusEntry, dict], _Outcome]] = {
     "period_forcing": _check_period_forcing,
     "three_enclosures": _check_three_enclosures,
     "increasing_chain": _check_increasing_chain,
@@ -668,8 +636,11 @@ _RUNNERS = {
 
 def run_expectation(entry: CorpusEntry, exp: Expectation) -> ExpectationResult:
     if exp.kind == "property_check":
-        return _PROPERTY_CHECKS[exp.params["check"]](entry, exp)
-    return _RUNNERS[exp.kind](entry, exp)
+        run = _PROPERTY_CHECKS[exp.params["check"]]
+    else:
+        run = _RUNNERS[exp.kind]
+    ok, detail, certs = run(entry, exp.params)
+    return ExpectationResult(entry.name, exp.label, ok, detail, certs)
 
 
 def verify_entry(entry: CorpusEntry) -> list[ExpectationResult]:

@@ -34,10 +34,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 @dataclass(frozen=True, order=True)
 class Interval:
     """Closed interval [lo, hi]; degenerate (lo == hi) means a single point."""

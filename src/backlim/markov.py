@@ -205,9 +205,11 @@ class ExceptionalReport:
     witnesses: tuple[tuple[Fraction, Fraction, int], ...] = field(default=())
 
 
-def exceptional_set(
-    f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals, cap: int = 256
-) -> ExceptionalReport:
+# backward levels searched per candidate before it is left undecided
+_EXCEPTIONAL_DEPTH = 256
+
+
+def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> ExceptionalReport:
     """Decide membership in the exceptional set E for every component endpoint
     and every periodic cut point of the cycle.
 
@@ -238,7 +240,7 @@ def exceptional_set(
         verdict = None
         witness = None
         depth = 0
-        while frontier and depth < cap and verdict is None:
+        while frontier and depth < _EXCEPTIONAL_DEPTH and verdict is None:
             depth += 1
             nxt = []
             for u in frontier:

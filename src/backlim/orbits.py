@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Interval, IntervalSet
-from .plmap import DEFAULT_PIECE_CAP, PieceBudgetExceeded, PLMap, compose
+from .plmap import PIECE_CAP, PieceBudgetExceeded, PLMap, compose
 
 
 def forward_orbit(f: PLMap, x: Fraction, n: int) -> list[Fraction]:
@@ -75,9 +75,7 @@ class PeriodicStructure:
     fixed_intervals: tuple[tuple[int, IntervalSet], ...]
 
 
-def periodic_orbits(
-    f: PLMap, n_max: int, piece_cap: int = DEFAULT_PIECE_CAP
-) -> PeriodicStructure:
+def periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
     """All isolated orbits of least period <= n_max plus periodic continua.
 
     Continua are reported once, at the smallest n at which they appear; points
@@ -91,8 +89,8 @@ def periodic_orbits(
     composed = None
     for n in range(1, n_max + 1):
         composed = f if composed is None else compose(f, composed)
-        if len(composed.dots) - 1 > piece_cap:
-            raise PieceBudgetExceeded(f"more than {piece_cap} pieces in f^{n}")
+        if len(composed.dots) - 1 > PIECE_CAP:
+            raise PieceBudgetExceeded(f"more than {PIECE_CAP} pieces in f^{n}")
         s = fixed_point_set(composed)
         fresh = []
         for part in s.parts:

@@ -20,12 +20,11 @@ from .exactnum import (
     EMPTY,
     Interval,
     IntervalSet,
-    format_rational,
     parse_rational,
     RationalParseError,
 )
 
-DEFAULT_PIECE_CAP = 10**6
+PIECE_CAP = 10**6
 
 
 class InvalidMap(ValueError):
@@ -165,14 +164,14 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     return PLMap(g.domain, tuple(_drop_collinear(dots)))
 
 
-def iterate(f: PLMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> PLMap:
+def iterate(f: PLMap, n: int) -> PLMap:
     if n < 0:
         raise ValueError("iteration count must be non-negative")
     h = identity_map(f.domain)
     for _ in range(n):
         h = compose(f, h)
-        if len(h.dots) - 1 > piece_cap:
-            raise PieceBudgetExceeded(f"more than {piece_cap} pieces in f^{n}")
+        if len(h.dots) - 1 > PIECE_CAP:
+            raise PieceBudgetExceeded(f"more than {PIECE_CAP} pieces in f^{n}")
     return h
 
 
@@ -228,8 +227,8 @@ def point_preimages(f: PLMap, y: Fraction) -> list[tuple[int, Fraction | Interva
 
 def map_to_obj(f: PLMap) -> dict:
     return {
-        "domain": [format_rational(f.domain.lo), format_rational(f.domain.hi)],
-        "dots": [[format_rational(x), format_rational(y)] for x, y in f.dots],
+        "domain": [str(f.domain.lo), str(f.domain.hi)],
+        "dots": [[str(x), str(y)] for x, y in f.dots],
     }
 
 

@@ -215,6 +215,36 @@ class TestVerifier:
         assert not verify_certificate(f5(), Q(0), ExactTailCert(orbit, Q(0), 3 * 10**11 + 1))
         assert time.monotonic() - start < 0.5
 
+    def test_contraction_steps_settle_on_the_connector_cycle(self):
+        # the connector 0 lies on the 3-cycle 0 -> 1 -> 5 -> 0
+        cert = find_contraction(f5(), Q(0), Q(2), 2, 8)
+        assert (cert.connector_z, cert.connector_k) == (Q(0), 0)
+        start = time.monotonic()
+        assert verify_certificate(f5(), Q(0), dataclasses.replace(cert, connector_k=3 * 10**11))
+        got = verify_certificate(f5(), Q(0), dataclasses.replace(cert, connector_k=10**12))
+        assert not got and got.reason == "connector does not map onto the point"
+        assert time.monotonic() - start < 0.5
+
+    def test_cycle_hop_steps_settle(self):
+        f = overlap()
+        cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
+        hop = cycle_membership(f, Q(1, 2), cyc, markov_partition(f), 6)
+        start = time.monotonic()
+        # the hop 1/2 is a fixed point of the map
+        assert verify_certificate(f, Q(1, 2), dataclasses.replace(hop, hop_k=10**12))
+        assert time.monotonic() - start < 0.5
+
+    def test_steps_without_a_repeat_are_refused(self):
+        # x -> x/2 on [0,1/2], and 1 is an expanding fixed point whose
+        # basin holds 1/2; the orbit 1/2, 1/4, 1/8, ... never repeats
+        f = make_plmap(interval(0, 1), [(0, 0), (Q(1, 2), Q(1, 4)), (1, 1)])
+        cert = ContractionCert(Q(1), 1, (1,), interval(Q(1, 2), 1), Q(1, 2), 3)
+        assert verify_certificate(f, Q(1, 16), cert)
+        start = time.monotonic()
+        got = verify_certificate(f, Q(0), dataclasses.replace(cert, connector_k=10**12))
+        assert not got and "without a repeat" in got.reason
+        assert time.monotonic() - start < 0.5
+
 
 class TestAvoidance:
     def test_f5_seed_middle(self):
@@ -281,7 +311,7 @@ class TestEnclosure:
     def test_f5_bounds(self):
         enc = salpha_enclosure(f5(), Q(0))
         for x in (Q(0), Q(1), Q(5), Q(2), Q(4)):
-            assert enc.certifies_member(x)
+            assert x in enc.lower_points
         assert enc.certifies_excluded(Q(3))
         assert iset((0, 2), (4, 5)).contains_set(enc.upper)
         assert not enc.exact
@@ -433,6 +463,15 @@ class TestMapLifetime:
         del f
         gc.collect()
         assert ref() is None
+
+    def test_memo_counts_hits_and_misses(self):
+        # the counters accumulate over the session, so compare differences
+        f = f5()
+        before = salpha_enclosure.cache_info()
+        enc = salpha_enclosure(f, Q(0))
+        assert salpha_enclosure(f, Q(0)) is enc
+        after = salpha_enclosure.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
     def test_analysis_stays_on_its_map_object(self):
         a, b = f5(), f5()

@@ -65,18 +65,35 @@ class TestAnalyze:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: malformed coordinates: expected a rational")
 
-    def test_json_output(self, capsys, f5_path, tmp_path):
-        out_path = tmp_path / "report.json"
-        code, out = run(capsys, "analyze", f5_path, "--point", "0", "--json", str(out_path))
-        assert code == 0
-        assert json.loads(out_path.read_text())["result"] == json.loads(out)["result"]
-
     def test_deterministic_result_section(self, capsys, f5_path):
         _, out1 = run(capsys, "analyze", f5_path, "--point", "0")
         _, out2 = run(capsys, "analyze", f5_path, "--point", "0")
         a, b = json.loads(out1), json.loads(out2)
         a.pop("wall_time_ms"), b.pop("wall_time_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestReport:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "F5", "--point", "0"],
+            ["certify", "F5", "--point", "0", "--target", "2"],
+            ["exclude", "F5", "--point", "0", "--seed", "[2,4]"],
+            ["periodic", "F5"],
+            ["markov", "F5"],
+            ["corpus", "verify", "f5"],
+            ["scan", "--dots", "4", "--domain", "0..4", "--limit", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_matches_stdout(self, capsys, f5_path, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        argv = [f5_path if a == "F5" else a for a in argv] + ["--json", str(out_path)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out_path.read_text() == out
+        assert "wall_time_ms" in json.loads(out)
 
 
 class TestCertify:
@@ -108,6 +125,12 @@ class TestCertify:
         result = json.loads(out)["result"]
         assert result["certificate"]["kind"] == "exact-tail"
         assert result["stats"] == {"tree_nodes": 1, "depth_explored": 0}
+
+    def test_precondition_message(self, capsys, f5_path):
+        code = main(["certify", f5_path, "--point", "0", "--target", "1/3", "--period", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "precondition failed: target 1/3 is not 2-periodic\n"
 
     def test_nonperiodic_target(self, capsys, f5_path):
         code, _ = run(capsys, "certify", f5_path, "--point", "0", "--target", "7/2",

@@ -8,7 +8,6 @@ from backlim.exactnum import (
     Interval,
     IntervalSet,
     RationalParseError,
-    format_rational,
     interval,
     parse_interval_set,
     parse_rational,
@@ -35,7 +34,7 @@ class TestRationalText:
 
     def test_round_trip(self):
         for q in (Q(14, 3), Q(-1, 8), Q(2), Q(0), Q(100, 7)):
-            assert parse_rational(format_rational(q)) == q
+            assert parse_rational(str(q)) == q
 
 
 class TestInterval:
