@@ -119,6 +119,7 @@ class BackwardTree:
         if not f.domain.contains(root):
             raise ValueError(f"{root} outside domain {f.domain}")
         self.f = f
+        self.root = root
         self.width_cap = width_cap
         self.levels: list[list[Fraction]] = [[root]]
         self._sorted: list[list[Fraction]] = [[root]]
@@ -289,18 +290,11 @@ def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
 
 
 def find_contraction(
-    f: PLMap,
-    y: Fraction,
-    t: Fraction,
-    p: int,
-    depth: int,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-    tree: BackwardTree | None = None,
+    tree: BackwardTree, t: Fraction, p: int, depth: int
 ) -> ContractionCert | None:
-    """First word (lexicographic) admitting a connector from y's backward tree
-    into the basin minus the target itself."""
-    tree = tree if tree is not None else BackwardTree(f, y, width_cap)
-    for word in _contraction_words(f, t, p):
+    """First word (lexicographic) admitting a connector from the tree, within
+    `depth` levels of its root, into the basin minus the target itself."""
+    for word in _contraction_words(tree.f, t, p):
         for d in range(depth + 1):
             z = tree.first_in_interval(d, word.basin, exclude=t)
             if z is not None:
@@ -308,16 +302,14 @@ def find_contraction(
     return None
 
 
-def certify_orbit(
-    f: PLMap, y: Fraction, orbit: PeriodicOrbit, depth: int, tree: BackwardTree
-) -> OrbitCert | None:
-    """An exact tail of y on the orbit, else the first contraction found at
-    any point of the orbit, taken in orbit order."""
-    cert = find_exact_tail(f, y, orbit)
+def certify_orbit(tree: BackwardTree, orbit: PeriodicOrbit, depth: int) -> OrbitCert | None:
+    """An exact tail of the tree's root on the orbit, else the first
+    contraction found at any point of the orbit, taken in orbit order."""
+    cert = find_exact_tail(tree.f, tree.root, orbit)
     if cert is not None:
         return cert
     for t in orbit.points:
-        cert = find_contraction(f, y, t, orbit.least_period, depth, tree=tree)
+        cert = find_contraction(tree, t, orbit.least_period, depth)
         if cert is not None:
             return cert
     return None
@@ -386,25 +378,16 @@ def avoided_region(
 
 
 def cycle_membership(
-    f: PLMap,
-    y: Fraction,
-    cycle: CycleOfIntervals,
-    ms: MarkovSystem | None,
-    depth: int,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-    tree: BackwardTree | None = None,
-    report: ExceptionalReport | None = None,
+    tree: BackwardTree, ms: MarkovSystem | None, report: ExceptionalReport, depth: int
 ) -> CycleMembershipCert | None:
-    """Certify that the whole cycle lies in the limit set via a hop from y to
-    a point strictly inside the cycle and outside its exceptional set."""
+    """Certify that the whole cycle of `report` lies in the limit set of the
+    tree's root via a hop, within `depth` levels, to a point strictly inside
+    the cycle and outside its exceptional set."""
     if ms is None:
         raise PreconditionError("map has no finite Markov partition")
+    cycle = report.cycle
     if is_transitive(ms, cycle) is not Verdict.YES:
         raise PreconditionError("cycle is not a certified transitive cycle")
-    if report is None:
-        report = exceptional_set(f, ms, cycle)
-    if report.undecided:
-        raise PreconditionError("exceptional set has undecided points")
     bad = set(report.exceptional)
 
     def good(z: Fraction) -> bool:
@@ -412,18 +395,15 @@ def cycle_membership(
             return False
         return any(p.strictly_contains(z) for p in cycle.components.parts)
 
-    if good(y):
-        return CycleMembershipCert(cycle, y, 0, report)
-    tree = tree if tree is not None else BackwardTree(f, y, width_cap)
+    if good(tree.root):
+        return CycleMembershipCert(cycle, tree.root, 0, report)
     for d in range(1, depth + 1):
-        tree.ensure_depth(d)
         for part in cycle.components.parts:
             z = tree.first_in_interval(d, part)
             while z is not None:
                 if good(z):
                     return CycleMembershipCert(cycle, z, d, report)
-                nxt = tree.first_in_interval(d, Interval(z, part.hi), exclude=z)
-                z = nxt
+                z = tree.first_in_interval(d, Interval(z, part.hi), exclude=z)
     return None
 
 
@@ -556,8 +536,6 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
         if is_transitive(ms, cyc) is not Verdict.YES:
             return _fail("cycle is not transitive")
         report = exceptional_set(f, ms, cyc)
-        if report.undecided:
-            return _fail("exceptional set undecided")
         if set(report.exceptional) != set(cert.exceptional.exceptional):
             return _fail("stored exceptional set differs from recomputation")
         z = cert.hop_z
@@ -576,10 +554,9 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
 
 @dataclass(frozen=True)
 class MapAnalysis:
-    structure: PeriodicStructure
     orbit_targets: tuple[PeriodicOrbit, ...]
     markov: MarkovSystem | None
-    transitive_cycles: tuple[tuple[CycleOfIntervals, ExceptionalReport], ...]
+    transitive_cycles: tuple[ExceptionalReport, ...]
     seed_candidates: tuple[IntervalSet, ...]
 
 
@@ -625,7 +602,7 @@ def certified_period_set(
     periods: set[int] = set()
     for orbit in orbit_targets(f, max_period):
         p = orbit.least_period
-        if p not in periods and certify_orbit(f, y, orbit, depth, tree) is not None:
+        if p not in periods and certify_orbit(tree, orbit, depth) is not None:
             periods.add(p)
     return periods
 
@@ -648,7 +625,7 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
             if part not in candidates:
                 candidates.append(part)
 
-    cycles: list[tuple[CycleOfIntervals, ExceptionalReport]] = []
+    cycles: list[ExceptionalReport] = []
     if ms is not None:
         seen_cycles = set()
         for k_int in candidates:
@@ -663,10 +640,8 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
                 except ValueError:
                     break
                 if verdict is Verdict.YES:
-                    report = exceptional_set(f, ms, got)
-                    if not report.undecided:
-                        seen_cycles.add(got.components)
-                        cycles.append((got, report))
+                    seen_cycles.add(got.components)
+                    cycles.append(exceptional_set(f, ms, got))
                 break
 
     seeds: list[IntervalSet] = []
@@ -696,7 +671,7 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
                 propose(ball_set)
                 break
 
-    return MapAnalysis(structure, targets, ms, tuple(cycles), tuple(seeds))
+    return MapAnalysis(targets, ms, tuple(cycles), tuple(seeds))
 
 
 @dataclass(frozen=True)
@@ -741,20 +716,18 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     orbit_certs: list[OrbitCert] = []
     certified: set[Fraction] = set()
     for orbit in analysis.orbit_targets:
-        cert = certify_orbit(f, y, orbit, budget.depth, tree)
+        cert = certify_orbit(tree, orbit, budget.depth)
         if cert is not None:
             orbit_certs.append(cert)
             certified.update(orbit.points)
 
     cycle_certs: list[CycleMembershipCert] = []
     lower_intervals = EMPTY
-    for cyc, report in analysis.transitive_cycles:
-        got = cycle_membership(
-            f, y, cyc, analysis.markov, budget.depth, tree=tree, report=report
-        )
+    for report in analysis.transitive_cycles:
+        got = cycle_membership(tree, analysis.markov, report, budget.depth)
         if got is not None:
             cycle_certs.append(got)
-            lower_intervals = lower_intervals.union(cyc.components)
+            lower_intervals = lower_intervals.union(report.cycle.components)
 
     avoidance_certs: list[AvoidanceCert] = []
     upper = IntervalSet((f.domain,))
@@ -883,7 +856,6 @@ def cert_from_obj(obj: dict):
                 cycle,
                 tuple(parse_rational(e) for e in obj["exceptional"]),
                 tuple(parse_rational(e) for e in obj["accessible_endpoints"]),
-                (),
             )
             return CycleMembershipCert(
                 cycle, parse_rational(obj["hop_z"]), int(obj["hop_k"]), report

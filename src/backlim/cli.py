@@ -67,7 +67,7 @@ class _InputError(Exception):
 def _load_map(path: str) -> PLMap:
     try:
         return parse_map(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read map file: {e}") from e
     except InvalidMap as e:
         raise _InputError(str(e)) from e
@@ -105,13 +105,15 @@ def _report(command: str, f: PLMap | None, inputs: dict, result: dict, **extra) 
 
 
 def _emit(report: dict, json_path: str | None) -> None:
+    """Write the report to `json_path` first, so that a path that cannot be
+    written leaves stdout empty, then print it."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if json_path:
         try:
             Path(json_path).write_text(text + "\n", encoding="utf-8")
         except OSError as e:
             raise _InputError(f"cannot write report: {e}") from e
+    print(text)
 
 
 def _budget_from(args) -> Budget:
@@ -158,7 +160,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         raise PreconditionError(f"target {t} is not periodic within {bound} steps")
     orbit = PeriodicOrbit.from_point(f, t, least)
     tree = BackwardTree(f, y, args.width)
-    cert = certify_orbit(f, y, orbit, args.depth, tree)
+    cert = certify_orbit(tree, orbit, args.depth)
     if not isinstance(cert, ExactTailCert):
         # the stats report the tree the search explores, to the full depth
         tree.ensure_depth(args.depth)
@@ -245,24 +247,7 @@ def _cmd_markov(args) -> tuple[dict, int]:
     return _report("markov", f, {"cap": args.cap}, result), EXIT_OK
 
 
-def _cmd_corpus(args) -> tuple[dict | None, int]:
-    if args.action == "export":
-        entry = _entry(args.name)
-        outdir = Path(args.dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{entry.name}.json").write_text(
-            json.dumps(map_to_obj(entry.map), indent=2) + "\n", encoding="utf-8"
-        )
-        expectations = [
-            {"kind": e.kind, "label": e.label, "provenance": e.provenance}
-            for e in entry.expectations
-        ]
-        (outdir / f"{entry.name}.expectations.json").write_text(
-            json.dumps(expectations, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {entry.name}.json and {entry.name}.expectations.json to {outdir}")
-        return None, EXIT_OK
-
+def _cmd_corpus_verify(args) -> tuple[dict, int]:
     entries = all_entries() if args.name == "all" else (_entry(args.name),)
     result: dict = {"entries": {}}
     ok = True
@@ -274,6 +259,24 @@ def _cmd_corpus(args) -> tuple[dict | None, int]:
         ok = ok and all(r.ok for r in results)
     result["all_ok"] = ok
     return _report("corpus", None, {"name": args.name}, result), EXIT_OK if ok else EXIT_FAIL
+
+
+def _cmd_corpus_export(args) -> tuple[None, int]:
+    entry = _entry(args.name)
+    outdir = Path(args.dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / f"{entry.name}.json").write_text(
+        json.dumps(map_to_obj(entry.map), indent=2) + "\n", encoding="utf-8"
+    )
+    expectations = [
+        {"kind": e.kind, "label": e.label, "provenance": e.provenance}
+        for e in entry.expectations
+    ]
+    (outdir / f"{entry.name}.expectations.json").write_text(
+        json.dumps(expectations, indent=2) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {entry.name}.json and {entry.name}.expectations.json to {outdir}")
+    return None, EXIT_OK
 
 
 def enumerate_scan_maps(dots: int, upper: int, limit: int) -> list[PLMap]:
@@ -456,11 +459,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_markov)
 
     p = sub.add_parser("corpus", help="verify or export the bundled examples")
-    p.add_argument("action", choices=["verify", "export"])
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("verify", help="run the expectations of an entry, or all")
+    p.add_argument("name")
+    p.add_argument("--json", default=None)
+    p.set_defaults(func=_cmd_corpus_verify)
+    p = actions.add_parser("export", help="write an entry's map and expectations")
     p.add_argument("name")
     p.add_argument("--dir", default=".")
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=_cmd_corpus)
+    p.set_defaults(func=_cmd_corpus_export)
 
     p = sub.add_parser("scan", help="scan integer maps for period-forcing evidence")
     p.add_argument("--dots", type=int, required=True)

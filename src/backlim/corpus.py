@@ -13,6 +13,7 @@ from typing import Any, Callable
 
 from .backlimits import (
     AvoidanceCert,
+    BackwardTree,
     Budget,
     ContractionCert,
     SalphaEnclosure,
@@ -490,9 +491,8 @@ def _run_member(entry: CorpusEntry, p: dict) -> _Outcome:
     if p["mechanism"] == "tail":
         cert = find_exact_tail(f, y, PeriodicOrbit(p["orbit"]))
     else:
-        cert = find_contraction(
-            f, y, p["target"], p["period"], budget.depth, budget.width_cap
-        )
+        tree = BackwardTree(f, y, budget.width_cap)
+        cert = find_contraction(tree, p["target"], p["period"], budget.depth)
     if cert is None:
         return False, "no certificate found", ()
     check = verify_certificate(f, y, cert)

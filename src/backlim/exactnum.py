@@ -26,12 +26,14 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise RationalParseError(f"malformed rational {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if int(den) == 0:
-            raise RationalParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    try:
+        n, d = int(num), int(den or "1")
+    except ValueError as e:  # more digits than int() converts
+        raise RationalParseError(f"rational of {len(s)} characters is too long") from e
+    if d == 0:
+        raise RationalParseError(f"zero denominator in {text!r}")
+    return Fraction(n, d)
 
 
 @dataclass(frozen=True, order=True)

@@ -199,14 +199,46 @@ class ExceptionalReport:
     cycle: CycleOfIntervals
     exceptional: tuple[Fraction, ...]
     accessible_endpoints: tuple[Fraction, ...]
-    undecided: tuple[Fraction, ...]
     # accessibility witnesses: (candidate, z, k) with z strictly inside a cell
     # and f^k(z) = candidate
     witnesses: tuple[tuple[Fraction, Fraction, int], ...] = field(default=())
 
 
-# backward levels searched per candidate before it is left undecided
-_EXCEPTIONAL_DEPTH = 256
+def _accessibility_witness(
+    f: PLMap, ms: MarkovSystem, m: IntervalSet, cutset: set[Fraction], cand: Fraction
+) -> tuple[Fraction, int] | None:
+    """A backward preimage (z, k) of cand, f^k(z) = cand, lying in m and
+    strictly inside a cell; None when every preimage of cand within m stays
+    in the cut-point set.
+
+    The search ends within len(cutset) + 1 levels: only cut points not
+    visited before are continued, so each level that goes on adds at least
+    one cut point to `visited`.
+    """
+    visited = {cand}
+    frontier = [cand]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for _, hit in point_preimages(f, u):
+                if isinstance(hit, Interval):
+                    for part in m.intersect(IntervalSet((hit,))).parts:
+                        for cell in ms.cells:
+                            ov = part.intersection(cell)
+                            if ov is not None and not ov.is_point:
+                                return ov.midpoint, depth
+                    continue
+                if not m.contains(hit):
+                    continue
+                if hit not in cutset:
+                    return hit, depth
+                if hit not in visited:
+                    visited.add(hit)
+                    nxt.append(hit)
+        frontier = nxt
+    return None
 
 
 def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> ExceptionalReport:
@@ -232,59 +264,12 @@ def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> Exce
 
     exceptional = []
     accessible = []
-    undecided = []
     witnesses = []
     for cand in candidates:
-        visited = {cand}
-        frontier = [cand]
-        verdict = None
-        witness = None
-        depth = 0
-        while frontier and depth < _EXCEPTIONAL_DEPTH and verdict is None:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for _, hit in point_preimages(f, u):
-                    if isinstance(hit, Interval):
-                        picked = None
-                        for part in m.intersect(IntervalSet((hit,))).parts:
-                            for cell in ms.cells:
-                                ov = part.intersection(cell)
-                                if ov is not None and not ov.is_point:
-                                    picked = ov.midpoint
-                                    break
-                            if picked is not None:
-                                break
-                        if picked is not None:
-                            verdict = "accessible"
-                            witness = (picked, depth)
-                            break
-                        continue
-                    if not m.contains(hit):
-                        continue
-                    if hit not in cutset:
-                        verdict = "accessible"
-                        witness = (hit, depth)
-                        break
-                    if hit not in visited:
-                        visited.add(hit)
-                        nxt.append(hit)
-                if verdict:
-                    break
-            frontier = nxt
-        if verdict == "accessible":
-            if cand in endpoints:
-                accessible.append(cand)
-                z, k = witness
-                witnesses.append((cand, z, k))
-        elif not frontier:
+        witness = _accessibility_witness(f, ms, m, cutset, cand)
+        if witness is None:
             exceptional.append(cand)
-        else:
-            undecided.append(cand)
-    return ExceptionalReport(
-        cycle,
-        tuple(exceptional),
-        tuple(accessible),
-        tuple(undecided),
-        tuple(witnesses),
-    )
+        elif cand in endpoints:
+            accessible.append(cand)
+            witnesses.append((cand, *witness))
+    return ExceptionalReport(cycle, tuple(exceptional), tuple(accessible), tuple(witnesses))

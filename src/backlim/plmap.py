@@ -239,7 +239,7 @@ def serialize_map(f: PLMap) -> str:
 def parse_map(text: str) -> PLMap:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long integers, deep nesting
         raise InvalidMap(f"malformed JSON: {e}") from e
     if not isinstance(obj, dict) or set(obj) != {"domain", "dots"}:
         raise InvalidMap('expected an object with "domain" and "dots"')

@@ -119,7 +119,7 @@ class TestExactTail:
 
 class TestContraction:
     def test_f5_two_cycle(self):
-        cert = find_contraction(f5(), Q(0), Q(2), 2, 8)
+        cert = find_contraction(BackwardTree(f5(), Q(0)), Q(2), 2, 8)
         assert cert is not None
         assert cert.piece_word == (2, 1)
         slope = Q(1)
@@ -129,7 +129,7 @@ class TestContraction:
         assert verify_certificate(f5(), Q(0), cert)
 
     def test_f8_four_cycle_word(self):
-        cert = find_contraction(f8(), Q(0), Q(1), 4, 8)
+        cert = find_contraction(BackwardTree(f8(), Q(0)), Q(1), 4, 8)
         assert cert is not None
         # composed inverse branch is v -> (v+4)/5
         f = f8()
@@ -141,18 +141,18 @@ class TestContraction:
         assert verify_certificate(f, Q(0), cert)
 
     def test_f8_fixed_point_two_sided(self):
-        cert = find_contraction(f8(), Q(0), Q(14, 3), 1, 8)
+        cert = find_contraction(BackwardTree(f8(), Q(0)), Q(14, 3), 1, 8)
         assert cert is not None
         assert cert.basin.lo < Q(14, 3) < cert.basin.hi
         assert verify_certificate(f8(), Q(0), cert)
 
     def test_slope_one_rejected(self):
         # 3 is fixed on the slope -1 piece: no contracting word exists
-        assert find_contraction(f5(), Q(0), Q(3), 1, 12) is None
+        assert find_contraction(BackwardTree(f5(), Q(0)), Q(3), 1, 12) is None
 
     def test_nonperiodic_target_rejected(self):
         with pytest.raises(PreconditionError):
-            find_contraction(f5(), Q(0), Q(7, 2), 1, 4)
+            find_contraction(BackwardTree(f5(), Q(0)), Q(7, 2), 1, 4)
 
 
 class TestVerifier:
@@ -166,19 +166,19 @@ class TestVerifier:
         assert not got and "cyclically" in got.reason
 
     def test_contraction_tampered_connector(self):
-        cert = find_contraction(f5(), Q(0), Q(2), 2, 8)
+        cert = find_contraction(BackwardTree(f5(), Q(0)), Q(2), 2, 8)
         bad = dataclasses.replace(cert, connector_z=Q(3))
         got = verify_certificate(f5(), Q(0), bad)
         assert not got and "basin" in got.reason
 
     def test_contraction_tampered_word(self):
-        cert = find_contraction(f5(), Q(0), Q(2), 2, 8)
+        cert = find_contraction(BackwardTree(f5(), Q(0)), Q(2), 2, 8)
         bad = dataclasses.replace(cert, piece_word=(1, 1))
         assert not verify_certificate(f5(), Q(0), bad)
 
     def test_fuzzed_certificates_fail(self):
         f = f8()
-        cert = find_contraction(f, Q(0), Q(14, 3), 1, 8)
+        cert = find_contraction(BackwardTree(f, Q(0)), Q(14, 3), 1, 8)
         perturbations = [
             dataclasses.replace(cert, target=cert.target + Q(1, 1000)),
             dataclasses.replace(cert, period=2),
@@ -192,10 +192,11 @@ class TestVerifier:
 
     def test_negative_steps_rejected(self):
         tail = ExactTailCert(PeriodicOrbit((Q(0), Q(1), Q(5))), Q(0), 0)
-        contraction = find_contraction(f5(), Q(0), Q(2), 2, 8)
+        contraction = find_contraction(BackwardTree(f5(), Q(0)), Q(2), 2, 8)
         f = overlap()
+        ms = markov_partition(f)
         cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
-        hop = cycle_membership(f, Q(1, 2), cyc, markov_partition(f), 6)
+        hop = cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
         # with zero steps each certificate holds for its own connector
         cases = [
             (f5(), tail, "connector_k", tail.connector_z),
@@ -217,7 +218,7 @@ class TestVerifier:
 
     def test_contraction_steps_settle_on_the_connector_cycle(self):
         # the connector 0 lies on the 3-cycle 0 -> 1 -> 5 -> 0
-        cert = find_contraction(f5(), Q(0), Q(2), 2, 8)
+        cert = find_contraction(BackwardTree(f5(), Q(0)), Q(2), 2, 8)
         assert (cert.connector_z, cert.connector_k) == (Q(0), 0)
         start = time.monotonic()
         assert verify_certificate(f5(), Q(0), dataclasses.replace(cert, connector_k=3 * 10**11))
@@ -227,8 +228,9 @@ class TestVerifier:
 
     def test_cycle_hop_steps_settle(self):
         f = overlap()
+        ms = markov_partition(f)
         cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
-        hop = cycle_membership(f, Q(1, 2), cyc, markov_partition(f), 6)
+        hop = cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
         start = time.monotonic()
         # the hop 1/2 is a fixed point of the map
         assert verify_certificate(f, Q(1, 2), dataclasses.replace(hop, hop_k=10**12))
@@ -281,7 +283,7 @@ class TestCycleMembership:
         f = overlap()
         ms = markov_partition(f)
         cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
-        got = cycle_membership(f, Q(1, 2), cyc, ms, 6)
+        got = cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
         assert got is not None and got.hop_z == Q(1, 2) and got.hop_k == 0
         assert verify_certificate(f, Q(1, 2), got)
 
@@ -289,7 +291,7 @@ class TestCycleMembership:
         f = overlap()
         ms = markov_partition(f)
         cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
-        got = cycle_membership(f, Q(1, 3), cyc, ms, 6)
+        got = cycle_membership(BackwardTree(f, Q(1, 3)), ms, exceptional_set(f, ms, cyc), 6)
         assert got is not None and (got.hop_z, got.hop_k) == (Q(5, 9), 1)
         assert verify_certificate(f, Q(1, 3), got)
 
@@ -297,14 +299,15 @@ class TestCycleMembership:
         f = overlap()
         ms = markov_partition(f)
         cyc = check_cycle_of_intervals(f, interval(0, Q(1, 3)), 1)
-        assert cycle_membership(f, Q(1, 2), cyc, ms, 8) is None
+        report = exceptional_set(f, ms, cyc)
+        assert cycle_membership(BackwardTree(f, Q(1, 2)), ms, report, 8) is None
 
     def test_nontransitive_cycle_rejected(self):
         f = f5()
         ms = markov_partition(f)
         cyc = check_cycle_of_intervals(f, interval(2, 4), 1)
         with pytest.raises(PreconditionError):
-            cycle_membership(f, Q(0), cyc, ms, 6)
+            cycle_membership(BackwardTree(f, Q(0)), ms, exceptional_set(f, ms, cyc), 6)
 
 
 class TestEnclosure:
@@ -412,9 +415,11 @@ class TestSerialization:
         y = Q(0)
         enc = salpha_enclosure(f, y)
         certs = list(enc.orbit_certs + enc.cycle_certs + enc.avoidance_certs)
-        ms = markov_partition(overlap())
-        cyc = check_cycle_of_intervals(overlap(), interval(Q(1, 3), Q(2, 3)), 1)
-        certs.append(cycle_membership(overlap(), Q(1, 2), cyc, ms, 4))
+        g = overlap()
+        ms = markov_partition(g)
+        cyc = check_cycle_of_intervals(g, interval(Q(1, 3), Q(2, 3)), 1)
+        report = exceptional_set(g, ms, cyc)
+        certs.append(cycle_membership(BackwardTree(g, Q(1, 2)), ms, report, 4))
         for cert in certs:
             obj = cert_to_obj(cert)
             back = cert_from_obj(obj)
@@ -422,7 +427,7 @@ class TestSerialization:
 
     def test_deserialized_cert_verifies(self):
         f = f5()
-        cert = find_contraction(f, Q(0), Q(2), 2, 8)
+        cert = find_contraction(BackwardTree(f, Q(0)), Q(2), 2, 8)
         back = cert_from_obj(cert_to_obj(cert))
         assert verify_certificate(f, Q(0), back)
 

@@ -96,6 +96,15 @@ class TestReport:
         assert "wall_time_ms" in json.loads(out)
 
 
+    def test_unwritable_json_path_leaves_stdout_empty(self, capsys, f5_path, tmp_path):
+        code = main(["analyze", f5_path, "--point", "0",
+                     "--json", str(tmp_path / "nodir" / "r.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write report: ")
+
+
 class TestCertify:
     def test_contraction_found(self, capsys, f5_path):
         code, out = run(capsys, "certify", f5_path, "--point", "0", "--target", "2")
@@ -224,6 +233,40 @@ class TestBudgets:
         assert not (tmp_path / "x.tsv").exists()
 
 
+class TestOversizedInput:
+    """Inputs past Python's limits are input errors, not tracebacks."""
+
+    @pytest.mark.parametrize("where", ["point", "target", "tree"])
+    def test_point_of_too_many_digits(self, capsys, f5_path, tmp_path, where):
+        long = "1" * 5000
+        argv = {
+            "point": ["analyze", f5_path, "--point", long],
+            "target": ["certify", f5_path, "--point", "0", "--target", long],
+            "tree": ["plot", f5_path, "--samples", "4", "--out", str(tmp_path / "x.tsv"),
+                     "--tree", f"{long},2"],
+        }[where]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: rational of 5000 characters is too long\n"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000,
+         b'{"domain":["0","5"],"dots":[["0","1"],["5",' + b"1" * 5000 + b"]]}",
+         b"\xff\xfe"],
+        ids=["deep-nesting", "long-integer", "not-utf8"],
+    )
+    def test_unreadable_map_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = main(["analyze", str(path), "--point", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
 class TestPeriodicMarkov:
     def test_periodic(self, capsys, f5_path):
         code, out = run(capsys, "periodic", f5_path, "--max-period", "3")
@@ -254,6 +297,23 @@ class TestCorpus:
         assert code == 0
         assert (tmp_path / "f5.json").exists()
         assert (tmp_path / "f5.expectations.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["export", "f5", "--dir", "EX", "--json", "EX/r.json"],
+         ["verify", "f5", "--dir", "EX"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_options_of_the_other_action_are_rejected(self, capsys, tmp_path, argv):
+        argv = [a.replace("EX", str(tmp_path / "ex")) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "unrecognized arguments" in captured.err.splitlines()[-1]
+        assert not (tmp_path / "ex").exists()
 
 
 class TestScan:

@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from backlim.exactnum import (
     EMPTY,
@@ -35,6 +35,15 @@ class TestRationalText:
     def test_round_trip(self):
         for q in (Q(14, 3), Q(-1, 8), Q(2), Q(0), Q(100, 7)):
             assert parse_rational(str(q)) == q
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789/+- ", max_size=12)))
+    @example("9" * 5000)
+    @example("1/" + "7" * 5000)
+    def test_fuzz_raises_only_parse_errors(self, text):
+        try:
+            assert isinstance(parse_rational(text), Q)
+        except RationalParseError:
+            pass
 
 
 class TestInterval:
@@ -92,6 +101,14 @@ class TestIntervalSetAlgebra:
             (Q(3, 2), Q(5, 2)), (Q(11, 2), Q(13, 2))
         )
         assert parse_interval_set("") == EMPTY
+
+    @given(st.one_of(st.text(), st.text(alphabet="[]0123456789/,;+- ", max_size=24)))
+    @example("[0," + "9" * 5000 + "]")
+    def test_parse_interval_set_fuzz_raises_only_value_errors(self, text):
+        try:
+            assert isinstance(parse_interval_set(text), IntervalSet)
+        except ValueError:
+            pass
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=60)

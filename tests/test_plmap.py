@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from backlim.exactnum import Interval, IntervalSet, interval
 from backlim.plmap import (
@@ -137,6 +137,27 @@ class TestImagePreimage:
         assert hits == [(2, Q(5))]
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+_COORDINATE = st.one_of(st.text(alphabet="0123456789/-", max_size=5), _JSON)
+
+
+@st.composite
+def _map_texts(draw):
+    """JSON map files, mostly of the right shape, with fuzzed parts."""
+    obj = {
+        "domain": draw(st.lists(_COORDINATE, max_size=3)),
+        "dots": draw(st.lists(st.lists(_COORDINATE, max_size=3), max_size=4)),
+    }
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from(["domain", "dots", "extra"]))] = draw(_JSON)
+    return json.dumps(obj)
+
+
 class TestSerialization:
     def test_parse_wire_format(self):
         text = '{"domain":["0","5"],"dots":[["0","1"],["1","5"],["4","2"],["5","0"]]}'
@@ -157,6 +178,16 @@ class TestSerialization:
     def test_malformed_rational(self):
         with pytest.raises(InvalidMap):
             parse_map('{"domain":["0","1.5"],"dots":[["0","0"],["1.5","1"]]}')
+
+    @given(st.one_of(st.text(), _map_texts()))
+    @example("[" * 100_000)
+    @example('{"domain":["0","1"],"dots":[["0","0"],["1",' + "1" * 5000 + "]]}")
+    @example('{"domain":["0","1"],"dots":[["0","0"],["1","' + "1" * 5000 + '"]]}')
+    def test_fuzz_raises_only_invalid_map(self, text):
+        try:
+            parse_map(text)
+        except InvalidMap:
+            pass
 
     def test_digest_stable(self):
         assert map_digest(f5()) == map_digest(f5())
