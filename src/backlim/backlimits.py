@@ -103,16 +103,28 @@ class Budget:
                 raise ValueError(f"budget {name} must be at least {low}, got {value}")
 
 
+def _first_within(
+    vals: list[Fraction], window: Interval, exclude: Fraction | None
+) -> Fraction | None:
+    i = bisect_left(vals, window.lo)
+    while i < len(vals) and vals[i] <= window.hi:
+        if vals[i] != exclude:
+            return vals[i]
+        i += 1
+    return None
+
+
 class BackwardTree:
     """Breadth-first exact preimage values of a point, expanded lazily.
 
     `levels[d]` holds the values z with f^d(z) = root that the tree reaches,
-    children in parent order, then piece order; `_sorted[d]` is the same
-    level sorted for bisection. A constant piece maps a whole interval onto a
-    value; that interval is continued from three sampled representatives (its
-    ends and midpoint) and sets `has_sampled`. A level keeps at most
-    `width_cap` values and `truncated[d]` records that level d was cut. Either
-    makes the tree `degraded`, so exactness relying on it degrades honestly.
+    children in parent order, then piece order; `_sorted[d]` is the same level
+    sorted for bisection, and `_union` the sorted distinct values of all levels
+    expanded so far. A constant piece maps a whole interval onto a value; that
+    interval is continued from three sampled representatives (its ends and
+    midpoint) and sets `has_sampled`. A level keeps at most `width_cap` values
+    and `truncated[d]` records that level d was cut. Either makes the tree
+    `degraded`, so exactness relying on it degrades honestly.
     """
 
     def __init__(self, f: PLMap, root: Fraction, width_cap: int = DEFAULT_WIDTH_CAP):
@@ -123,6 +135,7 @@ class BackwardTree:
         self.width_cap = width_cap
         self.levels: list[list[Fraction]] = [[root]]
         self._sorted: list[list[Fraction]] = [[root]]
+        self._union: list[Fraction] | None = None
         self.truncated: list[bool] = [False]
         self.has_sampled = False
 
@@ -148,19 +161,23 @@ class BackwardTree:
             self.levels.append(nxt)
             self._sorted.append(sorted(nxt))
             self.truncated.append(truncated)
+            self._union = None
 
     def first_in_interval(
         self, d: int, window: Interval, exclude: Fraction | None = None
     ) -> Fraction | None:
         """Least tree value at level d inside `window` (optionally skipping one)."""
         self.ensure_depth(d)
-        vals = self._sorted[d]
-        i = bisect_left(vals, window.lo)
-        while i < len(vals) and vals[i] <= window.hi:
-            if vals[i] != exclude:
-                return vals[i]
-            i += 1
-        return None
+        return _first_within(self._sorted[d], window, exclude)
+
+    def misses(self, depth: int, window: Interval, exclude: Fraction | None = None) -> bool:
+        """True if no value of levels 0..depth but `exclude` lies in `window`, by one
+        bisection of all levels; False, without expanding, while the tree is shallower."""
+        if len(self.levels) <= depth:
+            return False
+        if self._union is None:
+            self._union = sorted(set().union(*self.levels))
+        return _first_within(self._union, window, exclude) is None
 
     def point_values(self, depth: int) -> list[tuple[int, Fraction]]:
         self.ensure_depth(depth)
@@ -219,7 +236,7 @@ OrbitCert = ExactTailCert | ContractionCert
 # searches
 
 
-def find_exact_tail(f: PLMap, y: Fraction, orbit: PeriodicOrbit) -> ExactTailCert | None:
+def find_exact_tail(y: Fraction, orbit: PeriodicOrbit) -> ExactTailCert | None:
     """First backward-tree node of y lying on the orbit, in level order.
 
     That node is y itself or nothing: a node z at level d has f^d(z) = y, and
@@ -295,6 +312,8 @@ def find_contraction(
     """First word (lexicographic) admitting a connector from the tree, within
     `depth` levels of its root, into the basin minus the target itself."""
     for word in _contraction_words(tree.f, t, p):
+        if tree.misses(depth, word.basin, t):
+            continue
         for d in range(depth + 1):
             z = tree.first_in_interval(d, word.basin, exclude=t)
             if z is not None:
@@ -305,7 +324,7 @@ def find_contraction(
 def certify_orbit(tree: BackwardTree, orbit: PeriodicOrbit, depth: int) -> OrbitCert | None:
     """An exact tail of the tree's root on the orbit, else the first
     contraction found at any point of the orbit, taken in orbit order."""
-    cert = find_exact_tail(tree.f, tree.root, orbit)
+    cert = find_exact_tail(tree.root, orbit)
     if cert is not None:
         return cert
     for t in orbit.points:

@@ -489,7 +489,7 @@ def _run_member(entry: CorpusEntry, p: dict) -> _Outcome:
     y = p["y"]
     budget = p.get("budget", entry.budget)
     if p["mechanism"] == "tail":
-        cert = find_exact_tail(f, y, PeriodicOrbit(p["orbit"]))
+        cert = find_exact_tail(y, PeriodicOrbit(p["orbit"]))
     else:
         tree = BackwardTree(f, y, budget.width_cap)
         cert = find_contraction(tree, p["target"], p["period"], budget.depth)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import Interval, IntervalSet
 from .plmap import PIECE_CAP, PieceBudgetExceeded, PLMap, compose
@@ -55,7 +56,7 @@ class PeriodicOrbit:
     def least_period(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def point_set(self) -> frozenset[Fraction]:
         return frozenset(self.points)
 

@@ -101,20 +101,41 @@ class TestBackwardTree:
         tree = expanded(flat, Q(1), 2)
         assert tree.has_sampled and tree.degraded
 
+    def test_misses_never_expands_a_shallow_tree(self):
+        tree = BackwardTree(f5(), Q(0))
+        assert tree.misses(3, interval(2, 4)) is False
+        assert len(tree.levels) == 1
+        tree.ensure_depth(2)
+        assert tree.misses(3, interval(2, 4)) is False
+        assert len(tree.levels) == 3
+
+    def test_misses_reads_every_expanded_level(self):
+        tree = expanded(f5(), Q(0), 3)  # levels [0], [5], [1], [0, 9/2]
+        assert tree.misses(3, interval(2, 4))
+        assert tree.misses(3, interval(0, 0), exclude=Q(0))
+        assert not tree.misses(3, interval(4, 5))
+        assert not tree.misses(1, interval(1, 1))  # level 2 is expanded too
+
+    def test_misses_sees_levels_added_later(self):
+        tree = expanded(f5(), Q(0), 1)
+        assert tree.misses(1, interval(1, 1))
+        tree.ensure_depth(2)
+        assert not tree.misses(1, interval(1, 1))
+
 
 class TestExactTail:
     def test_f5_orbit_at_root(self):
-        cert = find_exact_tail(f5(), Q(0), PeriodicOrbit((Q(0), Q(1), Q(5))))
+        cert = find_exact_tail(Q(0), PeriodicOrbit((Q(0), Q(1), Q(5))))
         assert cert is not None and cert.connector_z == 0 and cert.connector_k == 0
         assert verify_certificate(f5(), Q(0), cert)
 
     def test_f8_orbit_at_root(self):
-        cert = find_exact_tail(f8(), Q(0), PeriodicOrbit((Q(0), Q(4), Q(8))))
+        cert = find_exact_tail(Q(0), PeriodicOrbit((Q(0), Q(4), Q(8))))
         assert cert is not None and cert.connector_k == 0
 
     def test_four_orbit_never_reaches_zero(self):
         orbit = PeriodicOrbit((Q(1), Q(5), Q(3), Q(7)))
-        assert find_exact_tail(f8(), Q(0), orbit) is None
+        assert find_exact_tail(Q(0), orbit) is None
 
 
 class TestContraction:

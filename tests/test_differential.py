@@ -1,13 +1,23 @@
-"""Differential tests: the shortcuts in `compose` and `find_exact_tail`, and the
-flat-list `BackwardTree`, against the plain algorithms and the node-based tree
-they replaced, kept here as references."""
+"""Differential tests: the shortcuts in `compose`, `find_exact_tail` and
+`find_contraction`, and the flat-list `BackwardTree`, against the plain
+algorithms and the node-based tree they replaced, kept here as references."""
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from backlim.backlimits import BackwardTree, ExactTailCert, find_exact_tail, orbit_targets
+from backlim import backlimits
+from backlim.backlimits import (
+    BackwardTree,
+    ContractionCert,
+    ExactTailCert,
+    _contraction_words,
+    certify_orbit,
+    find_exact_tail,
+    orbit_targets,
+)
 from backlim.exactnum import Interval, interval
 from backlim.plmap import (
     PLMap,
@@ -98,6 +108,16 @@ def reference_exact_tail(level_sets, orbit):
     return None
 
 
+def reference_find_contraction(tree, t, p, depth):
+    """First word admitting a connector, searched level by level per word."""
+    for word in _contraction_words(tree.f, t, p):
+        for d in range(depth + 1):
+            z = tree.first_in_interval(d, word.basin, exclude=t)
+            if z is not None:
+                return ContractionCert(t, p, word.pieces, word.basin, z, d)
+    return None
+
+
 @st.composite
 def integer_maps(draw, upper):
     """Integer connect-the-dots maps on [0, upper], often with a constant piece."""
@@ -146,7 +166,22 @@ def test_exact_tail_matches_tree_search(case):
         level_sets = [set(tree.values(d)) for d in range(6)]
         for orbit in targets:
             want = reference_exact_tail(level_sets, orbit)
-            assert find_exact_tail(f, point, orbit) == want
+            assert find_exact_tail(point, orbit) == want
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points, st.integers(0, 6), st.integers(1, 200))
+def test_contraction_matches_level_by_level_search(case, depth, width_cap):
+    f, y = case
+    targets = orbit_targets(f, 4)
+    tree = BackwardTree(f, y, width_cap)
+    got = [certify_orbit(tree, orbit, depth) for orbit in targets]
+    ref = BackwardTree(f, y, width_cap)
+    with mock.patch.object(backlimits, "find_contraction", reference_find_contraction):
+        want = [certify_orbit(ref, orbit, depth) for orbit in targets]
+    assert got == want
+    assert len(tree.levels) == len(ref.levels)
+    assert tree.degraded == ref.degraded
 
 
 @settings(deadline=None)
