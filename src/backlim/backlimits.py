@@ -23,11 +23,12 @@ certificate can be re-checked without trusting the search that found it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from itertools import combinations
 
 from .exactnum import EMPTY, Interval, IntervalSet, parse_rational
 from .markov import (
@@ -250,59 +251,51 @@ def find_exact_tail(y: Fraction, orbit: PeriodicOrbit) -> ExactTailCert | None:
 class _Word:
     pieces: tuple[int, ...]
     basin: Interval
-    slope: Fraction
-
-
-_MAX_WORDS = 64
 
 
 @_per_map
 def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
     """Inverse piece-words of length p around the orbit of t composing to a
-    strict contraction fixing t, with the largest valid basin interval.
+    strict contraction fixing t, with the largest valid basin interval, in
+    lexicographic order.
 
-    Words are enumerated depth-first in piece-index order; a branch is pruned
-    as soon as its feasible window collapses to the single point t.
+    A word counts only if its window, the points whose inverse images follow
+    it, is more than {t}; then f^p follows the word on a non-degenerate
+    interval at t. Two words share finitely many points, since at their first
+    difference the pieces meet in at most one dot. So there are at most two
+    words: the itineraries of the points just left and just right of t,
+    reversed. A side's walk along t's orbit stops at a domain end or a
+    constant piece, and switches sides after a decreasing piece.
     """
-    if f.eval_chain(t, p) != t:
+    orbit = forward_orbit(f, t, p)
+    if orbit.pop() != t:
         raise PreconditionError(f"{t} is not {p}-periodic")
-    vals = forward_orbit(f, t, p - 1) if p > 1 else [t]
+    words = set()
+    for left in (True, False):
+        itinerary = []
+        for v in orbit:
+            i = (bisect_left if left else bisect_right)(f._xs, v) - 1
+            if not 0 <= i < len(f.pieces) or f.pieces[i].slope == 0:
+                break
+            itinerary.append(i)
+            left ^= f.pieces[i].slope < 0
+        else:
+            words.add(tuple(reversed(itinerary)))
     results: list[_Word] = []
-
-    def rec(i: int, word: tuple[int, ...], hs: Fraction, hi_: Fraction, feas: Interval):
-        if len(results) >= _MAX_WORDS:
-            return
-        if i == p:
-            s = hs
-            if abs(s) >= 1:
-                return
-            if s > 0:
-                basin = feas
-            else:
-                r = min(t - feas.lo, feas.hi - t)
-                if r == 0:
-                    return
-                basin = Interval(t - r, t + r)
-            results.append(_Word(word, basin, s))
-            return
-        target = vals[(p - 1 - i) % p]
-        prev = vals[(p - i) % p]
-        for piece in f.pieces:
-            if piece.slope == 0 or not piece.span.contains(target):
-                continue
-            if piece.value_at(target) != prev:
-                continue
-            ns = hs / piece.slope
-            ni = (hi_ - piece.intercept) / piece.slope
-            a = (piece.span.lo - ni) / ns
-            b = (piece.span.hi - ni) / ns
-            window = Interval(min(a, b), max(a, b))
-            cut = feas.intersection(window)
-            if cut is None or cut.is_point:
-                continue
-            rec(i + 1, word + (piece.index,), ns, ni, cut)
-
-    rec(0, (), Fraction(1), Fraction(0), f.domain)
+    for word in sorted(words):
+        s, c, feas = Fraction(1), Fraction(0), f.domain
+        for i in word:
+            piece = f.pieces[i]
+            s, c = s / piece.slope, (c - piece.intercept) / piece.slope
+            a, b = sorted((end - c) / s for end in (piece.span.lo, piece.span.hi))
+            feas = feas.intersection(Interval(a, b))
+        if abs(s) >= 1:
+            continue
+        if s < 0:
+            r = min(t - feas.lo, feas.hi - t)
+            feas = Interval(t - r, t + r)
+        if not feas.is_point:
+            results.append(_Word(word, feas))
     return tuple(results)
 
 
@@ -634,11 +627,7 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
 
     ms = markov_partition(f)
 
-    candidates: list[Interval] = []
-    xs = [x for x, _ in f.dots]
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            candidates.append(Interval(xs[i], xs[j]))
+    candidates = [Interval(a, b) for a, b in combinations(f._xs, 2)]
     for _, iset in structure.fixed_intervals:
         for part in iset.parts:
             if part not in candidates:

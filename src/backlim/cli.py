@@ -27,6 +27,8 @@ from .backlimits import (
     PreconditionError,
     RejectedSeed,
     SalphaEnclosure,
+    _MAX_STEPS,
+    _image_after,
     _set_obj,
     avoided_region,
     beta_upper,
@@ -152,8 +154,12 @@ def _cmd_certify(args) -> tuple[dict, int]:
     f = _load_map(args.map)
     y = _point(f, args.point)
     t = _point(f, args.target)
-    if args.period is not None and f.eval_chain(t, args.period) != t:
-        raise PreconditionError(f"target {t} is not {args.period}-periodic")
+    if args.period is not None:
+        got = _image_after(f, t, args.period)
+        if got is None:
+            raise PreconditionError(f"target {t} does not repeat within {_MAX_STEPS} steps")
+        if got != t:
+            raise PreconditionError(f"target {t} is not {args.period}-periodic")
     bound = args.period or 64
     least = least_period_of(f, t, bound)
     if least is None:
@@ -316,7 +322,9 @@ def _cmd_scan(args) -> tuple[dict, int]:
             y = Fraction(k)
             try:
                 periods = certified_period_set(f, y, args.max_period, depth=args.depth)
-            except (PieceBudgetExceeded, PreconditionError):
+            except PieceBudgetExceeded:
+                break  # f^n depends on the map alone: every later point would raise too
+            except PreconditionError:
                 continue
             if 3 not in periods:
                 continue
@@ -497,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
             report["wall_time_ms"] = int((time.monotonic() - started) * 1000)
             _emit(report, args.json)
         return code
-    except _InputError as e:
+    except (_InputError, PieceBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as e:

@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from backlim import cli
+from backlim import backlimits, cli, orbits
 from backlim.cli import enumerate_scan_maps, main
 from backlim.corpus import build_f5, build_overlap
 from backlim.plmap import map_digest, serialize_map
@@ -145,6 +147,30 @@ class TestCertify:
         code, _ = run(capsys, "certify", f5_path, "--point", "0", "--target", "7/2",
                       "--period", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("target,want,err", [
+        ("3", 1, ""),
+        ("1/2", 3, f"precondition failed: target 1/2 is not {10**12}-periodic\n"),
+    ])
+    def test_huge_period_is_settled_by_cycle_detection(self, capsys, f5_path, target,
+                                                       want, err):
+        started = time.monotonic()
+        code = main(["certify", f5_path, "--point", "0", "--target", target,
+                     "--period", str(10**12)])
+        assert time.monotonic() - started < 0.5
+        assert code == want
+        assert capsys.readouterr().err == err
+
+    def test_target_without_a_repeat_is_a_precondition_failure(self, capsys, tmp_path):
+        # x -> x/2 on [0,1]: the orbit of 1 never repeats
+        halving = tmp_path / "halving.json"
+        halving.write_text('{"domain":["0","1"],"dots":[["0","0"],["1","1/2"]]}')
+        code = main(["certify", str(halving), "--point", "0", "--target", "1",
+                     "--period", "5000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "precondition failed: target 1 does not repeat " \
+            "within 4096 steps\n"
 
 
 class TestExclude:
@@ -316,6 +342,18 @@ class TestCorpus:
         assert not (tmp_path / "ex").exists()
 
 
+class TestPieceBudget:
+    @pytest.mark.parametrize("argv", [["periodic"], ["analyze", "--point", "0"]],
+                             ids=lambda argv: argv[0])
+    def test_exhausted_budget_is_an_input_error(self, capsys, f5_path, monkeypatch, argv):
+        monkeypatch.setattr(orbits, "PIECE_CAP", 4)
+        code = main([argv[0], f5_path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: more than 4 pieces in f^")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestScan:
     def test_empty_limit(self, capsys):
         code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..5",
@@ -331,6 +369,15 @@ class TestScan:
         code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..4", "--limit", "3")
         assert code == 0
         assert json.loads(out)["result"]["reports"] == []
+
+    def test_exhausted_budget_skips_the_rest_of_the_map(self, capsys, monkeypatch):
+        monkeypatch.setattr(orbits, "PIECE_CAP", 4)
+        calls = mock.Mock(wraps=backlimits.periodic_orbits)
+        monkeypatch.setattr(backlimits, "periodic_orbits", calls)
+        code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..4", "--limit", "3")
+        assert code == 0
+        assert json.loads(out)["result"]["maps_scanned"] == 3
+        assert calls.call_count == 3
 
     def test_other_errors_are_not_swallowed(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

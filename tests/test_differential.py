@@ -1,6 +1,7 @@
-"""Differential tests: the shortcuts in `compose`, `find_exact_tail` and
-`find_contraction`, and the flat-list `BackwardTree`, against the plain
-algorithms and the node-based tree they replaced, kept here as references."""
+"""Differential tests: the shortcuts in `compose`, `find_exact_tail`,
+`find_contraction` and `_contraction_words`, and the flat-list `BackwardTree`,
+against the plain algorithms and the node-based tree they replaced, kept here
+as references."""
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -13,12 +14,15 @@ from backlim.backlimits import (
     BackwardTree,
     ContractionCert,
     ExactTailCert,
+    PreconditionError,
     _contraction_words,
     certify_orbit,
     find_exact_tail,
     orbit_targets,
 )
+from backlim.corpus import all_entries, build_chuxiong
 from backlim.exactnum import Interval, interval
+from backlim.orbits import forward_orbit
 from backlim.plmap import (
     PLMap,
     _drop_collinear,
@@ -118,6 +122,63 @@ def reference_find_contraction(tree, t, p, depth):
     return None
 
 
+_MAX_WORDS = 64
+
+
+def reference_contraction_words(f, t, p):
+    """Inverse piece-words of length p around the orbit of t composing to a
+    strict contraction fixing t, as (pieces, basin, slope), enumerated
+    depth-first in piece-index order; a branch is pruned as soon as its
+    feasible window collapses to the single point t."""
+    if f.eval_chain(t, p) != t:
+        raise PreconditionError(f"{t} is not {p}-periodic")
+    vals = forward_orbit(f, t, p - 1) if p > 1 else [t]
+    results = []
+
+    def rec(i, word, hs, hi_, feas):
+        if len(results) >= _MAX_WORDS:
+            return
+        if i == p:
+            s = hs
+            if abs(s) >= 1:
+                return
+            if s > 0:
+                basin = feas
+            else:
+                r = min(t - feas.lo, feas.hi - t)
+                if r == 0:
+                    return
+                basin = Interval(t - r, t + r)
+            results.append((word, basin, s))
+            return
+        target = vals[(p - 1 - i) % p]
+        prev = vals[(p - i) % p]
+        for piece in f.pieces:
+            if piece.slope == 0 or not piece.span.contains(target):
+                continue
+            if piece.value_at(target) != prev:
+                continue
+            ns = hs / piece.slope
+            ni = (hi_ - piece.intercept) / piece.slope
+            a = (piece.span.lo - ni) / ns
+            b = (piece.span.hi - ni) / ns
+            window = Interval(min(a, b), max(a, b))
+            cut = feas.intersection(window)
+            if cut is None or cut.is_point:
+                continue
+            rec(i + 1, word + (piece.index,), ns, ni, cut)
+
+    rec(0, (), Q(1), Q(0), f.domain)
+    return results
+
+
+def assert_words_match_reference(f, t, p):
+    got = [(w.pieces, w.basin) for w in _contraction_words(f, t, p)]
+    want = [(pieces, basin) for pieces, basin, _ in reference_contraction_words(f, t, p)]
+    assert got == want
+    assert len(got) <= 2
+
+
 @st.composite
 def integer_maps(draw, upper):
     """Integer connect-the-dots maps on [0, upper], often with a constant piece."""
@@ -182,6 +243,39 @@ def test_contraction_matches_level_by_level_search(case, depth, width_cap):
     assert got == want
     assert len(tree.levels) == len(ref.levels)
     assert tree.degraded == ref.degraded
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points)
+def test_contraction_words_match_depth_first_search(case):
+    f, _ = case
+    for orbit in orbit_targets(f, 6):
+        for t in orbit.points:
+            assert_words_match_reference(f, t, orbit.least_period)
+
+
+def test_contraction_words_match_depth_first_search_on_the_corpus():
+    """Rational dots: every orbit target of each corpus map, and every point
+    of chuxiong6's member orbits, of periods 1 to 16."""
+    for entry in all_entries():
+        for orbit in orbit_targets(entry.map, entry.budget.max_period):
+            for t in orbit.points:
+                assert_words_match_reference(entry.map, t, orbit.least_period)
+    entry = build_chuxiong(6)
+    members = [e.params for e in entry.expectations if e.kind == "member"]
+    assert sorted(p["period"] for p in members) == [1, 2, 4, 8, 16]
+    for params in members:
+        p = params["period"]
+        for t in forward_orbit(entry.map, params["target"], p - 1):
+            assert_words_match_reference(entry.map, t, p)
+
+
+def test_words_of_both_sides_come_in_lexicographic_order():
+    # t = 6 is the dot between two expanding pieces, 5 and 6, so each side has
+    # its own word; a set of the two iterates them in the other order
+    f = make_plmap(interval(0, 8), list(zip(range(9), [0, 8, 0, 8, 0, 3, 6, 8, 0])))
+    assert [w.pieces for w in _contraction_words(f, Q(6), 1)] == [(5,), (6,)]
+    assert_words_match_reference(f, Q(6), 1)
 
 
 @settings(deadline=None)
