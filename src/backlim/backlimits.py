@@ -675,6 +675,11 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
                 hi = min(f.domain.hi, pt + r)
                 balls.append(Interval(lo, hi))
             ball_set = IntervalSet.of(balls)
+            # f maps each end into image(f, ball_set): an end mapped outside
+            # the set rules it out before the image is built
+            ends = (x for part in ball_set.parts for x in (part.lo, part.hi))
+            if not all(ball_set.contains(f(x)) for x in ends):
+                continue
             if ball_set.contains_set(image(f, ball_set)):
                 propose(ball_set)
                 break
@@ -879,7 +884,10 @@ def beta_upper(f: PLMap, y: Fraction, budget: Budget = Budget()) -> IntervalSet:
     images of the whole domain within the depth budget."""
     reach = IntervalSet((f.domain,))
     for _ in range(budget.depth):
-        reach = image(f, reach)
-        if not reach.contains(y):
+        nxt = image(f, reach)
+        if not nxt.contains(y):
             return EMPTY
+        if nxt == reach:  # every later step repeats this one
+            break
+        reach = nxt
     return salpha_enclosure(f, y, budget).upper

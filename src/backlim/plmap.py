@@ -95,6 +95,14 @@ class PLMap:
         return tuple(out)
 
     @cached_property
+    def _value_ranges(self) -> tuple[tuple[Piece, Fraction, Fraction], ...]:
+        """Each piece with the least and greatest of its two dot values."""
+        out = []
+        for piece, (_, a), (_, b) in zip(self.pieces, self.dots, self.dots[1:]):
+            out.append((piece, a, b) if a <= b else (piece, b, a))
+        return tuple(out)
+
+    @cached_property
     def _xs(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.dots)
 
@@ -190,12 +198,16 @@ def image(f: PLMap, s: IntervalSet) -> IntervalSet:
 
 def preimage(f: PLMap, s: IntervalSet) -> IntervalSet:
     out = []
-    for piece in f.pieces:
-        if piece.slope == 0:
-            if s.contains(piece.intercept):
+    for piece, lo, hi in f._value_ranges:
+        if lo == hi:
+            if s.contains(lo):
                 out.append(piece.span)
             continue
-        for part in s.parts:
+        for part in s.parts:  # sorted, so the parts that meet [lo, hi] are consecutive
+            if part.lo > hi:
+                break
+            if part.hi < lo:
+                continue
             a = piece.solve(part.lo)
             b = piece.solve(part.hi)
             q = piece.span.intersection(Interval(min(a, b), max(a, b)))
@@ -213,13 +225,14 @@ def point_preimages(f: PLMap, y: Fraction) -> list[tuple[int, Fraction | Interva
     """
     hits: list[tuple[int, Fraction | Interval]] = []
     seen: set[Fraction] = set()
-    for piece in f.pieces:
-        if piece.slope == 0:
-            if piece.intercept == y:
-                hits.append((piece.index, piece.span))
+    for piece, lo, hi in f._value_ranges:
+        if not lo <= y <= hi:  # y misses the piece's values, so no x in its span solves
+            continue
+        if lo == hi:
+            hits.append((piece.index, piece.span))
             continue
         x = piece.solve(y)
-        if piece.span.contains(x) and x not in seen:
+        if x not in seen:
             seen.add(x)
             hits.append((piece.index, x))
     return hits

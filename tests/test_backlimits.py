@@ -3,10 +3,12 @@ import gc
 import time
 import weakref
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from backlim import backlimits
 from backlim.backlimits import (
     AvoidanceCert,
     BackwardTree,
@@ -16,6 +18,7 @@ from backlim.backlimits import (
     ExactTailCert,
     PreconditionError,
     RejectedSeed,
+    analyze_map,
     avoided_region,
     beta_upper,
     cert_from_obj,
@@ -23,6 +26,7 @@ from backlim.backlimits import (
     cycle_membership,
     find_contraction,
     find_exact_tail,
+    orbit_targets,
     salpha_enclosure,
     verify_certificate,
 )
@@ -383,6 +387,18 @@ class TestBudget:
             Budget(**{field: least - 1})
 
 
+class TestBallSeeds:
+    def test_ends_inside_do_not_make_a_seed(self):
+        # every end of [3/2,5/2] u [7/2,4] maps into it, but the dot (2,4)
+        # inside the first ball stretches the image to [2,4]
+        f = make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 4), (4, 2)])
+        balls = iset((Q(3, 2), Q(5, 2)), (Q(7, 2), 4))
+        assert (Q(2), Q(4)) in [orbit.points for orbit in orbit_targets(f, 6)]
+        assert all(balls.contains(f(x)) for part in balls for x in (part.lo, part.hi))
+        assert image(f, balls) == iset((2, 4))
+        assert balls not in analyze_map(f, 6).seed_candidates
+
+
 class TestBetaUpper:
     def test_overlap_half(self):
         got = beta_upper(overlap(), Q(1, 2), Budget(depth=8, avoid_layers=2))
@@ -393,6 +409,15 @@ class TestBetaUpper:
             whole = IntervalSet((f.domain,))
             assert image(f, whole) == whole
             assert not beta_upper(f, Q(0), Budget(depth=6)).is_empty
+
+    def test_onto_map_images_the_domain_once(self):
+        # the enclosure is memoised on the map, so only beta_upper's own
+        # images are counted: f(domain) = domain stops the depth loop
+        f, budget = f5(), Budget(depth=6)
+        salpha_enclosure(f, Q(0), budget)
+        with mock.patch.object(backlimits, "image", wraps=image) as spy:
+            beta_upper(f, Q(0), budget)
+        assert spy.call_count == 1
 
     def test_empty_outside_image(self):
         squash = make_plmap(interval(0, 1), [(0, Q(1, 4)), (1, Q(3, 4))])

@@ -1,36 +1,48 @@
 """Differential tests: the shortcuts in `compose`, `find_exact_tail`,
-`find_contraction` and `_contraction_words`, and the flat-list `BackwardTree`,
-against the plain algorithms and the node-based tree they replaced, kept here
-as references."""
+`find_contraction`, `_contraction_words`, `point_preimages`, `preimage`, the
+ball seeds of `analyze_map` and `beta_upper`, and the flat-list
+`BackwardTree`, against the plain algorithms and the node-based tree they
+replaced, kept here as references."""
 
 from dataclasses import dataclass
+from itertools import combinations
 from fractions import Fraction as Q
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from backlim import backlimits
 from backlim.backlimits import (
+    _BALL_RADII,
+    _SEED_CAP,
     BackwardTree,
+    Budget,
     ContractionCert,
     ExactTailCert,
     PreconditionError,
     _contraction_words,
+    _structure,
+    analyze_map,
+    beta_upper,
     certify_orbit,
     find_exact_tail,
     orbit_targets,
+    salpha_enclosure,
 )
 from backlim.corpus import all_entries, build_chuxiong
-from backlim.exactnum import Interval, interval
+from backlim.exactnum import EMPTY, Interval, IntervalSet, interval
+from backlim.markov import orbit_closure
 from backlim.orbits import forward_orbit
 from backlim.plmap import (
     PLMap,
     _drop_collinear,
     compose,
+    image,
     iterate,
     make_plmap,
     parse_map,
     point_preimages,
+    preimage,
 )
 
 
@@ -179,6 +191,87 @@ def assert_words_match_reference(f, t, p):
     assert len(got) <= 2
 
 
+def reference_point_preimages(f, y):
+    """Per-piece solutions of f(x) = y, dividing on every non-constant piece."""
+    hits = []
+    seen = set()
+    for piece in f.pieces:
+        if piece.slope == 0:
+            if piece.intercept == y:
+                hits.append((piece.index, piece.span))
+            continue
+        x = piece.solve(y)
+        if piece.span.contains(x) and x not in seen:
+            seen.add(x)
+            hits.append((piece.index, x))
+    return hits
+
+
+def reference_preimage(f, s):
+    """f^-1(s), dividing for every non-constant piece and every part of s."""
+    out = []
+    for piece in f.pieces:
+        if piece.slope == 0:
+            if s.contains(piece.intercept):
+                out.append(piece.span)
+            continue
+        for part in s.parts:
+            a = piece.solve(part.lo)
+            b = piece.solve(part.hi)
+            q = piece.span.intersection(Interval(min(a, b), max(a, b)))
+            if q is not None:
+                out.append(q)
+    return IntervalSet.of(out)
+
+
+def reference_seed_candidates(f, max_period):
+    """The seeds of `analyze_map`, building the full image of the ball set
+    at every radius."""
+    structure = _structure(f, max_period)
+    candidates = [Interval(a, b) for a, b in combinations(f._xs, 2)]
+    for _, iset in structure.fixed_intervals:
+        for part in iset.parts:
+            if part not in candidates:
+                candidates.append(part)
+    seeds = []
+
+    def propose(s):
+        if not s.is_empty and s not in seeds and len(seeds) < _SEED_CAP:
+            seeds.append(s)
+
+    for k_int in candidates:
+        as_set = IntervalSet((k_int,))
+        if as_set.contains_set(image(f, as_set)):
+            propose(as_set)
+    for _, iset in structure.fixed_intervals:
+        for part in iset.parts:
+            closure = orbit_closure(f, part, cap=32)
+            if closure.stabilized and closure.set.contains_set(image(f, closure.set)):
+                propose(closure.set)
+    for orbit in orbit_targets(f, max_period):
+        for r in _BALL_RADII:
+            balls = []
+            for pt in orbit.points:
+                lo = max(f.domain.lo, pt - r)
+                hi = min(f.domain.hi, pt + r)
+                balls.append(Interval(lo, hi))
+            ball_set = IntervalSet.of(balls)
+            if ball_set.contains_set(image(f, ball_set)):
+                propose(ball_set)
+                break
+    return tuple(seeds)
+
+
+def reference_beta_upper(f, y, budget):
+    """`beta_upper` imaging the domain budget.depth times, never stopping early."""
+    reach = IntervalSet((f.domain,))
+    for _ in range(budget.depth):
+        reach = image(f, reach)
+        if not reach.contains(y):
+            return EMPTY
+    return salpha_enclosure(f, y, budget).upper
+
+
 @st.composite
 def integer_maps(draw, upper):
     """Integer connect-the-dots maps on [0, upper], often with a constant piece."""
@@ -276,6 +369,58 @@ def test_words_of_both_sides_come_in_lexicographic_order():
     f = make_plmap(interval(0, 8), list(zip(range(9), [0, 8, 0, 8, 0, 3, 6, 8, 0])))
     assert [w.pieces for w in _contraction_words(f, Q(6), 1)] == [(5,), (6,)]
     assert_words_match_reference(f, Q(6), 1)
+
+
+@st.composite
+def interval_sets(draw, upper):
+    ends = st.fractions(0, upper, max_denominator=6)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=4))
+    return IntervalSet.of(Interval(min(a, b), max(a, b)) for a, b in pairs)
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points)
+def test_point_preimages_match_reference(case):
+    f, y = case
+    # the drawn point, then every dot value: a dot value lies on a piece's end
+    for point in (y, *(v for _, v in f.dots)):
+        assert point_preimages(f, point) == reference_point_preimages(f, point)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(lambda u: st.tuples(integer_maps(u), interval_sets(u))))
+def test_preimage_matches_reference(case):
+    f, s = case
+    assert preimage(f, s) == reference_preimage(f, s)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps), st.integers(1, 6))
+# the ends of the radius-1/2 balls around {2, 4} map into them, but the dot
+# (2, 4) stretches the image; drawn maps seldom have such a ball set
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 4), (4, 2)]), 6)
+def test_seed_candidates_match_full_image_search(f, max_period):
+    assert analyze_map(f, max_period).seed_candidates == reference_seed_candidates(
+        f, max_period
+    )
+
+
+def test_seed_candidates_match_full_image_search_on_the_corpus():
+    count = 0
+    for entry in all_entries():
+        for max_period in (4, 6, 8):
+            seeds = analyze_map(entry.map, max_period).seed_candidates
+            assert seeds == reference_seed_candidates(entry.map, max_period)
+            count += len(seeds)
+    assert count == 102
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points, st.integers(0, 6))
+def test_beta_upper_matches_reference(case, depth):
+    f, y = case
+    budget = Budget(depth=depth, width_cap=200, max_period=4, avoid_layers=2)
+    assert beta_upper(f, y, budget) == reference_beta_upper(f, y, budget)
 
 
 @settings(deadline=None)
