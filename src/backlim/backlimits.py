@@ -539,8 +539,10 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
 
     if isinstance(cert, CycleMembershipCert):
         cyc = cert.cycle
-        redo = check_cycle_of_intervals(f, cyc.base, cyc.period)
-        if not isinstance(redo, CycleOfIntervals) or redo.components != cyc.components:
+        # a genuine cycle has `period` disjoint components, which never merge
+        if cyc.period != len(cyc.components.parts):
+            return _fail("cycle period differs from its number of components")
+        if check_cycle_of_intervals(f, cyc.base, cyc.period) != cyc:
             return _fail("cycle fails re-verification")
         ms = markov_partition(f)
         if ms is None:
@@ -593,11 +595,9 @@ def orbit_targets(f: PLMap, max_period: int) -> tuple[PeriodicOrbit, ...]:
     for n, iset in structure.fixed_intervals:
         for part in iset.parts:
             for endpoint in (part.lo, part.hi):
-                d = least_period_of(f, endpoint, n)
-                if d is None:
-                    continue
-                orbit = PeriodicOrbit.from_point(f, endpoint, d)
-                targets.setdefault(orbit.point_set, orbit)
+                orbit = PeriodicOrbit.from_point(f, endpoint, n)
+                if orbit is not None:
+                    targets.setdefault(orbit.point_set, orbit)
     return tuple(sorted(targets.values(), key=lambda o: (o.points[0], o.least_period)))
 
 
@@ -637,20 +637,16 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
     if ms is not None:
         seen_cycles = set()
         for k_int in candidates:
-            for period in range(1, _CYCLE_PERIOD_CAP + 1):
-                got = check_cycle_of_intervals(f, k_int, period)
-                if not isinstance(got, CycleOfIntervals):
-                    continue
-                if got.components in seen_cycles:
-                    break
-                try:
-                    verdict = is_transitive(ms, got)
-                except ValueError:
-                    break
-                if verdict is Verdict.YES:
-                    seen_cycles.add(got.components)
-                    cycles.append(exceptional_set(f, ms, got))
-                break
+            got = check_cycle_of_intervals(f, k_int, _CYCLE_PERIOD_CAP)
+            if not isinstance(got, CycleOfIntervals) or got.components in seen_cycles:
+                continue
+            try:
+                verdict = is_transitive(ms, got)
+            except ValueError:
+                continue
+            if verdict is Verdict.YES:
+                seen_cycles.add(got.components)
+                cycles.append(exceptional_set(f, ms, got))
 
     seeds: list[IntervalSet] = []
 

@@ -52,7 +52,7 @@ from .markov import (
     is_transitive,
     markov_partition,
 )
-from .orbits import PeriodicOrbit, least_period_of, periodic_orbits
+from .orbits import PeriodicOrbit, periodic_orbits
 from .plmap import (InvalidMap, PieceBudgetExceeded, PLMap, make_plmap, map_digest,
                     map_to_obj, parse_map)
 
@@ -161,10 +161,9 @@ def _cmd_certify(args) -> tuple[dict, int]:
         if got != t:
             raise PreconditionError(f"target {t} is not {args.period}-periodic")
     bound = args.period or 64
-    least = least_period_of(f, t, bound)
-    if least is None:
+    orbit = PeriodicOrbit.from_point(f, t, bound)
+    if orbit is None:
         raise PreconditionError(f"target {t} is not periodic within {bound} steps")
-    orbit = PeriodicOrbit.from_point(f, t, least)
     tree = BackwardTree(f, y, args.width)
     cert = certify_orbit(tree, orbit, args.depth)
     if not isinstance(cert, ExactTailCert):
@@ -174,7 +173,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         "tree_nodes": sum(map(len, tree.levels)),
         "depth_explored": len(tree.levels) - 1,
     }
-    inputs = {"point": str(y), "target": str(t), "period": least}
+    inputs = {"point": str(y), "target": str(t), "period": orbit.least_period}
     if cert is None:
         return _report("certify", f, inputs, {"found": False, "stats": stats}), EXIT_FAIL
     check = verify_certificate(f, y, cert)

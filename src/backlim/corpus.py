@@ -423,12 +423,10 @@ def verify_chuxiong_properties(entry: CorpusEntry, n: int) -> BulletReport:
     bullets: list[tuple[str, bool]] = []
 
     cyc = check_cycle_of_intervals(f, block, steps)
-    bullets.append(("block is a cycle of its period", isinstance(cyc, CycleOfIntervals)))
-    if isinstance(cyc, CycleOfIntervals):
-        leftmost = min(p.lo for p in cyc.components.parts)
-        bullets.append(("block is the leftmost component", leftmost == block.lo))
-    else:
-        bullets.append(("block is the leftmost component", False))
+    is_cycle = isinstance(cyc, CycleOfIntervals) and cyc.period == steps
+    bullets.append(("block is a cycle of its period", is_cycle))
+    leftmost = is_cycle and min(p.lo for p in cyc.components.parts) == block.lo
+    bullets.append(("block is the leftmost component", leftmost))
 
     got = _affine_transport(f, a, steps)
     bullets.append(
@@ -551,9 +549,11 @@ def _run_enclosure_bounds(entry: CorpusEntry, p: dict) -> _Outcome:
 
 def _run_cycle_valid(entry: CorpusEntry, p: dict) -> _Outcome:
     got = check_cycle_of_intervals(entry.map, p["base"], p["period"])
-    if isinstance(got, CycleOfIntervals):
-        return True, "cycle verified", ()
-    return False, got.reason, ()
+    if not isinstance(got, CycleOfIntervals):
+        return False, got.reason, ()
+    if got.period != p["period"]:
+        return False, f"K returns at period {got.period}, not {p['period']}", ()
+    return True, "cycle verified", ()
 
 
 def _check_period_forcing(entry: CorpusEntry, p: dict) -> _Outcome:

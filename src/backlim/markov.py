@@ -96,32 +96,34 @@ class CycleFailure:
 
 
 def check_cycle_of_intervals(
-    f: PLMap, base: Interval, period: int
+    f: PLMap, base: Interval, max_period: int
 ) -> CycleOfIntervals | CycleFailure:
-    """Verify that base, f(base), ..., f^{k-1}(base) are pairwise disjoint and
-    that f^k maps base exactly onto itself."""
+    """The cycle of intervals through base, found at base's first return.
+
+    Walks base, f(base), f^2(base), ... to the first image equal to base, or
+    to an image meeting an earlier one, for at most max_period steps. No
+    period below the first return closes up, and once two images meet, every
+    later return has two components that meet: so the first return is the
+    only period at which base can be a cycle.
+    """
     if base.is_point:
         return CycleFailure("base interval is degenerate")
     if not f.domain.contains_interval(base):
         return CycleFailure("base interval escapes the domain")
-    if period < 1:
+    if max_period < 1:
         return CycleFailure("period must be at least 1")
     comps = [base]
-    cur = IntervalSet((base,))
-    for i in range(period):
-        cur = image(f, cur)
-        if len(cur.parts) != 1:
-            raise AssertionError("image of an interval must be an interval")
-        if i < period - 1:
-            comps.append(cur.parts[0])
-    ret = cur.parts[0]
-    if ret != base:
-        return CycleFailure(f"f^{period}(K)={ret} differs from K={base}")
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if comps[i].intersection(comps[j]) is not None:
-                return CycleFailure(f"components {i} and {j} are not disjoint")
-    return CycleOfIntervals(base, period, IntervalSet.of(comps))
+    for k in range(1, max_period + 1):
+        (img,) = image(f, IntervalSet((comps[-1],))).parts  # f is continuous
+        if img == base:
+            return CycleOfIntervals(base, k, IntervalSet.of(comps))
+        for i, comp in enumerate(comps):
+            if img.intersection(comp) is not None:
+                return CycleFailure(
+                    f"f^{k}(K)={img} differs from K={base} and meets component {i}"
+                )
+        comps.append(img)
+    return CycleFailure(f"f^{max_period}(K)={comps[-1]} differs from K={base}")
 
 
 @dataclass(frozen=True)

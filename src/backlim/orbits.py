@@ -61,13 +61,16 @@ class PeriodicOrbit:
         return frozenset(self.points)
 
     @staticmethod
-    def from_point(f: PLMap, x: Fraction, bound: int) -> "PeriodicOrbit":
-        d = least_period_of(f, x, bound)
-        if d is None:
-            raise ValueError(f"{x} is not periodic within {bound} steps")
-        pts = forward_orbit(f, x, d - 1)
-        k = pts.index(min(pts))
-        return PeriodicOrbit(tuple(pts[k:] + pts[:k]))
+    def from_point(f: PLMap, x: Fraction, bound: int) -> "PeriodicOrbit | None":
+        """x's orbit, walked once; None when x does not return within bound steps."""
+        pts = [x]
+        for _ in range(bound):
+            v = f.eval_at(pts[-1])
+            if v == x:
+                k = pts.index(min(pts))
+                return PeriodicOrbit(tuple(pts[k:] + pts[:k]))
+            pts.append(v)
+        return None
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,9 @@ def periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
         for part in s.parts:
             if not part.is_point or part.lo in seen:
                 continue
-            p = part.lo
-            if least_period_of(f, p, n) != n:
+            orbit = PeriodicOrbit.from_point(f, part.lo, n)
+            if orbit is None or orbit.least_period != n:
                 continue
-            orbit = PeriodicOrbit.from_point(f, p, n)
             orbits.append(orbit)
             seen.update(orbit.points)
     orbits.sort(key=lambda o: (o.least_period, o.points[0]))

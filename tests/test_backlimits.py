@@ -261,6 +261,17 @@ class TestVerifier:
         assert verify_certificate(f, Q(1, 2), dataclasses.replace(hop, hop_k=10**12))
         assert time.monotonic() - start < 0.5
 
+    def test_forged_cycle_period_is_refused_at_once(self):
+        f = overlap()
+        ms = markov_partition(f)
+        cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
+        hop = cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
+        forged = dataclasses.replace(hop, cycle=dataclasses.replace(hop.cycle, period=10**12))
+        start = time.monotonic()
+        got = verify_certificate(f, Q(1, 2), forged)
+        assert not got and got.reason == "cycle period differs from its number of components"
+        assert time.monotonic() - start < 0.5
+
     def test_steps_without_a_repeat_are_refused(self):
         # x -> x/2 on [0,1/2], and 1 is an expanding fixed point whose
         # basin holds 1/2; the orbit 1/2, 1/4, 1/8, ... never repeats

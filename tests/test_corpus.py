@@ -6,6 +6,7 @@ import pytest
 from backlim.corpus import (
     BulletReport,
     CorpusEntry,
+    Expectation,
     build_chuxiong,
     build_f5,
     build_f8,
@@ -112,6 +113,16 @@ class TestExpectations:
 
     def test_unknown_entry(self):
         assert entry_by_name("nosuch") is None
+
+    def test_cycle_valid_needs_its_exact_period(self):
+        # [2,4] returns onto itself at period 1, so it is no period-2 cycle
+        exp = Expectation(
+            "cycle_valid", "[2,4] is a period-2 cycle", {"base": interval(2, 4), "period": 2},
+            "derived",
+        )
+        result = run_expectation(build_f5(), exp)
+        assert not result.ok
+        assert "period 1" in result.detail
 
     def test_expectation_details_carry_certs(self):
         entry = build_f5()

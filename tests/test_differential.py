@@ -1,9 +1,11 @@
 """Differential tests: the shortcuts in `compose`, `find_exact_tail`,
 `find_contraction`, `_contraction_words`, `point_preimages`, `preimage`, the
-ball seeds of `analyze_map` and `beta_upper`, and the flat-list
-`BackwardTree`, against the plain algorithms and the node-based tree they
-replaced, kept here as references."""
+ball seeds and the cycle search of `analyze_map`, `beta_upper`,
+`PeriodicOrbit.from_point` and the flat-list `BackwardTree`, against the
+plain algorithms and the node-based tree they replaced, kept here as
+references."""
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction as Q
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from backlim import backlimits
 from backlim.backlimits import (
     _BALL_RADII,
+    _CYCLE_PERIOD_CAP,
     _SEED_CAP,
     BackwardTree,
     Budget,
@@ -31,8 +34,17 @@ from backlim.backlimits import (
 )
 from backlim.corpus import all_entries, build_chuxiong
 from backlim.exactnum import EMPTY, Interval, IntervalSet, interval
-from backlim.markov import orbit_closure
-from backlim.orbits import forward_orbit
+from backlim.markov import (
+    CycleFailure,
+    CycleOfIntervals,
+    Verdict,
+    check_cycle_of_intervals,
+    exceptional_set,
+    is_transitive,
+    markov_partition,
+    orbit_closure,
+)
+from backlim.orbits import PeriodicOrbit, forward_orbit, least_period_of
 from backlim.plmap import (
     PLMap,
     _drop_collinear,
@@ -272,6 +284,84 @@ def reference_beta_upper(f, y, budget):
     return salpha_enclosure(f, y, budget).upper
 
 
+def reference_check_cycle_of_intervals(f, base, period):
+    """Whether base is a cycle of exactly this period: base, f(base), ...,
+    f^{period-1}(base) pairwise disjoint and f^period(base) = base, imaging
+    base again from the start for each period asked."""
+    if base.is_point:
+        return CycleFailure("base interval is degenerate")
+    if not f.domain.contains_interval(base):
+        return CycleFailure("base interval escapes the domain")
+    if period < 1:
+        return CycleFailure("period must be at least 1")
+    comps = [base]
+    cur = IntervalSet((base,))
+    for i in range(period):
+        cur = image(f, cur)
+        if i < period - 1:
+            comps.append(cur.parts[0])
+    ret = cur.parts[0]
+    if ret != base:
+        return CycleFailure(f"f^{period}(K)={ret} differs from K={base}")
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            if comps[i].intersection(comps[j]) is not None:
+                return CycleFailure(f"components {i} and {j} are not disjoint")
+    return CycleOfIntervals(base, period, IntervalSet.of(comps))
+
+
+def reference_first_cycle(f, base, max_period):
+    """The first period from 1 to max_period at which base is a cycle."""
+    for period in range(1, max_period + 1):
+        got = reference_check_cycle_of_intervals(f, base, period)
+        if isinstance(got, CycleOfIntervals):
+            return got
+    return None
+
+
+def cycle_candidates(f, max_period):
+    """The base intervals `analyze_map` tries: every pair of dots, then the
+    parts of the periodic continua."""
+    candidates = [Interval(a, b) for a, b in combinations(f._xs, 2)]
+    for _, iset in _structure(f, max_period).fixed_intervals:
+        for part in iset.parts:
+            if part not in candidates:
+                candidates.append(part)
+    return candidates
+
+
+def reference_transitive_cycles(f, max_period):
+    """The transitive cycles of `analyze_map`, found by checking every
+    candidate at periods 1 to 4 in turn."""
+    ms = markov_partition(f)
+    if ms is None:
+        return ()
+    cycles = []
+    seen = set()
+    for k_int in cycle_candidates(f, max_period):
+        got = reference_first_cycle(f, k_int, _CYCLE_PERIOD_CAP)
+        if got is None or got.components in seen:
+            continue
+        try:
+            verdict = is_transitive(ms, got)
+        except ValueError:
+            continue
+        if verdict is Verdict.YES:
+            seen.add(got.components)
+            cycles.append(exceptional_set(f, ms, got))
+    return tuple(cycles)
+
+
+def reference_from_point(f, x, bound):
+    """The orbit of x from its least period, then a second walk."""
+    d = least_period_of(f, x, bound)
+    if d is None:
+        return None
+    pts = forward_orbit(f, x, d - 1)
+    k = pts.index(min(pts))
+    return PeriodicOrbit(tuple(pts[k:] + pts[:k]))
+
+
 @st.composite
 def integer_maps(draw, upper):
     """Integer connect-the-dots maps on [0, upper], often with a constant piece."""
@@ -459,3 +549,49 @@ def test_unequal_maps_are_distinct_keys():
     f = make_plmap(interval(0, 2), [(0, 1), (1, 2), (2, 0)])
     g = make_plmap(interval(0, 2), [(0, 1), (1, 2), (2, Q(1, 2))])
     assert len({f: 1, g: 2}) == 2
+
+
+def assert_cycle_matches_reference(f, base, max_period):
+    got = check_cycle_of_intervals(f, base, max_period)
+    want = reference_first_cycle(f, base, max_period)
+    if want is None:
+        assert isinstance(got, CycleFailure)
+    else:
+        assert got == want
+    return want
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps), st.integers(1, 6))
+# [0,2] and its image [1,3] swap, so [0,2] returns at period 2 but meets
+# its image: a cycle at no period
+@example(make_plmap(interval(0, 3), [(0, 3), (1, 1), (2, 2), (3, 0)]), 4)
+def test_cycle_search_matches_period_by_period_check(f, max_period):
+    for base in cycle_candidates(f, 6):
+        assert_cycle_matches_reference(f, base, max_period)
+
+
+def test_cycle_search_matches_period_by_period_check_on_the_corpus():
+    """Every candidate interval of each corpus map, and the transitive cycles
+    `analyze_map` builds from them."""
+    periods = Counter()
+    cycles = 0
+    for entry in all_entries():
+        max_period = entry.budget.max_period
+        for base in cycle_candidates(entry.map, max_period):
+            want = assert_cycle_matches_reference(entry.map, base, _CYCLE_PERIOD_CAP)
+            if want is not None:
+                periods[want.period] += 1
+        got = analyze_map(entry.map, max_period).transitive_cycles
+        assert got == reference_transitive_cycles(entry.map, max_period)
+        cycles += len(got)
+    assert periods == {1: 19, 2: 3, 4: 1}
+    assert cycles == 3
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points, st.integers(0, 8))
+def test_from_point_matches_least_period_then_orbit(case, bound):
+    f, y = case
+    for x in [*f._xs, y]:
+        assert PeriodicOrbit.from_point(f, x, bound) == reference_from_point(f, x, bound)

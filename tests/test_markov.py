@@ -122,6 +122,12 @@ class TestCycleOfIntervals:
         assert isinstance(got, CycleOfIntervals)
         assert got.components == iset((0, Q(1, 3)), (Q(2, 3), 1))
 
+    def test_swap_found_at_first_return(self):
+        got = check_cycle_of_intervals(swap_horseshoes(), interval(0, Q(1, 3)), 4)
+        assert isinstance(got, CycleOfIntervals)
+        assert got.period == 2
+        assert got.components == iset((0, Q(1, 3)), (Q(2, 3), 1))
+
     def test_shrunk_base_rejected(self):
         for eps in (Q(1, 100), Q(1, 7)):
             got = check_cycle_of_intervals(f5(), Interval(Q(2) + eps, Q(4)), 1)

@@ -106,6 +106,11 @@ class TestPeriodicOrbits:
                     if p % d == 0:
                         assert f.eval_chain(orbit.points[0], d) != orbit.points[0]
 
+    def test_from_point_without_a_return(self):
+        # 0 -> 1 -> 5 -> 0 has period 3
+        assert PeriodicOrbit.from_point(f5(), Q(0), 2) is None
+        assert PeriodicOrbit.from_point(f5(), Q(0), 3).points == (0, 1, 5)
+
     def test_temporal_order_from_least(self):
         orbit = PeriodicOrbit.from_point(f8(), Q(5), 4)
         assert orbit.points == (1, 5, 3, 7)
