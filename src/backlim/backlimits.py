@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
@@ -105,11 +106,12 @@ class Budget:
 
 
 def _first_within(
-    vals: list[Fraction], window: Interval, exclude: Fraction | None
+    vals: list[Fraction], window: Interval, ok: Callable[[Fraction], bool]
 ) -> Fraction | None:
+    """Least value of the sorted `vals` inside `window` that passes `ok`."""
     i = bisect_left(vals, window.lo)
     while i < len(vals) and vals[i] <= window.hi:
-        if vals[i] != exclude:
+        if ok(vals[i]):
             return vals[i]
         i += 1
     return None
@@ -164,21 +166,25 @@ class BackwardTree:
             self.truncated.append(truncated)
             self._union = None
 
-    def first_in_interval(
-        self, d: int, window: Interval, exclude: Fraction | None = None
-    ) -> Fraction | None:
-        """Least tree value at level d inside `window` (optionally skipping one)."""
-        self.ensure_depth(d)
-        return _first_within(self._sorted[d], window, exclude)
-
-    def misses(self, depth: int, window: Interval, exclude: Fraction | None = None) -> bool:
-        """True if no value of levels 0..depth but `exclude` lies in `window`, by one
-        bisection of all levels; False, without expanding, while the tree is shallower."""
-        if len(self.levels) <= depth:
-            return False
-        if self._union is None:
-            self._union = sorted(set().union(*self.levels))
-        return _first_within(self._union, window, exclude) is None
+    def first_hit(
+        self, depth: int, window: Interval, ok: Callable[[Fraction], bool]
+    ) -> tuple[Fraction, int] | None:
+        """(value, level) for the least level d <= depth holding a value in
+        `window` that passes `ok`, and the least such value there; None if no
+        level does. Levels are expanded one at a time, as far as the hit. On
+        a tree already expanded past `depth`, a miss is settled by one
+        bisection of all expanded levels."""
+        if len(self.levels) > depth:
+            if self._union is None:
+                self._union = sorted(set().union(*self.levels))
+            if _first_within(self._union, window, ok) is None:
+                return None
+        for d in range(depth + 1):
+            self.ensure_depth(d)
+            z = _first_within(self._sorted[d], window, ok)
+            if z is not None:
+                return z, d
+        return None
 
     def point_values(self, depth: int) -> list[tuple[int, Fraction]]:
         self.ensure_depth(depth)
@@ -211,6 +217,9 @@ class ContractionCert:
 
 @dataclass(frozen=True)
 class AvoidanceCert:
+    """`final` is the forward-invariant region grown from `seed`. The search's
+    `layers_used` and `stabilized` are unverified hints: no bound rests on them."""
+
     seed: IntervalSet
     layers_used: int
     final: IntervalSet
@@ -305,12 +314,9 @@ def find_contraction(
     """First word (lexicographic) admitting a connector from the tree, within
     `depth` levels of its root, into the basin minus the target itself."""
     for word in _contraction_words(tree.f, t, p):
-        if tree.misses(depth, word.basin, t):
-            continue
-        for d in range(depth + 1):
-            z = tree.first_in_interval(d, word.basin, exclude=t)
-            if z is not None:
-                return ContractionCert(t, p, word.pieces, word.basin, z, d)
+        hit = tree.first_hit(depth, word.basin, lambda z: z != t)
+        if hit is not None:
+            return ContractionCert(t, p, word.pieces, word.basin, *hit)
     return None
 
 
@@ -407,16 +413,11 @@ def cycle_membership(
             return False
         return any(p.strictly_contains(z) for p in cycle.components.parts)
 
-    if good(tree.root):
-        return CycleMembershipCert(cycle, tree.root, 0, report)
-    for d in range(1, depth + 1):
-        for part in cycle.components.parts:
-            z = tree.first_in_interval(d, part)
-            while z is not None:
-                if good(z):
-                    return CycleMembershipCert(cycle, z, d, report)
-                z = tree.first_in_interval(d, Interval(z, part.hi), exclude=z)
-    return None
+    # the components are sorted and disjoint, so the least good value of
+    # their hull is the least good value of the first component holding one
+    parts = cycle.components.parts
+    hit = tree.first_hit(depth, Interval(parts[0].lo, parts[-1].hi), good)
+    return None if hit is None else CycleMembershipCert(cycle, *hit, report)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +473,8 @@ def _verify_orbit(f: PLMap, points: tuple[Fraction, ...]) -> str | None:
     if len(set(points)) != len(points):
         return "orbit points repeat (least period violated)"
     for i, pt in enumerate(points):
+        if not f.domain.contains(pt):
+            return f"orbit point {pt} lies outside the domain"
         if f.eval_at(pt) != points[(i + 1) % len(points)]:
             return f"orbit is not mapped cyclically at {pt}"
     return None
@@ -491,6 +494,8 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
         t, p = cert.target, cert.period
         if p < 1 or len(cert.piece_word) != p:
             return _fail("word length differs from the period")
+        if not f.domain.contains(t):
+            return _fail("target lies outside the domain")
         if f.eval_chain(t, p) != t:
             return _fail("target is not periodic with the stated period")
         if not cert.basin.contains(t) or cert.basin.is_point:
@@ -640,11 +645,7 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
             got = check_cycle_of_intervals(f, k_int, _CYCLE_PERIOD_CAP)
             if not isinstance(got, CycleOfIntervals) or got.components in seen_cycles:
                 continue
-            try:
-                verdict = is_transitive(ms, got)
-            except ValueError:
-                continue
-            if verdict is Verdict.YES:
+            if is_transitive(ms, got) is Verdict.YES:
                 seen_cycles.add(got.components)
                 cycles.append(exceptional_set(f, ms, got))
 
@@ -689,7 +690,6 @@ class SalphaEnclosure:
     lower_points: tuple[Fraction, ...]
     lower_intervals: IntervalSet
     upper: IntervalSet
-    exact: bool
     orbit_certs: tuple[OrbitCert, ...] = field(default=())
     cycle_certs: tuple[CycleMembershipCert, ...] = field(default=())
     avoidance_certs: tuple[AvoidanceCert, ...] = field(default=())
@@ -699,6 +699,10 @@ class SalphaEnclosure:
     def lower_closure(self) -> IntervalSet:
         points = [Interval(p, p) for p in self.lower_points]
         return IntervalSet.of(points + list(self.lower_intervals.parts))
+
+    @property
+    def exact(self) -> bool:
+        return not self.degraded and self.lower_closure == self.upper
 
     def certifies_excluded(self, x: Fraction) -> bool:
         return not self.upper.contains(x)
@@ -748,24 +752,19 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
             avoidance_certs.append(got)
             upper = upper.intersect(got.final.complement(f.domain))
 
-    lower_points = tuple(sorted(certified))
-    closure = IntervalSet.of(
-        [Interval(p, p) for p in lower_points] + list(lower_intervals.parts)
-    )
-    if not upper.contains_set(closure):
-        raise RuntimeError("soundness violation: certified lower set escapes the upper bound")
-    exact = (not tree.degraded) and closure == upper
-    return SalphaEnclosure(
+    enc = SalphaEnclosure(
         y,
-        lower_points,
+        tuple(sorted(certified)),
         lower_intervals,
         upper,
-        exact,
         tuple(orbit_certs),
         tuple(cycle_certs),
         tuple(avoidance_certs),
         tree.degraded,
     )
+    if not upper.contains_set(enc.lower_closure):
+        raise RuntimeError("soundness violation: certified lower set escapes the upper bound")
+    return enc
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Transitivity and mixing are decided only for expanding Markov cycles (all cell
 slopes strictly greater than 1 in magnitude), where they reduce to strong
-connectivity / primitivity of the transition matrix. For non-expanding cells
-the graph does not determine transitivity and the verdict is NotApplicable.
+connectivity / primitivity of the transition matrix. For non-expanding cells,
+or a cycle whose components are not unions of cells, the graph does not
+determine transitivity and the verdict is NotApplicable.
 """
 
 from __future__ import annotations
@@ -145,11 +146,11 @@ def orbit_closure(f: PLMap, start: Interval, cap: int = 128) -> OrbitClosure:
     return OrbitClosure(s, False)
 
 
-def _subgraph(ms: MarkovSystem, cycle: CycleOfIntervals) -> tuple[list[int], Verdict | None]:
+def _subgraph(
+    ms: MarkovSystem, cycle: CycleOfIntervals
+) -> tuple[list[int] | None, Verdict | None]:
     idx = ms.cell_indices_of(cycle.components)
-    if idx is None:
-        raise ValueError("cycle components are not unions of partition cells")
-    if any(abs(ms.cell_slopes[i]) <= 1 for i in idx):
+    if idx is None or any(abs(ms.cell_slopes[i]) <= 1 for i in idx):
         return idx, Verdict.NOT_APPLICABLE
     return idx, None
 

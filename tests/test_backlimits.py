@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 import gc
+import json
 import time
 import weakref
 from fractions import Fraction as Q
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from backlim import backlimits
 from backlim.backlimits import (
@@ -18,6 +20,7 @@ from backlim.backlimits import (
     ExactTailCert,
     PreconditionError,
     RejectedSeed,
+    Verification,
     analyze_map,
     avoided_region,
     beta_upper,
@@ -30,8 +33,14 @@ from backlim.backlimits import (
     salpha_enclosure,
     verify_certificate,
 )
+from backlim.corpus import all_entries, run_expectation
 from backlim.exactnum import Interval, IntervalSet, interval
-from backlim.markov import check_cycle_of_intervals, exceptional_set, markov_partition
+from backlim.markov import (
+    ExceptionalReport,
+    check_cycle_of_intervals,
+    exceptional_set,
+    markov_partition,
+)
 from backlim.orbits import PeriodicOrbit
 from backlim.plmap import identity_map, image, make_plmap
 
@@ -62,6 +71,10 @@ def overlap():
 
 def iset(*pairs):
     return IntervalSet.of(interval(lo, hi) for lo, hi in pairs)
+
+
+def anything(z):
+    return True
 
 
 def expanded(f, y, depth, width_cap=10_000):
@@ -105,26 +118,36 @@ class TestBackwardTree:
         tree = expanded(flat, Q(1), 2)
         assert tree.has_sampled and tree.degraded
 
-    def test_misses_never_expands_a_shallow_tree(self):
-        tree = BackwardTree(f5(), Q(0))
-        assert tree.misses(3, interval(2, 4)) is False
-        assert len(tree.levels) == 1
-        tree.ensure_depth(2)
-        assert tree.misses(3, interval(2, 4)) is False
-        assert len(tree.levels) == 3
+    def test_first_hit_expands_only_to_the_hit(self):
+        tree = BackwardTree(f5(), Q(0))  # levels [0], [5], [1], [0, 9/2]
+        assert tree.first_hit(3, interval(4, 5), anything) == (Q(5), 1)
+        assert len(tree.levels) == 2
+        # a shallow tree is expanded before a miss is settled
+        assert tree.first_hit(3, interval(2, Q(23, 5)), anything) == (Q(9, 2), 3)
+        assert tree.first_hit(3, interval(2, 4), anything) is None
+        assert len(tree.levels) == 4
 
-    def test_misses_reads_every_expanded_level(self):
+    def test_first_hit_misses_by_every_expanded_level(self):
         tree = expanded(f5(), Q(0), 3)  # levels [0], [5], [1], [0, 9/2]
-        assert tree.misses(3, interval(2, 4))
-        assert tree.misses(3, interval(0, 0), exclude=Q(0))
-        assert not tree.misses(3, interval(4, 5))
-        assert not tree.misses(1, interval(1, 1))  # level 2 is expanded too
+        with mock.patch.object(backlimits, "_first_within", wraps=backlimits._first_within) as spy:
+            assert tree.first_hit(3, interval(2, 4), anything) is None
+        assert spy.call_count == 1  # one bisection of all levels
+        assert tree.first_hit(3, interval(0, 0), lambda z: z != 0) is None
+        assert tree.first_hit(3, interval(4, 5), anything) == (Q(5), 1)
+        # level 2 is in the bisected union, but a hit must lie within depth
+        assert tree.first_hit(1, interval(1, 1), anything) is None
+        assert tree.first_hit(2, interval(1, 1), anything) == (Q(1), 2)
 
-    def test_misses_sees_levels_added_later(self):
+    def test_first_hit_sees_levels_added_later(self):
         tree = expanded(f5(), Q(0), 1)
-        assert tree.misses(1, interval(1, 1))
+        assert tree.first_hit(1, interval(1, 1), anything) is None
         tree.ensure_depth(2)
-        assert not tree.misses(1, interval(1, 1))
+        assert tree.first_hit(2, interval(1, 1), anything) == (Q(1), 2)
+
+    def test_first_hit_takes_the_least_value_of_the_least_level(self):
+        tree = BackwardTree(f8(), Q(0))  # level 3 is [0, 24/5]
+        assert tree.first_hit(3, interval(0, 5), lambda z: z != 0) == (Q(4), 2)
+        assert tree.first_hit(3, interval(0, 5), lambda z: z not in (0, 4)) == (Q(24, 5), 3)
 
 
 class TestExactTail:
@@ -214,6 +237,29 @@ class TestVerifier:
         ]
         for bad in perturbations:
             assert not verify_certificate(f, Q(0), bad)
+
+    def test_points_outside_the_domain_are_refused(self):
+        contraction = find_contraction(BackwardTree(f5(), Q(0)), Q(2), 2, 8)
+        far_target = cert_from_obj(dict(cert_to_obj(contraction), target="7"))
+        far_orbit = ExactTailCert(PeriodicOrbit((Q(-1),)), Q(-1), 1)
+        # the window checks keep the basin, and so the connector, in the domain
+        far_connector = dataclasses.replace(contraction, connector_z=Q(-1), connector_k=1)
+        assert verify_certificate(f5(), Q(0), far_target) == Verification(
+            False, "target lies outside the domain"
+        )
+        assert verify_certificate(f5(), Q(0), far_connector) == Verification(
+            False, "connector not in the basin minus the target"
+        )
+        assert verify_certificate(f5(), Q(0), far_orbit) == Verification(
+            False, "orbit point -1 lies outside the domain"
+        )
+
+    def test_cycle_not_made_of_cells_is_refused(self):
+        # the partition of 3 - x on [0,3] has one cell, and [1,2] is a cycle
+        f = make_plmap(interval(0, 3), [(0, 3), (3, 0)])
+        cycle = check_cycle_of_intervals(f, interval(1, 2), 1)
+        cert = CycleMembershipCert(cycle, Q(3, 2), 0, ExceptionalReport(cycle, (), ()))
+        assert verify_certificate(f, Q(3, 2), cert) == Verification(False, "cycle is not transitive")
 
     def test_negative_steps_rejected(self):
         tail = ExactTailCert(PeriodicOrbit((Q(0), Q(1), Q(5))), Q(0), 0)
@@ -466,6 +512,45 @@ def _damaged_cert_obj(draw):
     return obj
 
 
+@functools.cache
+def _corpus_certs():
+    """(map, point, serialized certificate) for each distinct certificate the
+    corpus expectations return."""
+    found = {}
+    for entry in all_entries():
+        for exp in entry.expectations:
+            # the other property checks return no certificate, and take seconds
+            if exp.params.get("check") in (None, "period_forcing"):
+                for y, cert in run_expectation(entry, exp).certs:
+                    obj = cert_to_obj(cert)
+                    key = (entry.name, y, json.dumps(obj, sort_keys=True))
+                    found.setdefault(key, (entry.map, y, obj))
+    return tuple(found.values())
+
+
+def _mutate(rng, f, value):
+    """A value of the same JSON shape: a flag flipped, a step count or index
+    moved by one or made negative or huge, a point within one unit of the
+    domain, or a list with one element dropped, added or mutated."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return rng.choice([value - 1, value + 1, -1, 10**12])
+    if isinstance(value, str):
+        lo, hi = f.domain.lo - 1, f.domain.hi + 1
+        return str(lo + (hi - lo) * Q(rng.randint(0, 48), 48))
+    out = list(value)
+    i = rng.randrange(len(out)) if out else 0
+    op = rng.choice(["drop", "add", "mutate"]) if out else "add"
+    if op == "drop":
+        del out[i]
+    elif op == "add":
+        out.insert(i, _mutate(rng, f, out[i - 1] if out else "0"))
+    else:
+        out[i] = _mutate(rng, f, out[i])
+    return out
+
+
 class TestSerialization:
     def test_round_trip_all_kinds(self):
         f = f8()
@@ -515,6 +600,30 @@ class TestSerialization:
         assert isinstance(
             cert, (ExactTailCert, ContractionCert, AvoidanceCert, CycleMembershipCert)
         )
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=True))
+    def test_mutated_corpus_certificates_are_refused_or_sound(self, rng):
+        """One field of each corpus certificate mutated: the verifier returns
+        a verdict and never raises. A mutant it accepts is confirmed apart
+        from it: an avoidance region misses the backward tree, and a
+        membership witness maps onto the point (step counts past 64 are
+        left to the verifier's cycle reduction)."""
+        for f, y, obj in _corpus_certs():
+            key = rng.choice(sorted(obj.keys() - {"kind"}))
+            try:
+                cert = cert_from_obj({**obj, key: _mutate(rng, f, obj[key])})
+            except ValueError:
+                continue
+            got = verify_certificate(f, y, cert)
+            assert isinstance(got, Verification), (obj, key)
+            if got and isinstance(cert, AvoidanceCert):
+                tree = BackwardTree(f, y, 200)
+                assert not any(cert.final.contains(z) for _, z in tree.point_values(3))
+            elif got:
+                z, k = ((cert.hop_z, cert.hop_k) if isinstance(cert, CycleMembershipCert)
+                        else (cert.connector_z, cert.connector_k))
+                assert k > 64 or f.eval_chain(z, k) == y
 
 
 class TestMapLifetime:

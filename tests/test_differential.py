@@ -1,9 +1,9 @@
 """Differential tests: the shortcuts in `compose`, `find_exact_tail`,
-`find_contraction`, `_contraction_words`, `point_preimages`, `preimage`, the
-ball seeds and the cycle search of `analyze_map`, `beta_upper`,
-`PeriodicOrbit.from_point` and the flat-list `BackwardTree`, against the
-plain algorithms and the node-based tree they replaced, kept here as
-references."""
+`find_contraction`, `cycle_membership`, `_contraction_words`,
+`point_preimages`, `preimage`, the ball seeds and the cycle search of
+`analyze_map`, `beta_upper`, `PeriodicOrbit.from_point` and the flat-list
+`BackwardTree`, against the plain algorithms and the node-based tree they
+replaced, kept here as references."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -21,6 +21,7 @@ from backlim.backlimits import (
     BackwardTree,
     Budget,
     ContractionCert,
+    CycleMembershipCert,
     ExactTailCert,
     PreconditionError,
     _contraction_words,
@@ -28,11 +29,13 @@ from backlim.backlimits import (
     analyze_map,
     beta_upper,
     certify_orbit,
+    cycle_membership,
     find_exact_tail,
     orbit_targets,
     salpha_enclosure,
 )
-from backlim.corpus import all_entries, build_chuxiong
+from backlim.cli import enumerate_scan_maps
+from backlim.corpus import all_entries, build_chuxiong, build_overlap
 from backlim.exactnum import EMPTY, Interval, IntervalSet, interval
 from backlim.markov import (
     CycleFailure,
@@ -139,11 +142,59 @@ def reference_exact_tail(level_sets, orbit):
 def reference_find_contraction(tree, t, p, depth):
     """First word admitting a connector, searched level by level per word."""
     for word in _contraction_words(tree.f, t, p):
+        lo, hi = word.basin.lo, word.basin.hi
         for d in range(depth + 1):
-            z = tree.first_in_interval(d, word.basin, exclude=t)
-            if z is not None:
-                return ContractionCert(t, p, word.pieces, word.basin, z, d)
+            tree.ensure_depth(d)
+            inside = [z for z in tree.levels[d] if lo <= z <= hi and z != t]
+            if inside:
+                return ContractionCert(t, p, word.pieces, word.basin, min(inside), d)
     return None
+
+
+def reference_cycle_membership(tree, ms, report, depth):
+    """The root on its own, then a hop searched level by level, then part by
+    part, then value by value."""
+    if ms is None:
+        raise PreconditionError("map has no finite Markov partition")
+    cycle = report.cycle
+    if is_transitive(ms, cycle) is not Verdict.YES:
+        raise PreconditionError("cycle is not a certified transitive cycle")
+    bad = set(report.exceptional)
+
+    def good(z):
+        return z not in bad and any(p.strictly_contains(z) for p in cycle.components.parts)
+
+    if good(tree.root):
+        return CycleMembershipCert(cycle, tree.root, 0, report)
+    for d in range(1, depth + 1):
+        tree.ensure_depth(d)
+        for part in cycle.components.parts:
+            for z in sorted(tree.levels[d]):
+                if part.contains(z) and good(z):
+                    return CycleMembershipCert(cycle, z, d, report)
+    return None
+
+
+def assert_searches_match_reference(f, y, budget):
+    """Every orbit and cycle search `salpha_enclosure` makes at y, in its
+    order, on one tree through `first_hit` and on another through the
+    references; returns the number of cycle searches and of hops found."""
+    analysis = analyze_map(f, budget.max_period)
+    tree = BackwardTree(f, y, budget.width_cap)
+    ref = BackwardTree(f, y, budget.width_cap)
+    got = [certify_orbit(tree, orbit, budget.depth) for orbit in analysis.orbit_targets]
+    with mock.patch.object(backlimits, "find_contraction", reference_find_contraction):
+        want = [certify_orbit(ref, orbit, budget.depth) for orbit in analysis.orbit_targets]
+    hops = [
+        (cycle_membership(tree, analysis.markov, report, budget.depth),
+         reference_cycle_membership(ref, analysis.markov, report, budget.depth))
+        for report in analysis.transitive_cycles
+    ]
+    assert got == want, (f, y)
+    assert all(a == b for a, b in hops), (f, y)
+    assert len(tree.levels) == len(ref.levels), (f, y)
+    assert tree.degraded == ref.degraded, (f, y)
+    return len(hops), sum(a is not None for a, _ in hops)
 
 
 _MAX_WORDS = 64
@@ -342,11 +393,7 @@ def reference_transitive_cycles(f, max_period):
         got = reference_first_cycle(f, k_int, _CYCLE_PERIOD_CAP)
         if got is None or got.components in seen:
             continue
-        try:
-            verdict = is_transitive(ms, got)
-        except ValueError:
-            continue
-        if verdict is Verdict.YES:
+        if is_transitive(ms, got) is Verdict.YES:
             seen.add(got.components)
             cycles.append(exceptional_set(f, ms, got))
     return tuple(cycles)
@@ -417,15 +464,41 @@ def test_exact_tail_matches_tree_search(case):
 @given(maps_and_points, st.integers(0, 6), st.integers(1, 200))
 def test_contraction_matches_level_by_level_search(case, depth, width_cap):
     f, y = case
-    targets = orbit_targets(f, 4)
-    tree = BackwardTree(f, y, width_cap)
-    got = [certify_orbit(tree, orbit, depth) for orbit in targets]
-    ref = BackwardTree(f, y, width_cap)
-    with mock.patch.object(backlimits, "find_contraction", reference_find_contraction):
-        want = [certify_orbit(ref, orbit, depth) for orbit in targets]
-    assert got == want
-    assert len(tree.levels) == len(ref.levels)
-    assert tree.degraded == ref.degraded
+    assert_searches_match_reference(f, y, Budget(depth=depth, width_cap=width_cap, max_period=4))
+
+
+SCAN_BUDGET = Budget(depth=6, width_cap=2_000, max_period=6)
+GRID_BUDGET = Budget(depth=4, width_cap=2_000, max_period=6, avoid_layers=2)
+
+
+def test_searches_match_reference_on_the_scan_maps():
+    """All 216 maps of `scan --dots 4 --domain 0..4` at their nine
+    half-integer points: drawn maps reach a cycle search only rarely."""
+    counts = [
+        assert_searches_match_reference(f, Q(k, 2), SCAN_BUDGET)
+        for f in enumerate_scan_maps(4, 4, 216)
+        for k in range(9)
+    ]
+    assert [sum(c) for c in zip(*counts)] == [198, 190]
+
+
+def test_searches_match_reference_on_the_grid():
+    """The overlap map at the 95 reduced rationals in (0, 1) with denominator
+    at most 17."""
+    overlap = build_overlap().map
+    points = [Q(k, d) for d in range(2, 18) for k in range(1, d) if Q(k, d).denominator == d]
+    assert len(points) == 95
+    counts = [assert_searches_match_reference(overlap, y, GRID_BUDGET) for y in points]
+    assert [sum(c) for c in zip(*counts)] == [285, 97]
+
+
+def test_searches_match_reference_on_the_corpus():
+    """Every corpus point an expectation names, at the expectation's budget."""
+    for entry in all_entries():
+        for exp in entry.expectations:
+            if "y" in exp.params:
+                budget = exp.params.get("budget", entry.budget)
+                assert_searches_match_reference(entry.map, exp.params["y"], budget)
 
 
 @settings(deadline=None, derandomize=True)

@@ -171,6 +171,15 @@ class TestTransitivityMixing:
         assert is_transitive(ms, cyc) is Verdict.NOT_APPLICABLE
         assert is_mixing(ms, cyc) is Verdict.NOT_APPLICABLE
 
+    def test_cycle_not_made_of_cells_not_applicable(self):
+        # the partition of 3 - x on [0,3] has one cell, and [1,2] is a cycle
+        f = make_plmap(interval(0, 3), [(0, 3), (3, 0)])
+        ms = markov_partition(f)
+        cyc = check_cycle_of_intervals(f, interval(1, 2), 1)
+        assert ms.cuts == (0, 3) and isinstance(cyc, CycleOfIntervals)
+        assert is_transitive(ms, cyc) is Verdict.NOT_APPLICABLE
+        assert is_mixing(ms, cyc) is Verdict.NOT_APPLICABLE
+
     def test_swap_transitive_not_mixing(self):
         f = swap_horseshoes()
         ms = markov_partition(f)
