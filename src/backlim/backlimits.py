@@ -121,11 +121,11 @@ class BackwardTree:
     """Breadth-first exact preimage values of a point, expanded lazily.
 
     `levels[d]` holds the values z with f^d(z) = root that the tree reaches,
-    children in parent order, then piece order; `_sorted[d]` is the same level
-    sorted for bisection, and `_union` the sorted distinct values of all levels
-    expanded so far. A constant piece maps a whole interval onto a value; that
-    interval is continued from three sampled representatives (its ends and
-    midpoint) and sets `has_sampled`. A level keeps at most `width_cap` values
+    sorted, and built from the previous level's values in that order;
+    `_union` holds every expanded level's values, sorted. A constant piece
+    maps a whole interval onto a value; that interval is continued from three
+    sampled representatives (its ends and midpoint) and sets `has_sampled`. A
+    level keeps at most `width_cap` values, the children of its least parents,
     and `truncated[d]` records that level d was cut. Either makes the tree
     `degraded`, so exactness relying on it degrades honestly.
     """
@@ -137,8 +137,7 @@ class BackwardTree:
         self.root = root
         self.width_cap = width_cap
         self.levels: list[list[Fraction]] = [[root]]
-        self._sorted: list[list[Fraction]] = [[root]]
-        self._union: list[Fraction] | None = None
+        self._union: list[Fraction] = [root]
         self.truncated: list[bool] = [False]
         self.has_sampled = False
 
@@ -161,27 +160,23 @@ class BackwardTree:
                     truncated = True
                     del nxt[self.width_cap:]
                     break
+            nxt.sort()
             self.levels.append(nxt)
-            self._sorted.append(sorted(nxt))
+            self._union = sorted(self._union + nxt)  # a merge of two sorted runs
             self.truncated.append(truncated)
-            self._union = None
 
     def first_hit(
         self, depth: int, window: Interval, ok: Callable[[Fraction], bool]
     ) -> tuple[Fraction, int] | None:
         """(value, level) for the least level d <= depth holding a value in
         `window` that passes `ok`, and the least such value there; None if no
-        level does. Levels are expanded one at a time, as far as the hit. On
-        a tree already expanded past `depth`, a miss is settled by one
-        bisection of all expanded levels."""
-        if len(self.levels) > depth:
-            if self._union is None:
-                self._union = sorted(set().union(*self.levels))
-            if _first_within(self._union, window, ok) is None:
-                return None
-        for d in range(depth + 1):
+        level does. When one bisection of the union finds no such value, every
+        expanded level is settled at once and the search starts past them.
+        Levels are expanded one at a time, as far as the hit."""
+        start = len(self.levels) if _first_within(self._union, window, ok) is None else 0
+        for d in range(start, depth + 1):
             self.ensure_depth(d)
-            z = _first_within(self._sorted[d], window, ok)
+            z = _first_within(self.levels[d], window, ok)
             if z is not None:
                 return z, d
         return None
@@ -555,8 +550,11 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
         if is_transitive(ms, cyc) is not Verdict.YES:
             return _fail("cycle is not transitive")
         report = exceptional_set(f, ms, cyc)
-        if set(report.exceptional) != set(cert.exceptional.exceptional):
-            return _fail("stored exceptional set differs from recomputation")
+        stored = cert.exceptional
+        if (set(report.exceptional), set(report.accessible_endpoints)) != (
+            set(stored.exceptional), set(stored.accessible_endpoints)
+        ):
+            return _fail("stored exceptional report differs from recomputation")
         z = cert.hop_z
         if z in set(report.exceptional):
             return _fail("hop lands on an exceptional point")
@@ -662,7 +660,7 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
     for _, iset in structure.fixed_intervals:
         for part in iset.parts:
             closure = orbit_closure(f, part, cap=32)
-            if closure.stabilized and closure.set.contains_set(image(f, closure.set)):
+            if closure.stabilized:  # S = S ∪ f(S), so f(S) ⊆ S
                 propose(closure.set)
     for orbit in targets:
         for r in _BALL_RADII:
@@ -823,13 +821,19 @@ def cert_to_obj(cert) -> dict:
 
 
 def cert_from_obj(obj: dict):
-    """Inverse of cert_to_obj; any malformed object raises ValueError."""
+    """Inverse of cert_to_obj; any malformed object raises ValueError. A count
+    or flag of another JSON type is malformed: nothing is truncated or coerced."""
     def iv(pair) -> Interval:
         lo, hi = pair
         return Interval(parse_rational(lo), parse_rational(hi))
 
     def iset(pairs) -> IntervalSet:
         return IntervalSet.of(iv(p) for p in pairs)
+
+    def strict(value, cls: type):  # a bool is no int here
+        if type(value) is not cls:
+            raise TypeError(f"{value!r} is not of type {cls.__name__}")
+        return value
 
     if not isinstance(obj, dict):
         raise ValueError(f"a certificate is a JSON object, got {type(obj).__name__}")
@@ -839,36 +843,36 @@ def cert_from_obj(obj: dict):
             return ExactTailCert(
                 PeriodicOrbit(tuple(parse_rational(p) for p in obj["orbit"])),
                 parse_rational(obj["connector_z"]),
-                int(obj["connector_k"]),
+                strict(obj["connector_k"], int),
             )
         if kind == "contraction":
             return ContractionCert(
                 parse_rational(obj["target"]),
-                int(obj["period"]),
-                tuple(int(i) for i in obj["piece_word"]),
+                strict(obj["period"], int),
+                tuple(strict(i, int) for i in obj["piece_word"]),
                 iv(obj["basin"]),
                 parse_rational(obj["connector_z"]),
-                int(obj["connector_k"]),
+                strict(obj["connector_k"], int),
             )
         if kind == "avoidance":
             return AvoidanceCert(
                 iset(obj["seed"]),
-                int(obj["layers_used"]),
+                strict(obj["layers_used"], int),
                 iset(obj["final"]),
-                bool(obj["stabilized"]),
+                strict(obj["stabilized"], bool),
             )
         if kind == "cycle-membership":
             components = iset(obj["components"])
-            cycle = CycleOfIntervals(iv(obj["base"]), int(obj["period"]), components)
+            cycle = CycleOfIntervals(iv(obj["base"]), strict(obj["period"], int), components)
             report = ExceptionalReport(
                 cycle,
                 tuple(parse_rational(e) for e in obj["exceptional"]),
                 tuple(parse_rational(e) for e in obj["accessible_endpoints"]),
             )
             return CycleMembershipCert(
-                cycle, parse_rational(obj["hop_z"]), int(obj["hop_k"]), report
+                cycle, parse_rational(obj["hop_z"]), strict(obj["hop_k"], int), report
             )
-    except (KeyError, TypeError, OverflowError) as e:
+    except (KeyError, TypeError) as e:
         raise ValueError(f"malformed {kind} certificate: {e!r}") from e
     raise ValueError(f"unknown certificate kind {kind!r}")
 

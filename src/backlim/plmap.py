@@ -49,12 +49,6 @@ class Piece:
     def value_at(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
 
-    @property
-    def value_range(self) -> Interval:
-        a = self.value_at(self.span.lo)
-        b = self.value_at(self.span.hi)
-        return Interval(min(a, b), max(a, b))
-
     def solve(self, y: Fraction) -> Fraction:
         # only valid for non-constant pieces
         return (y - self.intercept) / self.slope
@@ -161,12 +155,11 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     if f.domain != g.domain:
         raise DomainMismatch(f"{f.domain} vs {g.domain}")
     values = {x: f.eval_at(v) for x, v in g.dots}
-    for piece in g.pieces:
-        if piece.slope == 0:
+    for piece, lo, hi in g._value_ranges:
+        if lo == hi:
             continue
-        vr = piece.value_range
         for cx, cy in f.dots:
-            if vr.contains(cx):
+            if lo <= cx <= hi:
                 values.setdefault(piece.solve(cx), cy)
     dots = sorted(values.items())
     return PLMap(g.domain, tuple(_drop_collinear(dots)))

@@ -77,6 +77,14 @@ def anything(z):
     return True
 
 
+def overlap_hop():
+    """The hop certificate of 1/2 into the cycle [1/3, 2/3] of overlap."""
+    f = overlap()
+    ms = markov_partition(f)
+    cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
+    return cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
+
+
 def expanded(f, y, depth, width_cap=10_000):
     tree = BackwardTree(f, y, width_cap)
     tree.ensure_depth(depth)
@@ -89,13 +97,13 @@ class TestBackwardTree:
         assert tree.levels[0] == [0]
         assert tree.levels[1] == [5]
         assert tree.levels[2] == [1]
-        assert sorted(tree.levels[3]) == [0, Q(9, 2)]
+        assert tree.levels[3] == [0, Q(9, 2)]
 
     def test_f8_levels(self):
         tree = expanded(f8(), Q(0), 3)
         assert tree.levels[1] == [8]
         assert tree.levels[2] == [4]
-        assert sorted(tree.levels[3]) == [0, Q(24, 5)]
+        assert tree.levels[3] == [0, Q(24, 5)]
 
     def test_identity_single_branch(self):
         tree = expanded(identity_map(interval(0, 1)), Q(1, 2), 4)
@@ -108,6 +116,29 @@ class TestBackwardTree:
         for d in range(1, 9):
             for value in tree.levels[d]:
                 assert f.eval_at(value) in tree.levels[d - 1]
+
+    @pytest.mark.parametrize(
+        "f, y, width_cap",
+        [
+            (f5(), Q(5, 2), 10_000),
+            (f8(), Q(0), 10_000),
+            (overlap(), Q(1, 2), 5),
+            (make_plmap(interval(0, 2), [(0, 1), (1, 1), (2, 0)]), Q(1), 10_000),
+        ],
+    )
+    def test_levels_are_sorted_and_the_union_kept_current(self, f, y, width_cap):
+        tree = BackwardTree(f, y, width_cap)
+        for depth in (1, 2, 4, 6):  # the later calls add two levels each
+            tree.ensure_depth(depth)
+            assert all(level == sorted(level) for level in tree.levels)
+            assert tree._union == sorted(v for level in tree.levels for v in level)
+
+    def test_truncated_level_keeps_the_children_of_its_least_parents(self):
+        tree = expanded(f5(), Q(5, 2), 3, width_cap=3)
+        assert tree.levels[2] == [Q(5, 8), Q(5, 2), Q(77, 16)]
+        # 5/8 has the children 3/8 and 7/2, and 5/2 the first of its own
+        assert tree.levels[3] == [Q(3, 8), Q(7, 2), Q(75, 16)]
+        assert tree.truncated == [False, False, False, True]
 
     def test_width_cap_flags_truncation(self):
         tree = expanded(overlap(), Q(1, 2), 4, width_cap=5)
@@ -137,6 +168,12 @@ class TestBackwardTree:
         # level 2 is in the bisected union, but a hit must lie within depth
         assert tree.first_hit(1, interval(1, 1), anything) is None
         assert tree.first_hit(2, interval(1, 1), anything) == (Q(1), 2)
+
+    def test_first_hit_skips_levels_the_union_rules_out(self):
+        tree = expanded(f5(), Q(0), 2)  # levels [0], [5], [1]; level 3 is [0, 9/2]
+        with mock.patch.object(backlimits, "_first_within", wraps=backlimits._first_within) as spy:
+            assert tree.first_hit(3, interval(4, Q(19, 4)), anything) == (Q(9, 2), 3)
+        assert spy.call_count == 2  # the union, then level 3 alone
 
     def test_first_hit_sees_levels_added_later(self):
         tree = expanded(f5(), Q(0), 1)
@@ -264,10 +301,7 @@ class TestVerifier:
     def test_negative_steps_rejected(self):
         tail = ExactTailCert(PeriodicOrbit((Q(0), Q(1), Q(5))), Q(0), 0)
         contraction = find_contraction(BackwardTree(f5(), Q(0)), Q(2), 2, 8)
-        f = overlap()
-        ms = markov_partition(f)
-        cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
-        hop = cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
+        f, hop = overlap(), overlap_hop()
         # with zero steps each certificate holds for its own connector
         cases = [
             (f5(), tail, "connector_k", tail.connector_z),
@@ -298,25 +332,27 @@ class TestVerifier:
         assert time.monotonic() - start < 0.5
 
     def test_cycle_hop_steps_settle(self):
-        f = overlap()
-        ms = markov_partition(f)
-        cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
-        hop = cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
+        f, hop = overlap(), overlap_hop()
         start = time.monotonic()
         # the hop 1/2 is a fixed point of the map
         assert verify_certificate(f, Q(1, 2), dataclasses.replace(hop, hop_k=10**12))
         assert time.monotonic() - start < 0.5
 
     def test_forged_cycle_period_is_refused_at_once(self):
-        f = overlap()
-        ms = markov_partition(f)
-        cyc = check_cycle_of_intervals(f, interval(Q(1, 3), Q(2, 3)), 1)
-        hop = cycle_membership(BackwardTree(f, Q(1, 2)), ms, exceptional_set(f, ms, cyc), 6)
+        f, hop = overlap(), overlap_hop()
         forged = dataclasses.replace(hop, cycle=dataclasses.replace(hop.cycle, period=10**12))
         start = time.monotonic()
         got = verify_certificate(f, Q(1, 2), forged)
         assert not got and got.reason == "cycle period differs from its number of components"
         assert time.monotonic() - start < 0.5
+
+    def test_forged_accessible_endpoints_are_refused(self):
+        f, hop = overlap(), overlap_hop()
+        assert verify_certificate(f, Q(1, 2), hop)
+        forged = cert_from_obj(dict(cert_to_obj(hop), accessible_endpoints=["1/2", "7/9"]))
+        assert verify_certificate(f, Q(1, 2), forged) == Verification(
+            False, "stored exceptional report differs from recomputation"
+        )
 
     def test_steps_without_a_repeat_are_refused(self):
         # x -> x/2 on [0,1/2], and 1 is an expanding fixed point whose
@@ -551,6 +587,21 @@ def _mutate(rng, f, value):
     return out
 
 
+def _image_by_walk(f, z, k):
+    """f^k(z): z's forward orbit is walked until a value repeats, and k is
+    then reduced modulo the cycle it closes."""
+    orbit, first = [z], {z: 0}
+    while len(orbit) <= k:
+        x = f.eval_at(orbit[-1])
+        if x in first:
+            j = first[x]
+            return orbit[j + (k - j) % (len(orbit) - j)]
+        assert len(orbit) < 10_000, "no repeat within 10,000 steps"
+        first[x] = len(orbit)
+        orbit.append(x)
+    return orbit[k]
+
+
 class TestSerialization:
     def test_round_trip_all_kinds(self):
         f = f8()
@@ -585,6 +636,11 @@ class TestSerialization:
              "connector_k": float("inf")},
             ["kind", "contraction"],
             None,
+            # counts and flags are never truncated or coerced
+            dict(_WELL_FORMED[3], hop_k=0.9),
+            dict(_WELL_FORMED[1], period=2.5),
+            dict(_WELL_FORMED[0], connector_k=True),
+            dict(_WELL_FORMED[2], stabilized="no"),
         ],
     )
     def test_malformed_object_is_a_value_error(self, obj):
@@ -607,8 +663,7 @@ class TestSerialization:
         """One field of each corpus certificate mutated: the verifier returns
         a verdict and never raises. A mutant it accepts is confirmed apart
         from it: an avoidance region misses the backward tree, and a
-        membership witness maps onto the point (step counts past 64 are
-        left to the verifier's cycle reduction)."""
+        membership witness maps onto the point."""
         for f, y, obj in _corpus_certs():
             key = rng.choice(sorted(obj.keys() - {"kind"}))
             try:
@@ -623,7 +678,7 @@ class TestSerialization:
             elif got:
                 z, k = ((cert.hop_z, cert.hop_k) if isinstance(cert, CycleMembershipCert)
                         else (cert.connector_z, cert.connector_k))
-                assert k > 64 or f.eval_chain(z, k) == y
+                assert _image_by_walk(f, z, k) == y, (obj, key)
 
 
 class TestMapLifetime:
