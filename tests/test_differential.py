@@ -90,7 +90,9 @@ class TreeNode:
 class ReferenceTree:
     """Breadth-first preimage tree with one node per preimage: an interval
     preimage through a constant piece is a node of its own, followed by its
-    three sampled representatives, and takes a slot under the width cap."""
+    three sampled representatives, and takes a slot under the width cap. A
+    level's parents are expanded in increasing value order, so a cut level
+    keeps the children of its least parents."""
 
     def __init__(self, f: PLMap, root: Q, width_cap: int):
         self.f = f
@@ -103,9 +105,8 @@ class ReferenceTree:
         d = len(self.levels)
         nxt: list[TreeNode] = []
         truncated = False
-        for idx, node in enumerate(self.levels[-1]):
-            if node.value is None:
-                continue
+        parents = [(i, n) for i, n in enumerate(self.levels[-1]) if n.value is not None]
+        for idx, node in sorted(parents, key=lambda p: p[1].value):
             for piece_idx, hit in point_preimages(self.f, node.value):
                 if isinstance(hit, Interval):
                     self.has_sampled = True
@@ -598,14 +599,12 @@ def test_tree_matches_reference(case, width_cap):
     tree.ensure_depth(5)
     ref.ensure_depth(5)
     assert tree.has_sampled == ref.has_sampled
+    if not ref.has_sampled:
+        assert tree.truncated == ref.truncated
     for d in range(6):
-        # the width cap counts values here but nodes in the reference, and
-        # the tree expands a level's parents in sorted order, so the sorted
-        # levels agree until either tree is first cut; past a cut the two
-        # keep different parents
-        if not ref.has_sampled:
-            assert tree.truncated[d] == ref.truncated[d]
-        if tree.truncated[d] or ref.truncated[d]:
+        # the width cap counts values here but nodes in the reference, so a
+        # sampled tree's levels agree only until either tree is first cut
+        if ref.has_sampled and (tree.truncated[d] or ref.truncated[d]):
             break
         assert tree.levels[d] == sorted(ref.values(d))
 
