@@ -24,11 +24,9 @@ certificate can be re-checked without trusting the search that found it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
 from itertools import combinations
 
 from .exactnum import EMPTY, Interval, IntervalSet, parse_rational
@@ -39,6 +37,7 @@ from .markov import (
     Verdict,
     check_cycle_of_intervals,
     exceptional_set,
+    graph_bound,
     is_transitive,
     markov_partition,
     orbit_closure,
@@ -50,7 +49,7 @@ from .orbits import (
     least_period_of,
     periodic_orbits,
 )
-from .plmap import PLMap, image, point_preimages, preimage
+from .plmap import PLMap, _per_map, image, point_preimages, preimage
 
 DEFAULT_DEPTH = 12
 DEFAULT_WIDTH_CAP = 10_000
@@ -60,34 +59,6 @@ DEFAULT_AVOID_LAYERS = 4
 
 class PreconditionError(ValueError):
     """A stated precondition of an operation does not hold."""
-
-
-MemoInfo = namedtuple("MemoInfo", "hits misses")
-
-
-def _per_map(fn):
-    """Memoise fn(f, *args) in f.memo, so work done for one query on a map is
-    shared by every later query on that map object and freed with it. A
-    fresh map starts cold; equal maps built separately share nothing.
-
-    `cache_info()` returns the hits and misses counted since import, over all
-    maps; the counters only count, and no result reads them."""
-    counts = [0, 0]
-
-    @wraps(fn)
-    def memoised(f: PLMap, *args):
-        key = (fn.__name__, *args)
-        try:
-            out = f.memo[key]
-        except KeyError:
-            counts[1] += 1
-            out = f.memo[key] = fn(f, *args)
-        else:
-            counts[0] += 1
-        return out
-
-    memoised.cache_info = lambda: MemoInfo(*counts)
-    return memoised
 
 
 @dataclass(frozen=True)
@@ -121,13 +92,13 @@ class BackwardTree:
     """Breadth-first exact preimage values of a point, expanded lazily.
 
     `levels[d]` holds the values z with f^d(z) = root that the tree reaches,
-    sorted, and built from the previous level's values in that order;
-    `_union` holds every expanded level's values, sorted. A constant piece
-    maps a whole interval onto a value; that interval is continued from three
-    sampled representatives (its ends and midpoint) and sets `has_sampled`. A
-    level keeps at most `width_cap` values, the children of its least parents,
-    and `truncated[d]` records that level d was cut. Either makes the tree
-    `degraded`, so exactness relying on it degrades honestly.
+    sorted, and built from the previous level's values in that order. A
+    constant piece maps a whole interval onto a value; that interval is
+    continued from three sampled representatives (its ends and midpoint) and
+    sets `has_sampled`. A level keeps at most `width_cap` values, the
+    children of its least parents, and `truncated[d]` records that level d
+    was cut. Either makes the tree `degraded`, so exactness relying on it
+    degrades honestly.
     """
 
     def __init__(self, f: PLMap, root: Fraction, width_cap: int = DEFAULT_WIDTH_CAP):
@@ -137,7 +108,6 @@ class BackwardTree:
         self.root = root
         self.width_cap = width_cap
         self.levels: list[list[Fraction]] = [[root]]
-        self._union: list[Fraction] = [root]
         self.truncated: list[bool] = [False]
         self.has_sampled = False
 
@@ -162,7 +132,6 @@ class BackwardTree:
                     break
             nxt.sort()
             self.levels.append(nxt)
-            self._union = sorted(self._union + nxt)  # a merge of two sorted runs
             self.truncated.append(truncated)
 
     def first_hit(
@@ -170,11 +139,8 @@ class BackwardTree:
     ) -> tuple[Fraction, int] | None:
         """(value, level) for the least level d <= depth holding a value in
         `window` that passes `ok`, and the least such value there; None if no
-        level does. When one bisection of the union finds no such value, every
-        expanded level is settled at once and the search starts past them.
-        Levels are expanded one at a time, as far as the hit."""
-        start = len(self.levels) if _first_within(self._union, window, ok) is None else 0
-        for d in range(start, depth + 1):
+        level does. Levels are expanded one at a time, as far as the hit."""
+        for d in range(depth + 1):
             self.ensure_depth(d)
             z = _first_within(self.levels[d], window, ok)
             if z is not None:
@@ -612,12 +578,17 @@ def certified_period_set(
     width_cap: int = 2_000,
 ) -> set[int]:
     """Least periods of orbits certified inside the limit set of y using the
-    membership mechanisms only (no outer bounds); a gap is not an absence."""
+    membership mechanisms only (no outer bounds); a gap is not an absence.
+    An orbit with a point outside `graph_bound` has no certificate, so it is
+    not searched."""
     tree = BackwardTree(f, y, width_cap)
+    bound = graph_bound(f, y)
     periods: set[int] = set()
     for orbit in orbit_targets(f, max_period):
         p = orbit.least_period
-        if p not in periods and certify_orbit(tree, orbit, depth) is not None:
+        if p in periods or not all(map(bound.contains, orbit.points)):
+            continue
+        if certify_orbit(tree, orbit, depth) is not None:
             periods.add(p)
     return periods
 
@@ -718,15 +689,20 @@ class SalphaEnclosure:
 @_per_map
 def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> SalphaEnclosure:
     """Certified inner bound and sound closed outer bound for the backward
-    limit set of y. Budget exhaustion can lose exactness, never soundness."""
+    limit set of y. Budget exhaustion can lose exactness, never soundness.
+    Every certificate is sound, so an orbit or cycle reaching outside
+    `graph_bound` has none, and its search is skipped."""
     if not f.domain.contains(y):
         raise ValueError(f"{y} outside domain {f.domain}")
     analysis = analyze_map(f, budget.max_period)
     tree = BackwardTree(f, y, budget.width_cap)
+    bound = graph_bound(f, y)
 
     orbit_certs: list[OrbitCert] = []
     certified: set[Fraction] = set()
     for orbit in analysis.orbit_targets:
+        if not all(map(bound.contains, orbit.points)):
+            continue
         cert = certify_orbit(tree, orbit, budget.depth)
         if cert is not None:
             orbit_certs.append(cert)
@@ -735,6 +711,8 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     cycle_certs: list[CycleMembershipCert] = []
     lower_intervals = EMPTY
     for report in analysis.transitive_cycles:
+        if not bound.contains_set(report.cycle.components):
+            continue
         got = cycle_membership(tree, analysis.markov, report, budget.depth)
         if got is not None:
             cycle_certs.append(got)

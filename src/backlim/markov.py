@@ -9,13 +9,14 @@ determine transitivity and the verdict is NotApplicable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .exactnum import Interval, IntervalSet
 from .orbits import least_period_of
-from .plmap import PLMap, image, point_preimages
+from .plmap import PLMap, _per_map, image, point_preimages
 
 
 class Verdict(Enum):
@@ -50,6 +51,7 @@ class MarkovSystem:
         return picked
 
 
+@_per_map
 def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
     """Markov system on the forward orbits of the dot x-coordinates, or None
     when some dot orbit fails to close up within cap iterations."""
@@ -82,6 +84,64 @@ def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
         img = Interval(min(a, b), max(a, b))
         rows.append(tuple(1 if img.contains_interval(c) else 0 for c in cells))
     return MarkovSystem(f, ordered, tuple(rows), tuple(slopes))
+
+
+@_per_map
+def _cycle_cells_reaching(f: PLMap) -> tuple[IntervalSet, ...] | None:
+    """For each cell of f's Markov partition, the union of the cells that lie
+    on a cycle of the transition graph and reach that cell; None when f has
+    no finite partition. Edge c -> c' means c' ⊆ f(c); a constant cell has an
+    edge to each cell holding its value, a cut point."""
+    ms = markov_partition(f)
+    if ms is None:
+        return None
+    cells = ms.cells
+    succ = []
+    for cell, row, slope in zip(cells, ms.matrix, ms.cell_slopes):
+        if slope == 0:
+            v = f.eval_at(cell.lo)
+            row = [c.contains(v) for c in cells]
+        succ.append([j for j, edge in enumerate(row) if edge])
+    reach = []  # the cells reached from each cell in one step or more
+    for i in range(len(cells)):
+        seen: set[int] = set()
+        stack = list(succ[i])
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                stack.extend(succ[j])
+        reach.append(seen)
+    on_cycle = [i for i in range(len(cells)) if i in reach[i]]
+    return tuple(
+        IntervalSet.of(cells[i] for i in on_cycle if i == k or k in reach[i])
+        for k in range(len(cells))
+    )
+
+
+def graph_bound(f: PLMap, y: Fraction) -> IntervalSet:
+    """G(y): the union of the cells of f's Markov partition that lie on a
+    cycle of the transition graph and reach a cell containing y. It is a
+    closed superset of the special backward limit set of y, so of its
+    closure too; the whole domain when f has no finite partition.
+
+    Let y = x_0, x_1, ... be a backward branch, f(x_{n+1}) = x_n. If x_{n+1}
+    lies in cell c, then x_n lies in f(c): a union of cells, or for a
+    constant cell its value, a cut point. So some cell c' with an edge
+    c -> c' holds x_n, and for every N there is a cell path c_N -> ... -> c_0
+    with x_n in c_n. There are finitely many cells, so König's lemma gives an
+    infinite path. From some index on it visits only cells it visits
+    infinitely often; those lie on a graph cycle and reach c_0, which holds
+    y. Every accumulation point of the branch lies in their closed union.
+    """
+    table = _cycle_cells_reaching(f)
+    if table is None:
+        return IntervalSet((f.domain,))
+    cuts = markov_partition(f).cuts
+    # cell k = [cuts[k], cuts[k+1]] holds y for k in first..last
+    first = max(bisect_left(cuts, y) - 1, 0)
+    last = min(bisect_right(cuts, y), len(table)) - 1
+    return IntervalSet.of(p for k in range(first, last + 1) for p in table[k].parts)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable
 
 from .exactnum import (
@@ -102,7 +103,7 @@ class PLMap:
 
     @cached_property
     def memo(self) -> dict:
-        """Results kept on the map by `backlimits._per_map`; not compared or hashed."""
+        """Results kept on the map by `_per_map`; not compared or hashed."""
         return {}
 
     def piece_at(self, x: Fraction) -> Piece:
@@ -125,6 +126,34 @@ class PLMap:
         for _ in range(n):
             v = self.eval_at(v)
         return v
+
+
+MemoInfo = namedtuple("MemoInfo", "hits misses")
+
+
+def _per_map(fn):
+    """Memoise fn(f, *args, **kwargs) in f.memo, so work done for one query on
+    a map is shared by every later query on that map object and freed with
+    it. A fresh map starts cold; equal maps built separately share nothing.
+
+    `cache_info()` returns the hits and misses counted since import, over all
+    maps; the counters only count, and no result reads them."""
+    counts = [0, 0]
+
+    @wraps(fn)
+    def memoised(f: PLMap, *args, **kwargs):
+        key = (fn.__name__, *args, *kwargs.items())
+        try:
+            out = f.memo[key]
+        except KeyError:
+            counts[1] += 1
+            out = f.memo[key] = fn(f, *args, **kwargs)
+        else:
+            counts[0] += 1
+        return out
+
+    memoised.cache_info = lambda: MemoInfo(*counts)
+    return memoised
 
 
 def make_plmap(domain: Interval, dots: Iterable) -> PLMap:

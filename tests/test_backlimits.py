@@ -39,6 +39,7 @@ from backlim.markov import (
     ExceptionalReport,
     check_cycle_of_intervals,
     exceptional_set,
+    graph_bound,
     markov_partition,
 )
 from backlim.orbits import PeriodicOrbit
@@ -128,10 +129,17 @@ class TestBackwardTree:
     )
     def test_levels_are_sorted_and_the_union_kept_current(self, f, y, width_cap):
         tree = BackwardTree(f, y, width_cap)
+        before = []
         for depth in (1, 2, 4, 6):  # the later calls add two levels each
             tree.ensure_depth(depth)
+            assert len(tree.levels) == depth + 1
             assert all(level == sorted(level) for level in tree.levels)
-            assert tree._union == sorted(v for level in tree.levels for v in level)
+            # a later expansion only appends levels, and the values of all
+            # levels, level by level, are the tree's point values
+            assert tree.levels[: len(before)] == before
+            union = [(d, v) for d, level in enumerate(tree.levels) for v in level]
+            assert tree.point_values(depth) == union
+            before = [list(level) for level in tree.levels]
 
     def test_truncated_level_keeps_the_children_of_its_least_parents(self):
         tree = expanded(f5(), Q(5, 2), 3, width_cap=3)
@@ -162,18 +170,21 @@ class TestBackwardTree:
         tree = expanded(f5(), Q(0), 3)  # levels [0], [5], [1], [0, 9/2]
         with mock.patch.object(backlimits, "_first_within", wraps=backlimits._first_within) as spy:
             assert tree.first_hit(3, interval(2, 4), anything) is None
-        assert spy.call_count == 1  # one bisection of all levels
+        # one bisection of each level, in level order
+        assert [c.args[0] for c in spy.call_args_list] == tree.levels
         assert tree.first_hit(3, interval(0, 0), lambda z: z != 0) is None
         assert tree.first_hit(3, interval(4, 5), anything) == (Q(5), 1)
-        # level 2 is in the bisected union, but a hit must lie within depth
+        # level 2 is expanded, but a hit must lie within depth
         assert tree.first_hit(1, interval(1, 1), anything) is None
         assert tree.first_hit(2, interval(1, 1), anything) == (Q(1), 2)
 
-    def test_first_hit_skips_levels_the_union_rules_out(self):
+    def test_first_hit_searches_each_level_up_to_the_hit(self):
         tree = expanded(f5(), Q(0), 2)  # levels [0], [5], [1]; level 3 is [0, 9/2]
         with mock.patch.object(backlimits, "_first_within", wraps=backlimits._first_within) as spy:
             assert tree.first_hit(3, interval(4, Q(19, 4)), anything) == (Q(9, 2), 3)
-        assert spy.call_count == 2  # the union, then level 3 alone
+        # the expanded levels one by one, then level 3 once it is built
+        assert [c.args[0] for c in spy.call_args_list] == tree.levels
+        assert len(tree.levels) == 4
 
     def test_first_hit_sees_levels_added_later(self):
         tree = expanded(f5(), Q(0), 1)
@@ -679,6 +690,23 @@ class TestSerialization:
                 z, k = ((cert.hop_z, cert.hop_k) if isinstance(cert, CycleMembershipCert)
                         else (cert.connector_z, cert.connector_k))
                 assert _image_by_walk(f, z, k) == y, (obj, key)
+
+
+class TestGraphGate:
+    def test_a_skipped_search_grows_no_tree(self):
+        # the fixed point 13/3 lies outside the bound [0, 3] of 17/6; only its
+        # search grows the tree to levels the width cap cuts
+        f = make_plmap(interval(0, 5), [(0, 3), (1, 0), (3, 3), (4, 5), (5, 3)])
+        y, budget = Q(17, 6), Budget(depth=6, width_cap=2, max_period=1, avoid_layers=0)
+        assert graph_bound(f, y) == iset((0, 3))
+        enc = salpha_enclosure(f, y, budget)
+        whole = IntervalSet((f.domain,))
+        with mock.patch.object(backlimits, "graph_bound", lambda f, y: whole):
+            ungated = salpha_enclosure.__wrapped__(f, y, budget)
+        assert (enc.orbit_certs, enc.cycle_certs) == (ungated.orbit_certs, ungated.cycle_certs)
+        assert enc.upper == ungated.upper == enc.lower_closure == iset((0, 3))
+        assert (enc.degraded, enc.exact) == (False, True)
+        assert (ungated.degraded, ungated.exact) == (True, False)
 
 
 class TestMapLifetime:

@@ -1,9 +1,10 @@
 """Differential tests: the shortcuts in `compose`, `find_exact_tail`,
 `find_contraction`, `cycle_membership`, `_contraction_words`,
 `point_preimages`, `preimage`, the ball seeds and the cycle search of
-`analyze_map`, `beta_upper`, `PeriodicOrbit.from_point` and the flat-list
-`BackwardTree`, against the plain algorithms and the node-based tree they
-replaced, kept here as references."""
+`analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
+`BackwardTree`, and the Markov-graph gate of `salpha_enclosure` and
+`certified_period_set`, against the plain algorithms and the node-based tree
+they replaced, kept here as references."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -18,16 +19,20 @@ from backlim.backlimits import (
     _BALL_RADII,
     _CYCLE_PERIOD_CAP,
     _SEED_CAP,
+    AvoidanceCert,
     BackwardTree,
     Budget,
     ContractionCert,
     CycleMembershipCert,
     ExactTailCert,
     PreconditionError,
+    SalphaEnclosure,
     _contraction_words,
     _structure,
     analyze_map,
+    avoided_region,
     beta_upper,
+    certified_period_set,
     certify_orbit,
     cycle_membership,
     find_exact_tail,
@@ -43,6 +48,7 @@ from backlim.markov import (
     Verdict,
     check_cycle_of_intervals,
     exceptional_set,
+    graph_bound,
     is_transitive,
     markov_partition,
     orbit_closure,
@@ -177,9 +183,10 @@ def reference_cycle_membership(tree, ms, report, depth):
 
 
 def assert_searches_match_reference(f, y, budget):
-    """Every orbit and cycle search `salpha_enclosure` makes at y, in its
-    order, on one tree through `first_hit` and on another through the
-    references; returns the number of cycle searches and of hops found."""
+    """Every orbit and cycle search of `salpha_enclosure` at y, in its order
+    and with none skipped, on one tree through `first_hit` and on another
+    through the references; returns the number of cycle searches and of hops
+    found."""
     analysis = analyze_map(f, budget.max_period)
     tree = BackwardTree(f, y, budget.width_cap)
     ref = BackwardTree(f, y, budget.width_cap)
@@ -425,6 +432,7 @@ def integer_maps(draw, upper):
 uppers = st.integers(2, 5)
 
 
+@settings(deadline=None, derandomize=True)
 @given(uppers.flatmap(lambda u: st.tuples(integer_maps(u), integer_maps(u))))
 def test_compose_matches_reference(pair):
     f, g = pair
@@ -432,6 +440,7 @@ def test_compose_matches_reference(pair):
     assert compose(g, f).dots == reference_compose(g, f).dots
 
 
+@settings(deadline=None, derandomize=True)
 @given(uppers.flatmap(integer_maps), st.integers(0, 4))
 def test_iterate_matches_reference(f, n):
     h = iterate(f, 0)
@@ -500,6 +509,95 @@ def test_searches_match_reference_on_the_corpus():
             if "y" in exp.params:
                 budget = exp.params.get("budget", entry.budget)
                 assert_searches_match_reference(entry.map, exp.params["y"], budget)
+
+
+def reference_enclosure(f, y, budget):
+    """`salpha_enclosure` searching every orbit target and every transitive
+    cycle."""
+    analysis = analyze_map(f, budget.max_period)
+    tree = BackwardTree(f, y, budget.width_cap)
+    orbit_certs = []
+    certified = set()
+    for orbit in analysis.orbit_targets:
+        cert = certify_orbit(tree, orbit, budget.depth)
+        if cert is not None:
+            orbit_certs.append(cert)
+            certified.update(orbit.points)
+    cycle_certs = []
+    lower_intervals = EMPTY
+    for report in analysis.transitive_cycles:
+        got = cycle_membership(tree, analysis.markov, report, budget.depth)
+        if got is not None:
+            cycle_certs.append(got)
+            lower_intervals = lower_intervals.union(report.cycle.components)
+    avoidance_certs = []
+    upper = IntervalSet((f.domain,))
+    for seed in analysis.seed_candidates:
+        if not seed.contains(y):
+            got = avoided_region(f, y, seed, budget.avoid_layers)
+            if isinstance(got, AvoidanceCert):
+                avoidance_certs.append(got)
+                upper = upper.intersect(got.final.complement(f.domain))
+    return SalphaEnclosure(
+        y, tuple(sorted(certified)), lower_intervals, upper, tuple(orbit_certs),
+        tuple(cycle_certs), tuple(avoidance_certs), tree.degraded,
+    )
+
+
+def reference_period_set(f, y, max_period, depth, width_cap):
+    """`certified_period_set` searching every orbit target."""
+    tree = BackwardTree(f, y, width_cap)
+    periods = set()
+    for orbit in orbit_targets(f, max_period):
+        p = orbit.least_period
+        if p not in periods and certify_orbit(tree, orbit, depth) is not None:
+            periods.add(p)
+    return periods
+
+
+def assert_gate_matches_reference(f, y, budget):
+    """The gated enclosure and period set against the ungated loops; returns
+    the number of orbit targets and of cycles the gate skips at y."""
+    assert salpha_enclosure(f, y, budget) == reference_enclosure(f, y, budget), (f, y)
+    args = (budget.max_period, budget.depth, budget.width_cap)
+    assert certified_period_set(f, y, *args) == reference_period_set(f, y, *args), (f, y)
+    bound = graph_bound(f, y)
+    analysis = analyze_map(f, budget.max_period)
+    return (
+        sum(not all(map(bound.contains, o.points)) for o in analysis.orbit_targets),
+        sum(not bound.contains_set(r.cycle.components) for r in analysis.transitive_cycles),
+    )
+
+
+def test_gate_matches_ungated_search_on_the_scan_maps():
+    """All 216 maps of `scan --dots 4 --domain 0..4` at their nine
+    half-integer points; the counts are the searches the gate skips."""
+    skipped = [
+        assert_gate_matches_reference(f, Q(k, 2), SCAN_BUDGET)
+        for f in enumerate_scan_maps(4, 4, 216)
+        for k in range(9)
+    ]
+    assert [sum(c) for c in zip(*skipped)] == [2197, 8]
+
+
+def test_gate_matches_ungated_search_on_the_grid():
+    """The overlap map at the 95 reduced rationals in (0, 1) with denominator
+    at most 17."""
+    overlap = build_overlap().map
+    points = [Q(k, d) for d in range(2, 18) for k in range(1, d) if Q(k, d).denominator == d]
+    skipped = [assert_gate_matches_reference(overlap, y, GRID_BUDGET) for y in points]
+    assert [sum(c) for c in zip(*skipped)] == [14862, 188]
+
+
+def test_gate_matches_ungated_search_on_the_corpus():
+    """Every corpus point an expectation names, at the expectation's budget."""
+    skipped = []
+    for entry in all_entries():
+        for exp in entry.expectations:
+            if "y" in exp.params:
+                budget = exp.params.get("budget", entry.budget)
+                skipped.append(assert_gate_matches_reference(entry.map, exp.params["y"], budget))
+    assert [sum(c) for c in zip(*skipped)] == [158, 4]
 
 
 @settings(deadline=None, derandomize=True)
@@ -609,6 +707,7 @@ def test_tree_matches_reference(case, width_cap):
         assert tree.levels[d] == sorted(ref.values(d))
 
 
+@settings(deadline=None, derandomize=True)
 @given(uppers.flatmap(integer_maps))
 def test_equal_maps_hash_equal(f):
     text = '{"domain":["0","%s"],"dots":[%s]}' % (

@@ -9,6 +9,7 @@ from backlim.markov import (
     Verdict,
     check_cycle_of_intervals,
     exceptional_set,
+    graph_bound,
     is_mixing,
     is_transitive,
     markov_partition,
@@ -100,6 +101,36 @@ class TestMarkovPartition:
             img = image(ms.map, IntervalSet((cell,)))
             expected = IntervalSet.of(c for j, c in enumerate(cells) if ms.matrix[i][j])
             assert img == expected
+
+
+class TestGraphBound:
+    def test_f5_leaves_out_the_cell_that_reaches_nothing_else(self):
+        # [2,4] maps onto itself only, so it reaches no other cell
+        f = f5()
+        assert graph_bound(f, Q(3)) == iset((0, 5))
+        assert graph_bound(f, Q(1, 2)) == iset((0, 2), (4, 5))
+        # 1 is a cut: the bound joins those of both cells holding it
+        assert graph_bound(f, Q(1)) == iset((0, 2), (4, 5))
+
+    def test_constant_cell_has_edges_to_the_cells_holding_its_value(self):
+        flat = make_plmap(interval(0, 2), [(0, 1), (1, 1), (2, 0)])
+        assert graph_bound(flat, Q(1)) == iset((0, 2))
+        assert graph_bound(flat, Q(1, 2)) == iset((0, 2))
+
+    def test_no_cycle_reaches_the_point(self):
+        # every point reaches the fixed point 0 within two steps: only the
+        # constant cell [0, 1/2] lies on a cycle, and no cycle reaches 3/4
+        f = make_plmap(interval(0, 1), [(0, 0), (Q(1, 2), 0), (1, Q(1, 2))])
+        assert graph_bound(f, Q(3, 4)) == IntervalSet()
+        assert graph_bound(f, Q(1, 4)) == iset((0, Q(1, 2)))
+
+    def test_no_finite_partition_bounds_by_the_domain(self):
+        skew = make_plmap(interval(0, 1), [(0, 0), (Q(1, 2), Q(3, 4)), (1, 0)])
+        assert graph_bound(skew, Q(1, 3)) == iset((0, 1))
+
+    def test_partition_is_kept_on_the_map(self):
+        f = overlap()
+        assert markov_partition(f) is markov_partition(f)
 
 
 class TestCycleOfIntervals:
