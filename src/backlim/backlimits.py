@@ -538,6 +538,8 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
 @dataclass(frozen=True)
 class MapAnalysis:
     orbit_targets: tuple[PeriodicOrbit, ...]
+    # every target's points in increasing order, each with its target's index
+    target_points: tuple[tuple[Fraction, int], ...]
     markov: MarkovSystem | None
     transitive_cycles: tuple[ExceptionalReport, ...]
     seed_candidates: tuple[IntervalSet, ...]
@@ -570,6 +572,13 @@ def orbit_targets(f: PLMap, max_period: int) -> tuple[PeriodicOrbit, ...]:
     return tuple(sorted(targets.values(), key=lambda o: (o.points[0], o.least_period)))
 
 
+@_per_map
+def _inside_bound(f: PLMap, bound: IntervalSet, max_period: int) -> tuple[bool, ...]:
+    """For each orbit target, whether it lies inside `bound`. Kept per
+    bound, since many points share one `graph_bound`."""
+    return tuple(all(map(bound.contains, o.points)) for o in orbit_targets(f, max_period))
+
+
 def certified_period_set(
     f: PLMap,
     y: Fraction,
@@ -582,11 +591,11 @@ def certified_period_set(
     An orbit with a point outside `graph_bound` has no certificate, so it is
     not searched."""
     tree = BackwardTree(f, y, width_cap)
-    bound = graph_bound(f, y)
+    inside = _inside_bound(f, graph_bound(f, y), max_period)
     periods: set[int] = set()
-    for orbit in orbit_targets(f, max_period):
+    for orbit, ok in zip(orbit_targets(f, max_period), inside):
         p = orbit.least_period
-        if p in periods or not all(map(bound.contains, orbit.points)):
+        if p in periods or not ok:
             continue
         if certify_orbit(tree, orbit, depth) is not None:
             periods.add(p)
@@ -650,11 +659,18 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
                 propose(ball_set)
                 break
 
-    return MapAnalysis(targets, ms, tuple(cycles), tuple(seeds))
+    # distinct periodic orbits are disjoint, so no point appears twice
+    points = sorted((x, i) for i, orbit in enumerate(targets) for x in orbit.points)
+    return MapAnalysis(targets, tuple(points), ms, tuple(cycles), tuple(seeds))
 
 
 @dataclass(frozen=True)
 class SalphaEnclosure:
+    """`lower_points` is strictly increasing. `lower_closure` merges it into
+    the canonical `lower_intervals` in one pass, bisecting the points at each
+    interval's ends. It is recomputed on each access: the enclosures kept on
+    a map would otherwise each hold a copy."""
+
     point: Fraction
     lower_points: tuple[Fraction, ...]
     lower_intervals: IntervalSet
@@ -666,8 +682,15 @@ class SalphaEnclosure:
 
     @property
     def lower_closure(self) -> IntervalSet:
-        points = [Interval(p, p) for p in self.lower_points]
-        return IntervalSet.of(points + list(self.lower_intervals.parts))
+        points, merged, i = self.lower_points, [], 0
+        for part in self.lower_intervals.parts:
+            # the points before `part` join as they are; those in it are absorbed
+            j = bisect_left(points, part.lo, i)
+            merged += [Interval(x, x) for x in points[i:j]]
+            merged.append(part)
+            i = bisect_right(points, part.hi, j)
+        merged += [Interval(x, x) for x in points[i:]]
+        return IntervalSet(tuple(merged))
 
     @property
     def exact(self) -> bool:
@@ -697,16 +720,17 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     analysis = analyze_map(f, budget.max_period)
     tree = BackwardTree(f, y, budget.width_cap)
     bound = graph_bound(f, y)
+    inside = _inside_bound(f, bound, budget.max_period)
 
     orbit_certs: list[OrbitCert] = []
-    certified: set[Fraction] = set()
-    for orbit in analysis.orbit_targets:
-        if not all(map(bound.contains, orbit.points)):
+    certified: set[int] = set()
+    for i, orbit in enumerate(analysis.orbit_targets):
+        if not inside[i]:
             continue
         cert = certify_orbit(tree, orbit, budget.depth)
         if cert is not None:
             orbit_certs.append(cert)
-            certified.update(orbit.points)
+            certified.add(i)
 
     cycle_certs: list[CycleMembershipCert] = []
     lower_intervals = EMPTY
@@ -730,7 +754,7 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
 
     enc = SalphaEnclosure(
         y,
-        tuple(sorted(certified)),
+        tuple(x for x, i in analysis.target_points if i in certified),
         lower_intervals,
         upper,
         tuple(orbit_certs),

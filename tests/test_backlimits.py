@@ -708,6 +708,22 @@ class TestGraphGate:
         assert (enc.degraded, enc.exact) == (False, True)
         assert (ungated.degraded, ungated.exact) == (True, False)
 
+    def test_one_gate_table_per_distinct_bound(self):
+        # the 95 grid points share 5 bounds; every enclosure reads its lower
+        # points, already sorted, off the map's table of target points
+        f = overlap()
+        points = [Q(k, d) for d in range(2, 18) for k in range(1, d) if Q(k, d).denominator == d]
+        budget = Budget(depth=4, width_cap=2_000, max_period=6, avoid_layers=2)
+        encs = [salpha_enclosure(f, y, budget) for y in points]
+        assert len(points) == 95 and len({graph_bound(f, y) for y in points}) == 5
+        assert sum(key[0] == "_inside_bound" for key in f.memo) == 5
+        for enc in encs:
+            assert all(a < b for a, b in zip(enc.lower_points, enc.lower_points[1:]))
+            orbits = [c.orbit.points if isinstance(c, ExactTailCert) else c.orbit_points(f)
+                      for c in enc.orbit_certs]
+            assert enc.lower_points == tuple(sorted(x for o in orbits for x in o))
+        assert sum(len(enc.lower_points) for enc in encs) > 0
+
 
 class TestMapLifetime:
     def test_map_is_freed_after_a_query(self):

@@ -2,9 +2,10 @@
 `find_contraction`, `cycle_membership`, `_contraction_words`,
 `point_preimages`, `preimage`, the ball seeds and the cycle search of
 `analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
-`BackwardTree`, and the Markov-graph gate of `salpha_enclosure` and
-`certified_period_set`, against the plain algorithms and the node-based tree
-they replaced, kept here as references."""
+`BackwardTree`, the Markov-graph gate of `salpha_enclosure` and
+`certified_period_set`, and the merge of `SalphaEnclosure.lower_closure`,
+against the plain algorithms and the node-based tree they replaced, kept
+here as references."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -638,6 +639,27 @@ def interval_sets(draw, upper):
     ends = st.fractions(0, upper, max_denominator=6)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=4))
     return IntervalSet.of(Interval(min(a, b), max(a, b)) for a, b in pairs)
+
+
+def reference_lower_closure(enc):
+    """The lower closure sorted afresh from every point and part."""
+    points = [Interval(p, p) for p in enc.lower_points]
+    return IntervalSet.of(points + list(enc.lower_intervals.parts))
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    st.lists(st.fractions(0, 4, max_denominator=6), unique=True).map(sorted).map(tuple),
+    interval_sets(4),
+)
+@example((Q(1),), IntervalSet.single(1, 2))  # at an interval's lo
+@example((Q(2),), IntervalSet.single(1, 2))  # at its hi
+@example((Q(3, 2),), IntervalSet.single(1, 2))  # strictly inside
+@example((Q(0), Q(2)), IntervalSet.single(1, 1))  # both sides of a degenerate one
+@example((), EMPTY)
+def test_lower_closure_merge_matches_sort(points, intervals):
+    enc = SalphaEnclosure(Q(0), points, intervals, EMPTY)
+    assert enc.lower_closure == reference_lower_closure(enc)
 
 
 @settings(deadline=None, derandomize=True)

@@ -65,10 +65,20 @@ def test_exact_enclosures_have_the_paper_structure():
 
 def ungated_enclosure(f, y, budget):
     """`salpha_enclosure` with every orbit and cycle searched: its gate is
-    handed the whole domain as the bound, and its memo is bypassed."""
+    handed the whole domain as the bound, and its memo is bypassed. The gate
+    table it reads, kept on the map per bound, must pass every target."""
     whole = IntervalSet((f.domain,))
-    with mock.patch.object(backlimits, "graph_bound", lambda f, y: whole):
-        return salpha_enclosure.__wrapped__(f, y, budget)
+    inside_bound, tables = backlimits._inside_bound, []
+
+    def gate(*args):
+        tables.append(inside_bound(*args))
+        return tables[-1]
+
+    with mock.patch.object(backlimits, "graph_bound", lambda f, y: whole), \
+            mock.patch.object(backlimits, "_inside_bound", gate):
+        enc = salpha_enclosure.__wrapped__(f, y, budget)
+    assert len(tables) == 1 and all(tables[0]), (f, y)
+    return enc
 
 
 def assert_lower_closure_in_graph_bound(f, y, budget):
