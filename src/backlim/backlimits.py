@@ -43,10 +43,11 @@ from .markov import (
     orbit_closure,
 )
 from .orbits import (
+    MAX_STEPS,
     PeriodicOrbit,
     PeriodicStructure,
     forward_orbit,
-    least_period_of,
+    image_after,
     periodic_orbits,
 )
 from .plmap import PLMap, _per_map, image, point_preimages, preimage
@@ -171,9 +172,6 @@ class ContractionCert:
     basin: Interval              # J: one- or two-sided interval at the target
     connector_z: Fraction
     connector_k: int
-
-    def orbit_points(self, f: PLMap) -> tuple[Fraction, ...]:
-        return tuple(forward_orbit(f, self.target, self.period - 1))
 
 
 @dataclass(frozen=True)
@@ -398,33 +396,13 @@ def _fail(reason: str) -> Verification:
     return Verification(False, reason)
 
 
-_MAX_STEPS = 4096
-
-
-def _image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
-    """f^k(z) for k >= 0, settled at once for any k: once a value of z's
-    forward orbit repeats, k is reduced modulo that cycle. None when k
-    exceeds _MAX_STEPS and no value repeats within that many steps."""
-    first: dict[Fraction, int] = {}  # step at which each value was first seen
-    x = z
-    for i in range(min(k, _MAX_STEPS) + 1):
-        if i == k:
-            return x
-        if x in first:
-            j = first[x]
-            return list(first)[j + (k - j) % (i - j)]
-        first[x] = i
-        x = f.eval_at(x)
-    return None
-
-
 def _lands_on(f: PLMap, z: Fraction, k: int, y: Fraction, what: str) -> Verification:
     """Whether f^k(z) = y, for the certificate's step `what` (z, k)."""
     if k < 0:
         return _fail("negative step count")
-    got = _image_after(f, z, k)
+    got = image_after(f, z, k)
     if got is None:
-        return _fail(f"{what} step count exceeds {_MAX_STEPS} without a repeat")
+        return _fail(f"{what} step count exceeds {MAX_STEPS} without a repeat")
     return Verification(True) if got == y else _fail(f"{what} does not map onto the point")
 
 
@@ -457,7 +435,7 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
             return _fail("word length differs from the period")
         if not f.domain.contains(t):
             return _fail("target lies outside the domain")
-        if f.eval_chain(t, p) != t:
+        if image_after(f, t, p) != t:
             return _fail("target is not periodic with the stated period")
         if not cert.basin.contains(t) or cert.basin.is_point:
             return _fail("basin does not surround the target")
@@ -583,7 +561,7 @@ def certified_period_set(
     f: PLMap,
     y: Fraction,
     max_period: int,
-    depth: int = 8,
+    depth: int,
     width_cap: int = 2_000,
 ) -> set[int]:
     """Least periods of orbits certified inside the limit set of y using the
@@ -705,7 +683,7 @@ class SalphaEnclosure:
             if isinstance(cert, ExactTailCert):
                 periods.add(cert.orbit.least_period)
             else:
-                periods.add(least_period_of(f, cert.target, cert.period))
+                periods.add(PeriodicOrbit.from_point(f, cert.target, cert.period).least_period)
         return periods
 
 

@@ -27,8 +27,6 @@ from .backlimits import (
     PreconditionError,
     RejectedSeed,
     SalphaEnclosure,
-    _MAX_STEPS,
-    _image_after,
     _set_obj,
     avoided_region,
     beta_upper,
@@ -52,7 +50,7 @@ from .markov import (
     is_transitive,
     markov_partition,
 )
-from .orbits import PeriodicOrbit, periodic_orbits
+from .orbits import MAX_STEPS, PeriodicOrbit, image_after, periodic_orbits
 from .plmap import (InvalidMap, PieceBudgetExceeded, PLMap, make_plmap, map_digest,
                     map_to_obj, parse_map)
 
@@ -155,9 +153,9 @@ def _cmd_certify(args) -> tuple[dict, int]:
     y = _point(f, args.point)
     t = _point(f, args.target)
     if args.period is not None:
-        got = _image_after(f, t, args.period)
+        got = image_after(f, t, args.period)
         if got is None:
-            raise PreconditionError(f"target {t} does not repeat within {_MAX_STEPS} steps")
+            raise PreconditionError(f"target {t} does not repeat within {MAX_STEPS} steps")
         if got != t:
             raise PreconditionError(f"target {t} is not {args.period}-periodic")
     bound = args.period or 64

@@ -503,7 +503,8 @@ def _run_member(entry: CorpusEntry, p: dict) -> _Outcome:
         want = p.get("slope_abs")
         if want is not None and abs(slope) != want:
             return False, f"inverse slope {slope}, wanted |{want}|", ()
-        if p.get("orbit") is not None and frozenset(cert.orbit_points(f)) != frozenset(p["orbit"]):
+        orbit = PeriodicOrbit.from_point(f, cert.target, cert.period)
+        if p.get("orbit") is not None and orbit.point_set != frozenset(p["orbit"]):
             return False, "certified a different orbit", ()
     return True, "certificate verified", ((y, cert),)
 

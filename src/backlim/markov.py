@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .exactnum import Interval, IntervalSet
-from .orbits import least_period_of
+from .orbits import orbit_until_repeat
 from .plmap import PLMap, _per_map, image, point_preimages
 
 
@@ -27,10 +27,10 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class MarkovSystem:
-    map: PLMap
     cuts: tuple[Fraction, ...]
     matrix: tuple[tuple[int, ...], ...]
     cell_slopes: tuple[Fraction, ...]
+    periodic_cuts: frozenset[Fraction]
 
     @property
     def cells(self) -> tuple[Interval, ...]:
@@ -56,19 +56,13 @@ def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
     """Markov system on the forward orbits of the dot x-coordinates, or None
     when some dot orbit fails to close up within cap iterations."""
     cuts: set[Fraction] = set()
+    periodic: set[Fraction] = set()
     for x, _ in f.dots:
-        orbit = []
-        seen: set[Fraction] = set()
-        v = x
-        for _ in range(cap + 1):
-            if v in seen:
-                break
-            seen.add(v)
-            orbit.append(v)
-            v = f.eval_at(v)
-        else:
+        orbit, start = orbit_until_repeat(f, x, cap)
+        if start is None:
             return None
         cuts.update(orbit)
+        periodic.update(orbit[start:])
     ordered = tuple(sorted(cuts))
     cells = [Interval(a, b) for a, b in zip(ordered, ordered[1:])]
     slopes = []
@@ -83,7 +77,7 @@ def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
         b = piece.value_at(cell.hi)
         img = Interval(min(a, b), max(a, b))
         rows.append(tuple(1 if img.contains_interval(c) else 0 for c in cells))
-    return MarkovSystem(f, ordered, tuple(rows), tuple(slopes))
+    return MarkovSystem(ordered, tuple(rows), tuple(slopes), frozenset(periodic))
 
 
 @_per_map
@@ -311,6 +305,9 @@ def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> Exce
     A candidate is exceptional iff its whole backward preimage set within the
     cycle stays inside the finite forward-invariant cut-point set; the first
     preimage falling strictly inside a cell witnesses accessibility instead.
+
+    The periodic cuts are `ms.periodic_cuts`, the repeating tails of the dot
+    orbits: every cut lies on a dot's orbit, and is periodic iff on its tail.
     """
     m = cycle.components
     cutset = set(ms.cuts)
@@ -321,9 +318,8 @@ def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> Exce
             endpoints.append(part.hi)
     candidates = list(dict.fromkeys(endpoints))
     for c in ms.cuts:
-        if m.contains(c) and c not in candidates:
-            if least_period_of(f, c, len(ms.cuts) + 1) is not None:
-                candidates.append(c)
+        if m.contains(c) and c not in candidates and c in ms.periodic_cuts:
+            candidates.append(c)
 
     exceptional = []
     accessible = []

@@ -12,7 +12,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactnum import Interval, IntervalSet
-from .plmap import PIECE_CAP, PieceBudgetExceeded, PLMap, compose
+from .plmap import PLMap, powers
+
+MAX_STEPS = 4096
 
 
 def forward_orbit(f: PLMap, x: Fraction, n: int) -> list[Fraction]:
@@ -20,6 +22,34 @@ def forward_orbit(f: PLMap, x: Fraction, n: int) -> list[Fraction]:
     for _ in range(n):
         out.append(f.eval_at(out[-1]))
     return out
+
+
+def orbit_until_repeat(f: PLMap, x: Fraction, cap: int) -> tuple[list[Fraction], int | None]:
+    """x, f(x), ... up to the first value seen before, and that value's index.
+
+    The walk stops at the first j <= cap with f^j(x) = values[start], so
+    values[start:] is the cycle x falls into; start is None, and values is
+    x, ..., f^cap(x), when no value repeats within cap steps."""
+    first = {x: 0}  # the step at which each value was first seen
+    v = x
+    for i in range(1, cap + 1):
+        v = f.eval_at(v)
+        if v in first:
+            return list(first), first[v]
+        first[v] = i
+    return list(first), None
+
+
+def image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
+    """f^k(z) for k >= 0, settled at once for any k: once a value of z's
+    forward orbit repeats, k is reduced modulo that cycle. None when k
+    exceeds MAX_STEPS and no value repeats within that many steps."""
+    values, start = orbit_until_repeat(f, z, min(k, MAX_STEPS))
+    if k < len(values):
+        return values[k]
+    if start is None:
+        return None
+    return values[start + (k - start) % (len(values) - start)]
 
 
 def fixed_point_set(f: PLMap) -> IntervalSet:
@@ -34,16 +64,6 @@ def fixed_point_set(f: PLMap) -> IntervalSet:
         if piece.span.contains(x):
             out.append(Interval(x, x))
     return IntervalSet.of(out)
-
-
-def least_period_of(f: PLMap, x: Fraction, bound: int) -> int | None:
-    """Smallest d <= bound with f^d(x) = x."""
-    v = x
-    for d in range(1, bound + 1):
-        v = f.eval_at(v)
-        if v == x:
-            return d
-    return None
 
 
 @dataclass(frozen=True)
@@ -90,11 +110,7 @@ def periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
     orbits: list[PeriodicOrbit] = []
     seen: set[Fraction] = set()
     continua: list[tuple[int, IntervalSet]] = []
-    composed = None
-    for n in range(1, n_max + 1):
-        composed = f if composed is None else compose(f, composed)
-        if len(composed.dots) - 1 > PIECE_CAP:
-            raise PieceBudgetExceeded(f"more than {PIECE_CAP} pieces in f^{n}")
+    for n, composed in enumerate(powers(f, n_max), 1):
         s = fixed_point_set(composed)
         fresh = []
         for part in s.parts:

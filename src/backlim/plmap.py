@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exactnum import (
     EMPTY,
@@ -120,13 +120,6 @@ class PLMap:
 
     __call__ = eval_at
 
-    def eval_chain(self, x: Fraction, n: int) -> Fraction:
-        """f^n(x) by repeated evaluation (never builds the composed map)."""
-        v = x
-        for _ in range(n):
-            v = self.eval_at(v)
-        return v
-
 
 MemoInfo = namedtuple("MemoInfo", "hits misses")
 
@@ -194,15 +187,26 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     return PLMap(g.domain, tuple(_drop_collinear(dots)))
 
 
+def powers(f: PLMap, n: int) -> Iterator[PLMap]:
+    """f^1 = f, f^2, ..., f^n, each composed onto the last; raises
+    PieceBudgetExceeded at the first power with more than PIECE_CAP pieces."""
+    h = f
+    for k in range(1, n + 1):
+        if k > 1:
+            h = compose(f, h)
+        if len(h.dots) - 1 > PIECE_CAP:
+            raise PieceBudgetExceeded(f"more than {PIECE_CAP} pieces in f^{k}")
+        yield h
+
+
 def iterate(f: PLMap, n: int) -> PLMap:
+    """f^n without collinear dots; f^0 is the identity."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
     h = identity_map(f.domain)
-    for _ in range(n):
-        h = compose(f, h)
-        if len(h.dots) - 1 > PIECE_CAP:
-            raise PieceBudgetExceeded(f"more than {PIECE_CAP} pieces in f^{n}")
-    return h
+    for h in powers(f, n):
+        pass
+    return PLMap(f.domain, tuple(_drop_collinear(list(h.dots))))
 
 
 def image(f: PLMap, s: IntervalSet) -> IntervalSet:

@@ -26,6 +26,7 @@ from backlim.backlimits import (
     beta_upper,
     cert_from_obj,
     cert_to_obj,
+    certified_period_set,
     cycle_membership,
     find_contraction,
     find_exact_tail,
@@ -719,9 +720,10 @@ class TestGraphGate:
         assert sum(key[0] == "_inside_bound" for key in f.memo) == 5
         for enc in encs:
             assert all(a < b for a, b in zip(enc.lower_points, enc.lower_points[1:]))
-            orbits = [c.orbit.points if isinstance(c, ExactTailCert) else c.orbit_points(f)
+            orbits = [c.orbit if isinstance(c, ExactTailCert)
+                      else PeriodicOrbit.from_point(f, c.target, c.period)
                       for c in enc.orbit_certs]
-            assert enc.lower_points == tuple(sorted(x for o in orbits for x in o))
+            assert enc.lower_points == tuple(sorted(x for o in orbits for x in o.points))
         assert sum(len(enc.lower_points) for enc in encs) > 0
 
 
@@ -733,6 +735,23 @@ class TestMapLifetime:
         del f
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("build", [f5, overlap])
+    def test_map_is_freed_without_the_cycle_collector(self, build):
+        # nothing kept in f.memo may point back at f, or only the cycle
+        # collector could free a queried map
+        f = build()
+        y = f.domain.lo
+        salpha_enclosure(f, y)
+        beta_upper(f, y)
+        certified_period_set(f, y, 6, 4)
+        ref = weakref.ref(f)
+        gc.disable()
+        try:
+            del f
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_memo_counts_hits_and_misses(self):
         # the counters accumulate over the session, so compare differences

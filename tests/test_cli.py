@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from backlim import backlimits, cli, orbits
+from backlim import backlimits, cli, plmap
 from backlim.cli import enumerate_scan_maps, main
 from backlim.corpus import build_f5, build_overlap
 from backlim.plmap import map_digest, serialize_map
@@ -347,7 +347,7 @@ class TestPieceBudget:
     @pytest.mark.parametrize("argv", [["periodic"], ["analyze", "--point", "0"]],
                              ids=lambda argv: argv[0])
     def test_exhausted_budget_is_an_input_error(self, capsys, f5_path, monkeypatch, argv):
-        monkeypatch.setattr(orbits, "PIECE_CAP", 4)
+        monkeypatch.setattr(plmap, "PIECE_CAP", 4)
         code = main([argv[0], f5_path, *argv[1:]])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -372,7 +372,7 @@ class TestScan:
         assert json.loads(out)["result"]["reports"] == []
 
     def test_exhausted_budget_skips_the_rest_of_the_map(self, capsys, monkeypatch):
-        monkeypatch.setattr(orbits, "PIECE_CAP", 4)
+        monkeypatch.setattr(plmap, "PIECE_CAP", 4)
         calls = mock.Mock(wraps=backlimits.periodic_orbits)
         monkeypatch.setattr(backlimits, "periodic_orbits", calls)
         code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..4", "--limit", "3")

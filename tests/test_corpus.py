@@ -21,6 +21,7 @@ from backlim.corpus import (
     _nomax_b,
 )
 from backlim.exactnum import interval
+from backlim.orbits import forward_orbit
 from backlim.plmap import image, make_plmap
 from backlim.exactnum import IntervalSet
 
@@ -101,7 +102,7 @@ class TestChuxiongTower:
         geo = _fifth_geometry(6)
         f = entry.map
         for n in range(5):
-            assert f.eval_chain(geo.lefts[n], 2**n) == geo.lefts[n]
+            assert forward_orbit(f, geo.lefts[n], 2**n)[-1] == geo.lefts[n]
 
 
 class TestExpectations:

@@ -3,7 +3,8 @@
 `point_preimages`, `preimage`, the ball seeds and the cycle search of
 `analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
 `BackwardTree`, the Markov-graph gate of `salpha_enclosure` and
-`certified_period_set`, and the merge of `SalphaEnclosure.lower_closure`,
+`certified_period_set`, the merge of `SalphaEnclosure.lower_closure`, and
+`image_after` and `markov_partition`'s cuts on the walk to the first repeat,
 against the plain algorithms and the node-based tree they replaced, kept
 here as references."""
 
@@ -54,7 +55,13 @@ from backlim.markov import (
     markov_partition,
     orbit_closure,
 )
-from backlim.orbits import PeriodicOrbit, forward_orbit, least_period_of
+from backlim.orbits import (
+    MAX_STEPS,
+    PeriodicOrbit,
+    forward_orbit,
+    image_after,
+    orbit_until_repeat,
+)
 from backlim.plmap import (
     PLMap,
     _drop_collinear,
@@ -214,7 +221,7 @@ def reference_contraction_words(f, t, p):
     strict contraction fixing t, as (pieces, basin, slope), enumerated
     depth-first in piece-index order; a branch is pruned as soon as its
     feasible window collapses to the single point t."""
-    if f.eval_chain(t, p) != t:
+    if forward_orbit(f, t, p)[-1] != t:
         raise PreconditionError(f"{t} is not {p}-periodic")
     vals = forward_orbit(f, t, p - 1) if p > 1 else [t]
     results = []
@@ -408,9 +415,19 @@ def reference_transitive_cycles(f, max_period):
     return tuple(cycles)
 
 
+def reference_least_period_of(f, x, bound):
+    """Smallest d <= bound with f^d(x) = x."""
+    v = x
+    for d in range(1, bound + 1):
+        v = f.eval_at(v)
+        if v == x:
+            return d
+    return None
+
+
 def reference_from_point(f, x, bound):
     """The orbit of x from its least period, then a second walk."""
-    d = least_period_of(f, x, bound)
+    d = reference_least_period_of(f, x, bound)
     if d is None:
         return None
     pts = forward_orbit(f, x, d - 1)
@@ -794,3 +811,82 @@ def test_from_point_matches_least_period_then_orbit(case, bound):
     f, y = case
     for x in [*f._xs, y]:
         assert PeriodicOrbit.from_point(f, x, bound) == reference_from_point(f, x, bound)
+
+
+_OLD_MAX_STEPS = 4096
+
+
+def reference_image_after(f, z, k):
+    """f^k(z) for k >= 0, settled at once for any k: once a value of z's
+    forward orbit repeats, k is reduced modulo that cycle. None when k
+    exceeds _OLD_MAX_STEPS and no value repeats within that many steps."""
+    first = {}  # step at which each value was first seen
+    x = z
+    for i in range(min(k, _OLD_MAX_STEPS) + 1):
+        if i == k:
+            return x
+        if x in first:
+            j = first[x]
+            return list(first)[j + (k - j) % (i - j)]
+        first[x] = i
+        x = f.eval_at(x)
+    return None
+
+
+def reference_markov_cuts(f, cap):
+    """The sorted forward orbits of the dot x-coordinates, or None when some
+    dot orbit fails to close up within cap iterations."""
+    cuts = set()
+    for x, _ in f.dots:
+        orbit = []
+        seen = set()
+        v = x
+        for _ in range(cap + 1):
+            if v in seen:
+                break
+            seen.add(v)
+            orbit.append(v)
+            v = f.eval_at(v)
+        else:
+            return None
+        cuts.update(orbit)
+    return tuple(sorted(cuts))
+
+
+def assert_walks_match_reference(f, xs, cap):
+    """`image_after` at every step count that picks a different branch of the
+    old loop, and `markov_partition`'s cuts and periodic cuts."""
+    assert MAX_STEPS == _OLD_MAX_STEPS
+    for x in xs:
+        first_repeat = len(orbit_until_repeat(f, x, MAX_STEPS)[0])
+        for k in [*range(25), first_repeat, MAX_STEPS - 1, MAX_STEPS + 1, 10**12]:
+            assert image_after(f, x, k) == reference_image_after(f, x, k), (f, x, k)
+    ms = markov_partition(f, cap)
+    want = reference_markov_cuts(f, cap)
+    assert (ms is None) == (want is None), (f, cap)
+    if ms is not None:
+        assert ms.cuts == want, (f, cap)
+        periodic = {c for c in want if reference_least_period_of(f, c, len(want) + 1) is not None}
+        assert ms.periodic_cuts == periodic, (f, cap)
+
+
+# an orbit that does not repeat within MAX_STEPS takes about 0.3 s to walk,
+# and each example walks it seven times
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(maps_and_points, st.integers(0, 8))
+# cap = 0: no dot orbit closes up
+@example((make_plmap(interval(0, 2), [(0, 0), (2, 2)]), Q(1)), 0)
+# 3 -> 1 -> 2 -> 1: a preperiodic point
+@example((make_plmap(interval(0, 3), [(0, 0), (1, 2), (2, 1), (3, 1)]), Q(3)), 4)
+# 0 -> 0: a fixed point
+@example((make_plmap(interval(0, 3), [(0, 0), (1, 3), (3, 0)]), Q(0)), 8)
+# 2/7 does not repeat within MAX_STEPS steps
+@example((make_plmap(interval(0, 3), [(0, 0), (1, 3), (3, 0)]), Q(2, 7)), 8)
+def test_walk_to_first_repeat_matches_old_loops(case, cap):
+    f, y = case
+    assert_walks_match_reference(f, [y], cap)
+
+
+def test_walk_to_first_repeat_matches_old_loops_on_the_corpus():
+    for entry in all_entries():
+        assert_walks_match_reference(entry.map, entry.map._xs, 64)

@@ -15,6 +15,7 @@ from backlim.markov import (
     markov_partition,
     orbit_closure,
 )
+from backlim.orbits import forward_orbit
 from backlim.plmap import identity_map, image, make_plmap
 
 
@@ -95,10 +96,11 @@ class TestMarkovPartition:
                 assert f.eval_at(c) in ms.cuts
 
     def test_cell_images_are_cell_unions(self):
-        ms = markov_partition(overlap())
+        f = overlap()
+        ms = markov_partition(f)
         cells = ms.cells
         for i, cell in enumerate(cells):
-            img = image(ms.map, IntervalSet((cell,)))
+            img = image(f, IntervalSet((cell,)))
             expected = IntervalSet.of(c for j, c in enumerate(cells) if ms.matrix[i][j])
             assert img == expected
 
@@ -238,7 +240,7 @@ class TestTransitivityMixing:
 class TestExceptionalSet:
     def _verify_witnesses(self, f, report):
         for cand, z, k in report.witnesses:
-            assert f.eval_chain(z, k) == cand
+            assert forward_orbit(f, z, k)[-1] == cand
             assert all(z not in (c,) for c in ())  # witness is a concrete point
             assert z not in set(markov_partition(f).cuts)
 

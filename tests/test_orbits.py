@@ -3,16 +3,16 @@ from fractions import Fraction as Q
 
 import pytest
 
+from backlim import plmap
 from backlim.exactnum import IntervalSet, interval
 from backlim.orbits import (
     PeriodicOrbit,
     fixed_point_set,
     forward_orbit,
-    least_period_of,
     periodic_orbits,
     sharkovsky_precedes,
 )
-from backlim.plmap import identity_map, iterate, make_plmap
+from backlim.plmap import PieceBudgetExceeded, identity_map, iterate, make_plmap
 
 
 def f5():
@@ -104,7 +104,7 @@ class TestPeriodicOrbits:
                 p = orbit.least_period
                 for d in range(1, p):
                     if p % d == 0:
-                        assert f.eval_chain(orbit.points[0], d) != orbit.points[0]
+                        assert forward_orbit(f, orbit.points[0], d)[-1] != orbit.points[0]
 
     def test_from_point_without_a_return(self):
         # 0 -> 1 -> 5 -> 0 has period 3
@@ -114,6 +114,16 @@ class TestPeriodicOrbits:
     def test_temporal_order_from_least(self):
         orbit = PeriodicOrbit.from_point(f8(), Q(5), 4)
         assert orbit.points == (1, 5, 3, 7)
+
+
+class TestPieceCap:
+    def test_message_names_the_first_power_over_the_cap(self, monkeypatch):
+        # four pieces, each onto [0, 4], so f^2 has 16
+        f = make_plmap(interval(0, 4), [(0, 0), (1, 4), (2, 0), (3, 4), (4, 0)])
+        monkeypatch.setattr(plmap, "PIECE_CAP", 10)
+        for compute in (iterate, periodic_orbits):
+            with pytest.raises(PieceBudgetExceeded, match=r"^more than 10 pieces in f\^2$"):
+                compute(f, 5)
 
 
 class TestSharkovsky:

@@ -20,7 +20,7 @@ from backlim.cli import enumerate_scan_maps
 from backlim.corpus import all_entries, build_overlap
 from backlim.exactnum import IntervalSet, interval
 from backlim.markov import graph_bound, markov_partition
-from backlim.orbits import least_period_of
+from backlim.orbits import PeriodicOrbit
 from backlim.plmap import make_plmap
 
 GRID_BUDGET = Budget(depth=4, width_cap=2_000, max_period=6, avoid_layers=2)
@@ -52,7 +52,8 @@ def test_exact_enclosures_have_the_paper_structure():
         seen["exact"] += 1
         for part in enc.upper.parts:
             if part.is_point:
-                assert least_period_of(f, part.lo, budget.max_period) is not None, (f, y, part)
+                orbit = PeriodicOrbit.from_point(f, part.lo, budget.max_period)
+                assert orbit is not None, (f, y, part)
                 continue
             whole = IntervalSet((part,))
             inside = [c.cycle.components for c in enc.cycle_certs
