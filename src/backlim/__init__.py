@@ -25,7 +25,6 @@ from .plmap import (
 from .orbits import (
     PeriodicOrbit,
     PeriodicStructure,
-    fixed_point_set,
     forward_orbit,
     periodic_orbits,
     sharkovsky_precedes,

@@ -10,7 +10,7 @@ determine transitivity and the verdict is NotApplicable.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -256,9 +256,6 @@ class ExceptionalReport:
     cycle: CycleOfIntervals
     exceptional: tuple[Fraction, ...]
     accessible_endpoints: tuple[Fraction, ...]
-    # accessibility witnesses: (candidate, z, k) with z strictly inside a cell
-    # and f^k(z) = candidate
-    witnesses: tuple[tuple[Fraction, Fraction, int], ...] = field(default=())
 
 
 def _accessibility_witness(
@@ -323,12 +320,9 @@ def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> Exce
 
     exceptional = []
     accessible = []
-    witnesses = []
     for cand in candidates:
-        witness = _accessibility_witness(f, ms, m, cutset, cand)
-        if witness is None:
+        if _accessibility_witness(f, ms, m, cutset, cand) is None:
             exceptional.append(cand)
         elif cand in endpoints:
             accessible.append(cand)
-            witnesses.append((cand, *witness))
-    return ExceptionalReport(cycle, tuple(exceptional), tuple(accessible), tuple(witnesses))
+    return ExceptionalReport(cycle, tuple(exceptional), tuple(accessible))

@@ -2,7 +2,9 @@
 
 Periodic structure distinguishes isolated periodic orbits from whole
 intervals of n-periodic points (continua), which arise as soon as some
-composition is the identity on a subinterval.
+composition is the identity on a subinterval. The fixed points of each power
+f^n are read straight off its segments from `plmap.powers`, with no map built
+per power.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactnum import Interval, IntervalSet
-from .plmap import PLMap, powers
+from .plmap import PLMap, Segment, powers
 
 MAX_STEPS = 4096
 
@@ -52,17 +54,17 @@ def image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
     return values[start + (k - start) % (len(values) - start)]
 
 
-def fixed_point_set(f: PLMap) -> IntervalSet:
-    """Exact {x : f(x) = x}; an identity piece contributes its whole span."""
+def _fixed_points(h: list[Segment]) -> IntervalSet:
+    """Exact {x : h(x) = x} of a map given as segments: x = c/(1 - s) where
+    that lies in [x0, x1], and an identity segment's whole span."""
     out = []
-    for piece in f.pieces:
-        if piece.slope == 1:
-            if piece.intercept == 0:
-                out.append(piece.span)
-            continue
-        x = piece.intercept / (1 - piece.slope)
-        if piece.span.contains(x):
-            out.append(Interval(x, x))
+    for x0, x1, s, c in h:
+        if s != 1:
+            x = c / (1 - s)
+            if x0 <= x <= x1:
+                out.append(Interval(x, x))
+        elif c == 0:
+            out.append(Interval(x0, x1))
     return IntervalSet.of(out)
 
 
@@ -110,8 +112,8 @@ def periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
     orbits: list[PeriodicOrbit] = []
     seen: set[Fraction] = set()
     continua: list[tuple[int, IntervalSet]] = []
-    for n, composed in enumerate(powers(f, n_max), 1):
-        s = fixed_point_set(composed)
+    for n, h in enumerate(powers(f, n_max), 1):
+        s = _fixed_points(h)
         fresh = []
         for part in s.parts:
             if part.is_point:

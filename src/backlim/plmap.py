@@ -4,13 +4,18 @@ A map is given by "connect the dots": finitely many (x, f(x)) pairs with
 strictly increasing x spanning the domain, interpolated affinely in between.
 Evaluation, composition, iteration, exact images and preimages all stay in
 rational arithmetic.
+
+Composition is one walk over segments `(x0, x1, slope, intercept)` in x
+order: f o h cuts each segment of h where its values cross a dot of f, and
+adjacent segments of one affine map merge. `powers` yields f^1..f^n as such
+segment lists; `compose` and `iterate` make a `PLMap` of the walk's result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,30 +176,66 @@ def _drop_collinear(dots: list[tuple[Fraction, Fraction]]) -> list[tuple[Fractio
     return out
 
 
+Segment = tuple[Fraction, Fraction, Fraction, Fraction]  # x0, x1, slope, intercept
+
+
+def _segments(f: PLMap) -> list[Segment]:
+    return [(p.span.lo, p.span.hi, p.slope, p.intercept) for p in f.pieces]
+
+
+def _after(f: PLMap, h: list[Segment]) -> list[Segment]:
+    """f o h as segments in x order. Each segment of h is cut where its values
+    cross a dot of f, so every cut lies in one f-piece (a, b) and maps
+    x -> a(sx + c) + b; adjacent segments of one slope merge."""
+    xs, pieces = f._xs, f.pieces
+    out: list[Segment] = []
+    v0 = h[0][2] * h[0][0] + h[0][3]  # each segment starts at the last one's end value
+    for x0, x1, s, c in h:
+        v1 = s * x1 + c
+        if s:
+            up = s > 0  # f-piece j ends at xs[j + 1] on the way up, at xs[j] on the way down
+            lo = bisect_right(xs, min(v0, v1))  # xs[lo:hi] lie strictly between v0 and v1
+            hi = bisect_left(xs, max(v0, v1))
+            run = range(lo - 1, hi) if up else range(hi - 1, lo - 2, -1)
+            parts = [((xs[j + up] - c) / s, pieces[j]) for j in run[:-1]]
+            parts.append((x1, pieces[run[-1]]))
+        else:
+            parts = [(x1, f.piece_at(c))]
+        for end, p in parts:
+            a, b = p.slope * s, p.slope * c + p.intercept
+            if out and out[-1][2] == a:  # one slope at a shared end: one line, by continuity
+                out[-1] = (out[-1][0], end, a, b)
+            else:
+                out.append((x0, end, a, b))
+            x0 = end
+        v0 = v1
+    return out
+
+
+def _to_map(domain: Interval, h: list[Segment]) -> PLMap:
+    """The map of h, with a dot at both ends and where its slope changes."""
+    dots = [(x0, s * x0 + c) for i, (x0, _, s, c) in enumerate(h) if i == 0 or h[i - 1][2] != s]
+    x1, s, c = h[-1][1:]
+    dots.append((x1, s * x1 + c))
+    return PLMap(domain, tuple(dots))
+
+
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """Exact h with h(x) = f(g(x)); breakpoints are g's dots (x, v), where
-    h = f(v), plus the g-preimages of f's dots (cx, cy), where h = cy."""
+    """Exact h with h(x) = f(g(x)), by one walk over g's segments."""
     if f.domain != g.domain:
         raise DomainMismatch(f"{f.domain} vs {g.domain}")
-    values = {x: f.eval_at(v) for x, v in g.dots}
-    for piece, lo, hi in g._value_ranges:
-        if lo == hi:
-            continue
-        for cx, cy in f.dots:
-            if lo <= cx <= hi:
-                values.setdefault(piece.solve(cx), cy)
-    dots = sorted(values.items())
-    return PLMap(g.domain, tuple(_drop_collinear(dots)))
+    return _to_map(g.domain, _after(f, _segments(g)))
 
 
-def powers(f: PLMap, n: int) -> Iterator[PLMap]:
-    """f^1 = f, f^2, ..., f^n, each composed onto the last; raises
-    PieceBudgetExceeded at the first power with more than PIECE_CAP pieces."""
-    h = f
+def powers(f: PLMap, n: int) -> Iterator[list[Segment]]:
+    """f^1, f^2, ..., f^n as segments: f^1 is f's pieces, each later power f
+    after the last. Raises PieceBudgetExceeded at the first power with more
+    than PIECE_CAP segments."""
+    h = _segments(f)
     for k in range(1, n + 1):
         if k > 1:
-            h = compose(f, h)
-        if len(h.dots) - 1 > PIECE_CAP:
+            h = _after(f, h)
+        if len(h) > PIECE_CAP:
             raise PieceBudgetExceeded(f"more than {PIECE_CAP} pieces in f^{k}")
         yield h
 
@@ -203,10 +244,10 @@ def iterate(f: PLMap, n: int) -> PLMap:
     """f^n without collinear dots; f^0 is the identity."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    h = identity_map(f.domain)
+    h = _segments(identity_map(f.domain))
     for h in powers(f, n):
         pass
-    return PLMap(f.domain, tuple(_drop_collinear(list(h.dots))))
+    return _to_map(f.domain, h)
 
 
 def image(f: PLMap, s: IntervalSet) -> IntervalSet:

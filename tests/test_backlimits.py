@@ -561,18 +561,28 @@ def _damaged_cert_obj(draw):
 
 
 @functools.cache
+def _corpus_cert_objects():
+    """(entry, point, certificate) for each certificate the corpus
+    expectations return."""
+    return tuple(
+        (entry, y, cert)
+        for entry in all_entries()
+        for exp in entry.expectations
+        # the other property checks return no certificate, and take seconds
+        if exp.params.get("check") in (None, "period_forcing")
+        for y, cert in run_expectation(entry, exp).certs
+    )
+
+
+@functools.cache
 def _corpus_certs():
     """(map, point, serialized certificate) for each distinct certificate the
     corpus expectations return."""
     found = {}
-    for entry in all_entries():
-        for exp in entry.expectations:
-            # the other property checks return no certificate, and take seconds
-            if exp.params.get("check") in (None, "period_forcing"):
-                for y, cert in run_expectation(entry, exp).certs:
-                    obj = cert_to_obj(cert)
-                    key = (entry.name, y, json.dumps(obj, sort_keys=True))
-                    found.setdefault(key, (entry.map, y, obj))
+    for entry, y, cert in _corpus_cert_objects():
+        obj = cert_to_obj(cert)
+        key = (entry.name, y, json.dumps(obj, sort_keys=True))
+        found.setdefault(key, (entry.map, y, obj))
     return tuple(found.values())
 
 
@@ -629,6 +639,13 @@ class TestSerialization:
             obj = cert_to_obj(cert)
             back = cert_from_obj(obj)
             assert cert_to_obj(back) == obj
+
+    def test_corpus_certificates_round_trip_to_equal_objects(self):
+        kinds = set()
+        for _, _, cert in _corpus_cert_objects():
+            assert cert_from_obj(cert_to_obj(cert)) == cert
+            kinds.add(type(cert))
+        assert kinds == {ExactTailCert, ContractionCert, AvoidanceCert, CycleMembershipCert}
 
     def test_deserialized_cert_verifies(self):
         f = f5()

@@ -1,4 +1,5 @@
-"""Differential tests: the shortcuts in `compose`, `find_exact_tail`,
+"""Differential tests: the shortcuts in `compose`, the segment walk of
+`powers` and `periodic_orbits`, `find_exact_tail`,
 `find_contraction`, `cycle_membership`, `_contraction_words`,
 `point_preimages`, `preimage`, the ball seeds and the cycle search of
 `analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
@@ -58,9 +59,12 @@ from backlim.markov import (
 from backlim.orbits import (
     MAX_STEPS,
     PeriodicOrbit,
+    PeriodicStructure,
+    _fixed_points,
     forward_orbit,
     image_after,
     orbit_until_repeat,
+    periodic_orbits,
 )
 from backlim.plmap import (
     PLMap,
@@ -71,6 +75,7 @@ from backlim.plmap import (
     make_plmap,
     parse_map,
     point_preimages,
+    powers,
     preimage,
 )
 
@@ -465,6 +470,106 @@ def test_iterate_matches_reference(f, n):
     for _ in range(n):
         h = reference_compose(f, h)
     assert iterate(f, n).dots == h.dots
+
+
+def reference_sorted_compose(f: PLMap, g: PLMap) -> PLMap:
+    """h = f o g from g's dots, where h = f(v), and the g-preimages of f's
+    dots, where h is the dot's value, sorted and with collinear dots dropped."""
+    values = {x: f.eval_at(v) for x, v in g.dots}
+    for piece, lo, hi in g._value_ranges:
+        if lo == hi:
+            continue
+        for cx, cy in f.dots:
+            if lo <= cx <= hi:
+                values.setdefault(piece.solve(cx), cy)
+    dots = sorted(values.items())
+    return PLMap(g.domain, tuple(_drop_collinear(dots)))
+
+
+def reference_powers(f: PLMap, n: int):
+    """f^1 = f, then each power a full map composed onto the last."""
+    h = f
+    for k in range(1, n + 1):
+        if k > 1:
+            h = reference_sorted_compose(f, h)
+        yield h
+
+
+def reference_fixed_point_set(f: PLMap) -> IntervalSet:
+    out = []
+    for piece in f.pieces:
+        if piece.slope == 1:
+            if piece.intercept == 0:
+                out.append(piece.span)
+            continue
+        x = piece.intercept / (1 - piece.slope)
+        if piece.span.contains(x):
+            out.append(Interval(x, x))
+    return IntervalSet.of(out)
+
+
+def reference_periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
+    orbits: list[PeriodicOrbit] = []
+    seen: set[Q] = set()
+    continua: list[tuple[int, IntervalSet]] = []
+    for n, composed in enumerate(reference_powers(f, n_max), 1):
+        s = reference_fixed_point_set(composed)
+        fresh = []
+        for part in s.parts:
+            if part.is_point:
+                continue
+            covered = any(
+                n % d == 0 and c.contains_set(IntervalSet((part,)))
+                for d, c in continua
+            )
+            if not covered:
+                fresh.append(part)
+        if fresh:
+            continua.append((n, IntervalSet.of(fresh)))
+        for part in s.parts:
+            if not part.is_point or part.lo in seen:
+                continue
+            orbit = PeriodicOrbit.from_point(f, part.lo, n)
+            if orbit is None or orbit.least_period != n:
+                continue
+            orbits.append(orbit)
+            seen.update(orbit.points)
+    orbits.sort(key=lambda o: (o.least_period, o.points[0]))
+    return PeriodicStructure(tuple(orbits), tuple(continua))
+
+
+def assert_powers_match_reference(f, n_max=6):
+    """Dots (so breakpoints and piece count) and fixed points of every power,
+    and the periodic structure read off them."""
+    got = list(powers(f, n_max))
+    want = list(reference_powers(f, n_max))
+    assert len(got) == len(want) == n_max
+    for h, ref in zip(got, want):
+        dots = [(x0, s * x0 + c) for x0, _, s, c in h]
+        x1, s, c = h[-1][1:]
+        assert tuple(dots + [(x1, s * x1 + c)]) == ref.dots
+        assert len(h) == len(ref.pieces)
+        assert _fixed_points(h) == reference_fixed_point_set(ref)
+    assert periodic_orbits(f, n_max) == reference_periodic_orbits(f, n_max)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps))
+# a flat piece, whose whole span maps to one value
+@example(make_plmap(interval(0, 4), [(0, 4), (1, 2), (3, 2), (4, 0)]))
+# collinear input dots, kept in f^1 and merged from f^2 on
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 2), (3, 4), (4, 0)]))
+# the identity: every power is one segment, a continuum at n = 1
+@example(make_plmap(interval(0, 3), [(0, 0), (3, 3)]))
+# every slope negative
+@example(make_plmap(interval(0, 5), [(0, 5), (2, 2), (4, 1), (5, 0)]))
+def test_powers_match_composed_maps(f):
+    assert_powers_match_reference(f)
+
+
+def test_powers_match_composed_maps_on_the_corpus():
+    for entry in all_entries():
+        assert_powers_match_reference(entry.map)
 
 
 maps_and_points = uppers.flatmap(

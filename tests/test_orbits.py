@@ -7,12 +7,12 @@ from backlim import plmap
 from backlim.exactnum import IntervalSet, interval
 from backlim.orbits import (
     PeriodicOrbit,
-    fixed_point_set,
+    _fixed_points,
     forward_orbit,
     periodic_orbits,
     sharkovsky_precedes,
 )
-from backlim.plmap import PieceBudgetExceeded, identity_map, iterate, make_plmap
+from backlim.plmap import PieceBudgetExceeded, identity_map, iterate, make_plmap, powers
 
 
 def f5():
@@ -25,6 +25,12 @@ def f8():
 
 def iset(*pairs):
     return IntervalSet.of(interval(lo, hi) for lo, hi in pairs)
+
+
+def fixed_point_set(f, n=1):
+    """Exact {x : f^n(x) = x}, read off the segments of f^n."""
+    *_, h = powers(f, n)
+    return _fixed_points(h)
 
 
 class TestForwardOrbit:
@@ -52,27 +58,27 @@ class TestFixedPoints:
 class TestPeriodicPoints:
     def test_f5_period_two(self):
         expected = iset((Q(8, 9), Q(8, 9)), (2, 4), (Q(41, 9), Q(41, 9)))
-        assert fixed_point_set(iterate(f5(), 2)) == expected
+        assert fixed_point_set(f5(), 2) == expected
 
     def test_f8_contains_two_six(self):
-        pts = fixed_point_set(iterate(f8(), 2))
+        pts = fixed_point_set(f8(), 2)
         assert pts.contains(Q(2)) and pts.contains(Q(6))
 
     def test_identity_whole_domain(self):
         ident = identity_map(interval(0, 1))
-        assert fixed_point_set(iterate(ident, 5)) == iset((0, 1))
+        assert fixed_point_set(ident, 5) == iset((0, 1))
 
     def test_exactness_invariant(self):
         for f, n in ((f5(), 3), (f8(), 4)):
             h = iterate(f, n)
-            for part in fixed_point_set(h).parts:
+            for part in fixed_point_set(f, n).parts:
                 assert h.eval_at(part.lo) == part.lo
                 assert h.eval_at(part.hi) == part.hi
 
     def test_divisor_containment(self):
         for f, n, k in ((f5(), 2, 2), (f5(), 1, 3), (f8(), 2, 2), (f8(), 1, 4)):
-            base = fixed_point_set(iterate(f, n))
-            assert fixed_point_set(iterate(f, n * k)).contains_set(base)
+            base = fixed_point_set(f, n)
+            assert fixed_point_set(f, n * k).contains_set(base)
 
 
 class TestPeriodicOrbits:
@@ -123,6 +129,15 @@ class TestPieceCap:
         monkeypatch.setattr(plmap, "PIECE_CAP", 10)
         for compute in (iterate, periodic_orbits):
             with pytest.raises(PieceBudgetExceeded, match=r"^more than 10 pieces in f\^2$"):
+                compute(f, 5)
+
+    def test_cap_first_exceeded_at_the_third_power(self, monkeypatch):
+        # 4, 16 and 64 pieces: f^2 is within a cap of 20, f^3 is not
+        f = make_plmap(interval(0, 4), [(0, 0), (1, 4), (2, 0), (3, 4), (4, 0)])
+        monkeypatch.setattr(plmap, "PIECE_CAP", 20)
+        assert len(iterate(f, 2).pieces) == 16
+        for compute in (iterate, periodic_orbits):
+            with pytest.raises(PieceBudgetExceeded, match=r"^more than 20 pieces in f\^3$"):
                 compute(f, 5)
 
 
