@@ -580,6 +580,33 @@ def certified_period_set(
     return periods
 
 
+def _ball_bound(f: PLMap, points: tuple[Fraction, ...]) -> Fraction:
+    """r*: the least of each point's distance to the nearest dot other than
+    itself and half the least gap between two points. For r < r* each ball
+    lies in the pieces next to its point and apart from the other balls, so
+    f maps it into the union iff it maps it into the next point's ball, that
+    is iff every slope at its point has |s| <= 1 (`_slopes_at`)."""
+    xs = f._xs
+    bound = f.domain.length
+    for pt in points:
+        i, j = bisect_left(xs, pt), bisect_right(xs, pt)  # xs[i - 1] < pt < xs[j]
+        if i > 0:
+            bound = min(bound, pt - xs[i - 1])
+        if j < len(xs):
+            bound = min(bound, xs[j] - pt)
+    ordered = sorted(points)
+    for a, b in zip(ordered, ordered[1:]):
+        bound = min(bound, (b - a) / 2)
+    return bound
+
+
+def _slopes_at(f: PLMap, x: Fraction) -> tuple[Fraction, ...]:
+    """The one-sided slopes at x: of the piece just left of x and of the one
+    just right of it. A domain end has only one side."""
+    sides = (bisect_left(f._xs, x) - 1, bisect_right(f._xs, x) - 1)
+    return tuple(f.pieces[i].slope for i in sides if 0 <= i < len(f.pieces))
+
+
 @_per_map
 def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
     """Point-independent analysis shared by all enclosure queries on a map."""
@@ -621,7 +648,13 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
             if closure.stabilized:  # S = S ∪ f(S), so f(S) ⊆ S
                 propose(closure.set)
     for orbit in targets:
+        # every radius below r* gets the slopes' verdict: with a slope steeper
+        # than 1 none of them passes, so the search stops at r*
+        steep = any(abs(s) > 1 for pt in orbit.points for s in _slopes_at(f, pt))
+        floor = _ball_bound(f, orbit.points) if steep else 0
         for r in _BALL_RADII:
+            if r < floor:
+                break
             balls = []
             for pt in orbit.points:
                 lo = max(f.domain.lo, pt - r)

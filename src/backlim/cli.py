@@ -312,6 +312,7 @@ def _cmd_scan(args) -> tuple[dict, int]:
         raise _InputError("domain must be 0..D with 1 <= D <= 10")
     maps = enumerate_scan_maps(args.dots, hi, args.limit)
     reports = []
+    skipped = []  # points with no answer, kept out of `result`
     for f in maps:
         points = {}
         verdict = None
@@ -319,9 +320,16 @@ def _cmd_scan(args) -> tuple[dict, int]:
             y = Fraction(k)
             try:
                 periods = certified_period_set(f, y, args.max_period, depth=args.depth)
-            except PieceBudgetExceeded:
-                break  # f^n depends on the map alone: every later point would raise too
-            except PreconditionError:
+            except PieceBudgetExceeded as e:
+                # f^n depends on the map alone: every later point would raise too
+                digest = map_digest(f)
+                skipped += [
+                    {"digest": digest, "point": str(Fraction(j)), "reason": str(e)}
+                    for j in range(k, hi + 1)
+                ]
+                break
+            except PreconditionError as e:
+                skipped.append({"digest": map_digest(f), "point": str(y), "reason": str(e)})
                 continue
             if 3 not in periods:
                 continue
@@ -361,7 +369,7 @@ def _cmd_scan(args) -> tuple[dict, int]:
         "max_period": args.max_period,
         "limit": args.limit,
     }
-    return _report("scan", None, inputs, result), EXIT_OK
+    return _report("scan", None, inputs, result, skipped=skipped), EXIT_OK
 
 
 def _cmd_plot(args) -> tuple[None, int]:

@@ -56,16 +56,26 @@ def image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
 
 def _fixed_points(h: list[Segment]) -> IntervalSet:
     """Exact {x : h(x) = x} of a map given as segments: x = c/(1 - s) where
-    that lies in [x0, x1], and an identity segment's whole span."""
-    out = []
+    that lies in [x0, x1], and an identity segment's whole span. The segments
+    come in x order, so each part starts at or after the last one and only
+    needs merging with it where they touch."""
+    out: list[Interval] = []
     for x0, x1, s, c in h:
         if s != 1:
             x = c / (1 - s)
-            if x0 <= x <= x1:
-                out.append(Interval(x, x))
+            if not x0 <= x <= x1:
+                continue
+            part = Interval(x, x)
         elif c == 0:
-            out.append(Interval(x0, x1))
-    return IntervalSet.of(out)
+            part = Interval(x0, x1)
+        else:
+            continue
+        if out and part.lo <= out[-1].hi:
+            if part.hi > out[-1].hi:
+                out[-1] = Interval(out[-1].lo, part.hi)
+        else:
+            out.append(part)
+    return IntervalSet(tuple(out))
 
 
 @dataclass(frozen=True)

@@ -503,6 +503,27 @@ class TestBallSeeds:
         assert image(f, balls) == iset((2, 4))
         assert balls not in analyze_map(f, 6).seed_candidates
 
+    def test_no_ball_set_below_r_star_is_imaged_when_a_slope_is_steep(self):
+        # the orbit {2, 4} has r* = 1, so every radius tried lies below it,
+        # and the slope 3 left of 2 fails them all before any is imaged
+        f = make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 4), (4, 2)])
+        assert backlimits._ball_bound(f, (Q(2), Q(4))) == 1
+        below = {iset((2 - r, 2 + r), (4 - r, 4)) for r in backlimits._BALL_RADII}
+        with mock.patch.object(backlimits, "image", wraps=image) as spy:
+            analyze_map(f, 6)
+        assert spy.call_count > 0
+        assert not below & {call.args[1] for call in spy.call_args_list}
+
+    def test_seed_is_the_first_radius_below_r_star(self):
+        # the orbit {2/3, 10/3} has r* = 1/3: at radius 1/2 the ball about
+        # 10/3 reaches past the dot 3 into the slope -3, and at 1/4 the
+        # slopes 1/2 and -1 at the points decide
+        f = make_plmap(interval(0, 4), [(0, 3), (2, 4), (3, 1), (4, 0)])
+        assert backlimits._ball_bound(f, (Q(2, 3), Q(10, 3))) == Q(1, 3)
+        seeds = analyze_map(f, 6).seed_candidates
+        assert iset((Q(1, 6), Q(7, 6)), (Q(17, 6), Q(23, 6))) not in seeds
+        assert iset((Q(5, 12), Q(11, 12)), (Q(37, 12), Q(43, 12))) in seeds
+
 
 class TestBetaUpper:
     def test_overlap_half(self):

@@ -362,6 +362,19 @@ class TestScan:
         assert code == 0
         assert json.loads(out)["result"]["maps_scanned"] == 0
 
+    _NO_PERIOD3 = {
+        "maps_scanned": 3,
+        "period3_maps": 0,
+        "candidates": 0,
+        "reports": [],
+        "note": "a certification gap is not a counterexample; absence of a "
+        "certificate does not witness absence of an orbit",
+    }
+
+    @staticmethod
+    def skipped(digests, points, reason):
+        return [{"digest": d, "point": p, "reason": reason} for d in digests for p in points]
+
     def test_budget_exhaustion_skips_the_point(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise cli.PieceBudgetExceeded("too many pieces")
@@ -369,7 +382,11 @@ class TestScan:
         monkeypatch.setattr(cli, "certified_period_set", exhausted)
         code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..4", "--limit", "3")
         assert code == 0
-        assert json.loads(out)["result"]["reports"] == []
+        report = json.loads(out)
+        assert report["result"] == self._NO_PERIOD3
+        digests = [map_digest(f) for f in enumerate_scan_maps(4, 4, 3)]
+        points = ["0", "1", "2", "3", "4"]
+        assert report["skipped"] == self.skipped(digests, points, "too many pieces")
 
     def test_exhausted_budget_skips_the_rest_of_the_map(self, capsys, monkeypatch):
         monkeypatch.setattr(plmap, "PIECE_CAP", 4)
@@ -377,8 +394,28 @@ class TestScan:
         monkeypatch.setattr(backlimits, "periodic_orbits", calls)
         code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..4", "--limit", "3")
         assert code == 0
-        assert json.loads(out)["result"]["maps_scanned"] == 3
+        report = json.loads(out)
+        assert report["result"] == self._NO_PERIOD3
         assert calls.call_count == 3
+        # the first map is the identity; the other two pass 4 pieces in f^3
+        # at their first point
+        digests = [map_digest(f) for f in enumerate_scan_maps(4, 4, 3)[1:]]
+        points = ["0", "1", "2", "3", "4"]
+        assert report["skipped"] == self.skipped(digests, points, "more than 4 pieces in f^3")
+
+    def test_precondition_failure_skips_only_its_point(self, capsys, monkeypatch):
+        def fails_at_two(f, y, *args, **kwargs):
+            if y == 2:
+                raise backlimits.PreconditionError("no tree at 2")
+            return set()
+
+        monkeypatch.setattr(cli, "certified_period_set", fails_at_two)
+        code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..4", "--limit", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"] == self._NO_PERIOD3
+        digests = [map_digest(f) for f in enumerate_scan_maps(4, 4, 3)]
+        assert report["skipped"] == self.skipped(digests, ["2"], "no tree at 2")
 
     def test_other_errors_are_not_swallowed(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -805,6 +805,21 @@ def test_preimage_matches_reference(case):
 # the ends of the radius-1/2 balls around {2, 4} map into them, but the dot
 # (2, 4) stretches the image; drawn maps seldom have such a ball set
 @example(make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 4), (4, 2)]), 6)
+# below r* the slopes at the orbit points decide every radius at once:
+# fixed points at both domain ends, with slopes 1/2 and 3/2
+@example(make_plmap(interval(0, 4), [(0, 0), (2, 1), (4, 4)]), 6)
+# a fixed point on an inner dot with one-sided slopes -1 and 1/2
+@example(make_plmap(interval(0, 4), [(0, 4), (2, 2), (4, 3)]), 6)
+# ... and with -1/2 and 2, so no radius passes
+@example(make_plmap(interval(0, 4), [(0, 3), (2, 2), (3, 4), (4, 4)]), 6)
+# a fixed point inside a constant piece
+@example(make_plmap(interval(0, 4), [(0, 1), (2, 1), (4, 4)]), 6)
+# the orbit {2, 3}: r* = 1/2 is its half-gap; at r = 1/2 the balls touch
+# and the merged set passes, though the slope 3/2 at 2 fails below r*
+@example(make_plmap(interval(0, 3), [(0, 0), (2, 3), (3, 2)]), 6)
+# the orbit {2/3, 10/3}: r* = 1/3, radius 1/2 reaches the slope -3 beyond
+# the dot 3, and the seed is the first radius below r*, 1/4
+@example(make_plmap(interval(0, 4), [(0, 3), (2, 4), (3, 1), (4, 0)]), 6)
 def test_seed_candidates_match_full_image_search(f, max_period):
     assert analyze_map(f, max_period).seed_candidates == reference_seed_candidates(
         f, max_period
