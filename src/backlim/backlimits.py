@@ -28,6 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .exactnum import EMPTY, Interval, IntervalSet, parse_rational
 from .markov import (
@@ -580,31 +581,42 @@ def certified_period_set(
     return periods
 
 
-def _ball_bound(f: PLMap, points: tuple[Fraction, ...]) -> Fraction:
-    """r*: the least of each point's distance to the nearest dot other than
-    itself and half the least gap between two points. For r < r* each ball
-    lies in the pieces next to its point and apart from the other balls, so
-    f maps it into the union iff it maps it into the next point's ball, that
-    is iff every slope at its point has |s| <= 1 (`_slopes_at`)."""
-    xs = f._xs
-    bound = f.domain.length
-    for pt in points:
+class _BallTable(NamedTuple):
+    """An orbit's one-sided slopes, read in one walk. r* is the least of each
+    point's distance to its nearest other dot and half the least gap between
+    points: for r < r* each ball lies in the pieces next to its point, apart
+    from the others, so all such r pass iff no side is steep. A steep side
+    (f(p), s, d) has |s| > 1, and f maps p ± r, in B_r for r <= d, to f(p) + s*r."""
+
+    r_star: Fraction
+    sides: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    ordered: tuple[Fraction, ...]  # the points, sorted
+
+    def rejects(self, r: Fraction) -> bool:
+        """Whether a side maps its point of B_r farther than r from the orbit, out of B_r."""
+        for v, s, d in self.sides:
+            if r > d:
+                continue
+            w = v + s * r
+            k = bisect_left(self.ordered, w - r)  # the first point at or above w - r
+            if k == len(self.ordered) or self.ordered[k] > w + r:
+                return True
+        return False
+
+
+def _ball_table(f: PLMap, points: tuple[Fraction, ...]) -> _BallTable:
+    """The table of an orbit given in orbit order, so f(p) is the next point."""
+    xs, pieces, r_star, sides = f._xs, f.pieces, f.domain.length, []
+    for pt, value in zip(points, points[1:] + points[:1]):
         i, j = bisect_left(xs, pt), bisect_right(xs, pt)  # xs[i - 1] < pt < xs[j]
-        if i > 0:
-            bound = min(bound, pt - xs[i - 1])
-        if j < len(xs):
-            bound = min(bound, xs[j] - pt)
-    ordered = sorted(points)
-    for a, b in zip(ordered, ordered[1:]):
-        bound = min(bound, (b - a) / 2)
-    return bound
-
-
-def _slopes_at(f: PLMap, x: Fraction) -> tuple[Fraction, ...]:
-    """The one-sided slopes at x: of the piece just left of x and of the one
-    just right of it. A domain end has only one side."""
-    sides = (bisect_left(f._xs, x) - 1, bisect_right(f._xs, x) - 1)
-    return tuple(f.pieces[i].slope for i in sides if 0 <= i < len(f.pieces))
+        # (d, s) of the piece just left of pt, walked leftwards, and of the one right
+        near = [(pt - xs[i - 1], -pieces[i - 1].slope)] if i else []
+        near += [(xs[j] - pt, pieces[j - 1].slope)] if j < len(xs) else []
+        r_star = min([r_star] + [d for d, _ in near])
+        sides += [(value, s, d) for d, s in near if abs(s) > 1]
+    ordered = tuple(sorted(points))
+    r_star = min([r_star, *((b - a) / 2 for a, b in zip(ordered, ordered[1:]))])
+    return _BallTable(r_star, tuple(sides), ordered)
 
 
 @_per_map
@@ -647,14 +659,17 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
             closure = orbit_closure(f, part, cap=32)
             if closure.stabilized:  # S = S ∪ f(S), so f(S) ⊆ S
                 propose(closure.set)
+    widest = max(piece.span.length for piece in f.pieces)
     for orbit in targets:
-        # every radius below r* gets the slopes' verdict: with a slope steeper
-        # than 1 none of them passes, so the search stops at r*
-        steep = any(abs(s) > 1 for pt in orbit.points for s in _slopes_at(f, pt))
-        floor = _ball_bound(f, orbit.points) if steep else 0
+        table = None
         for r in _BALL_RADII:
-            if r < floor:
-                break
+            # r* and each side's d are at most the widest piece: above it no table decides
+            if r <= widest:
+                table = table or _ball_table(f, orbit.points)
+                if table.sides and r < table.r_star:
+                    break  # below r* the slopes decide, and a steep side fails
+                if table.rejects(r):
+                    continue
             balls = []
             for pt in orbit.points:
                 lo = max(f.domain.lo, pt - r)

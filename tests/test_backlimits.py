@@ -507,7 +507,7 @@ class TestBallSeeds:
         # the orbit {2, 4} has r* = 1, so every radius tried lies below it,
         # and the slope 3 left of 2 fails them all before any is imaged
         f = make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 4), (4, 2)])
-        assert backlimits._ball_bound(f, (Q(2), Q(4))) == 1
+        assert backlimits._ball_table(f, (Q(2), Q(4))).r_star == 1
         below = {iset((2 - r, 2 + r), (4 - r, 4)) for r in backlimits._BALL_RADII}
         with mock.patch.object(backlimits, "image", wraps=image) as spy:
             analyze_map(f, 6)
@@ -519,10 +519,30 @@ class TestBallSeeds:
         # 10/3 reaches past the dot 3 into the slope -3, and at 1/4 the
         # slopes 1/2 and -1 at the points decide
         f = make_plmap(interval(0, 4), [(0, 3), (2, 4), (3, 1), (4, 0)])
-        assert backlimits._ball_bound(f, (Q(2, 3), Q(10, 3))) == Q(1, 3)
+        assert backlimits._ball_table(f, (Q(2, 3), Q(10, 3))).r_star == Q(1, 3)
         seeds = analyze_map(f, 6).seed_candidates
         assert iset((Q(1, 6), Q(7, 6)), (Q(17, 6), Q(23, 6))) not in seeds
         assert iset((Q(5, 12), Q(11, 12)), (Q(37, 12), Q(43, 12))) in seeds
+
+    def test_no_ball_set_is_built_for_a_radius_a_steep_side_rejects(self):
+        # the orbit {20/7, 25/7} has r* = 1/7, so 1/2 and 1/4 are tried: the
+        # slope 3 left of 20/7 maps 20/7 - 1/2 to 29/14, and the slope -2
+        # right of 25/7 maps 25/7 + 1/4 to 33/14, each farther than the
+        # radius from both points
+        f = make_plmap(interval(0, 4), [(0, 0), (2, 1), (3, 4), (4, 2)])
+        points = (Q(20, 7), Q(25, 7))
+        assert points in [orbit.points for orbit in orbit_targets(f, 6)]
+        table = backlimits._ball_table(f, points)
+        assert table.r_star == Q(1, 7)
+        assert table.rejects(Q(1, 2)) and table.rejects(Q(1, 4))
+        balls = [
+            [Interval(max(p - r, 0), min(p + r, 4)) for p in points]
+            for r in backlimits._BALL_RADII
+        ]
+        with mock.patch.object(IntervalSet, "of", wraps=IntervalSet.of) as spy:
+            analyze_map(f, 6)
+        assert spy.call_count > 0
+        assert not [call for call in spy.call_args_list if call.args[0] in balls]
 
 
 class TestBetaUpper:

@@ -334,16 +334,21 @@ def reference_seed_candidates(f, max_period):
                 propose(closure.set)
     for orbit in orbit_targets(f, max_period):
         for r in _BALL_RADII:
-            balls = []
-            for pt in orbit.points:
-                lo = max(f.domain.lo, pt - r)
-                hi = min(f.domain.hi, pt + r)
-                balls.append(Interval(lo, hi))
-            ball_set = IntervalSet.of(balls)
+            ball_set = reference_ball_set(f, orbit.points, r)
             if ball_set.contains_set(image(f, ball_set)):
                 propose(ball_set)
                 break
     return tuple(seeds)
+
+
+def reference_ball_set(f, points, r):
+    """The balls of radius r about the points, clipped to the domain."""
+    balls = []
+    for pt in points:
+        lo = max(f.domain.lo, pt - r)
+        hi = min(f.domain.hi, pt + r)
+        balls.append(Interval(lo, hi))
+    return IntervalSet.of(balls)
 
 
 def reference_beta_upper(f, y, budget):
@@ -800,6 +805,12 @@ def test_preimage_matches_reference(case):
     assert preimage(f, s) == reference_preimage(f, s)
 
 
+# the orbit {20/7, 25/7} with r* = 1/7: the slope-3 side left of 20/7 maps
+# 20/7 - 1/2 to 29/14, and the slope -2 side right of 25/7 maps 25/7 + 1/4
+# to 33/14, each farther than its radius from both points
+PINNED_SIDES_MAP = make_plmap(interval(0, 4), [(0, 0), (2, 1), (3, 4), (4, 2)])
+
+
 @settings(deadline=None, derandomize=True)
 @given(uppers.flatmap(integer_maps), st.integers(1, 6))
 # the ends of the radius-1/2 balls around {2, 4} map into them, but the dot
@@ -820,10 +831,44 @@ def test_preimage_matches_reference(case):
 # the orbit {2/3, 10/3}: r* = 1/3, radius 1/2 reaches the slope -3 beyond
 # the dot 3, and the seed is the first radius below r*, 1/4
 @example(make_plmap(interval(0, 4), [(0, 3), (2, 4), (3, 1), (4, 0)]), 6)
+@example(PINNED_SIDES_MAP, 6)
 def test_seed_candidates_match_full_image_search(f, max_period):
     assert analyze_map(f, max_period).seed_candidates == reference_seed_candidates(
         f, max_period
     )
+
+
+def assert_rejected_radii_fail_the_full_image_test(f, max_period):
+    """Every radius an orbit's ball table rules out, from a steep side or,
+    below r*, from the slopes, fails the full image test, and a table with no
+    steep side rules out none. Returns the count of each kind ruled out."""
+    sides = below = 0
+    for orbit in orbit_targets(f, max_period):
+        table = backlimits._ball_table(f, orbit.points)
+        for r in _BALL_RADII:
+            rejected, under = table.rejects(r), table.sides and r < table.r_star
+            if rejected or under:
+                assert table.sides
+                ball_set = reference_ball_set(f, orbit.points, r)
+                assert not ball_set.contains_set(image(f, ball_set)), (orbit, r)
+            sides, below = sides + rejected, below + bool(under)
+    return sides, below
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps), st.integers(1, 6))
+@example(PINNED_SIDES_MAP, 6)
+def test_rejected_radii_fail_the_full_image_test(f, max_period):
+    assert_rejected_radii_fail_the_full_image_test(f, max_period)
+
+
+def test_rejected_radii_fail_the_full_image_test_on_the_corpus():
+    counts = [
+        assert_rejected_radii_fail_the_full_image_test(entry.map, max_period)
+        for entry in all_entries()
+        for max_period in (4, 6)  # period 8 would add about 5 s of full images
+    ]
+    assert [sum(c) for c in zip(*counts)] == [2147, 1257]
 
 
 def test_seed_candidates_match_full_image_search_on_the_corpus():
