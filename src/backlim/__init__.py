@@ -13,7 +13,6 @@ from .plmap import (
     InvalidMap,
     PLMap,
     compose,
-    identity_map,
     image,
     iterate,
     make_plmap,

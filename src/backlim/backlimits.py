@@ -28,9 +28,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import NamedTuple
 
-from .exactnum import EMPTY, Interval, IntervalSet, parse_rational
+from .exactnum import EMPTY, Interval, IntervalSet, parse_pair, parse_rational
 from .markov import (
     CycleOfIntervals,
     ExceptionalReport,
@@ -235,6 +236,10 @@ def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
     words: the itineraries of the points just left and just right of t,
     reversed. A side's walk along t's orbit stops at a domain end or a
     constant piece, and switches sides after a decreasing piece.
+
+    The window is f^p of the word's lap: t's piece mapped forward along the
+    itinerary, clipped to each piece on the way, and cut symmetric about t
+    where f^p falls. |f^p'| <= 1 skips the word before any of that.
     """
     orbit = forward_orbit(f, t, p)
     if orbit.pop() != t:
@@ -252,19 +257,19 @@ def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
             words.add(tuple(reversed(itinerary)))
     results: list[_Word] = []
     for word in sorted(words):
-        s, c, feas = Fraction(1), Fraction(0), f.domain
-        for i in word:
-            piece = f.pieces[i]
-            s, c = s / piece.slope, (c - piece.intercept) / piece.slope
-            a, b = sorted((end - c) / s for end in (piece.span.lo, piece.span.hi))
-            feas = feas.intersection(Interval(a, b))
-        if abs(s) >= 1:
+        pieces = [f.pieces[i] for i in reversed(word)]  # t's itinerary
+        slope = prod(piece.slope for piece in pieces)
+        if abs(slope) <= 1:
             continue
-        if s < 0:
-            r = min(t - feas.lo, feas.hi - t)
-            feas = Interval(t - r, t + r)
-        if not feas.is_point:
-            results.append(_Word(word, feas))
+        lo, hi = f.domain.lo, f.domain.hi  # no clip after the last: f maps it into the domain
+        for piece in pieces:
+            lo, hi = max(lo, piece.span.lo), min(hi, piece.span.hi)  # t's orbit keeps lo <= hi
+            lo, hi = sorted((piece.value_at(lo), piece.value_at(hi)))
+        if slope < 0:
+            r = min(t - lo, hi - t)
+            lo, hi = t - r, t + r
+        if lo < hi:
+            results.append(_Word(word, Interval(lo, hi)))
     return tuple(results)
 
 
@@ -851,12 +856,8 @@ def cert_to_obj(cert) -> dict:
 def cert_from_obj(obj: dict):
     """Inverse of cert_to_obj; any malformed object raises ValueError. A count
     or flag of another JSON type is malformed: nothing is truncated or coerced."""
-    def iv(pair) -> Interval:
-        lo, hi = pair
-        return Interval(parse_rational(lo), parse_rational(hi))
-
     def iset(pairs) -> IntervalSet:
-        return IntervalSet.of(iv(p) for p in pairs)
+        return IntervalSet.of(Interval(*parse_pair(p)) for p in pairs)
 
     def strict(value, cls: type):  # a bool is no int here
         if type(value) is not cls:
@@ -878,7 +879,7 @@ def cert_from_obj(obj: dict):
                 parse_rational(obj["target"]),
                 strict(obj["period"], int),
                 tuple(strict(i, int) for i in obj["piece_word"]),
-                iv(obj["basin"]),
+                Interval(*parse_pair(obj["basin"])),
                 parse_rational(obj["connector_z"]),
                 strict(obj["connector_k"], int),
             )
@@ -891,7 +892,8 @@ def cert_from_obj(obj: dict):
             )
         if kind == "cycle-membership":
             components = iset(obj["components"])
-            cycle = CycleOfIntervals(iv(obj["base"]), strict(obj["period"], int), components)
+            base = Interval(*parse_pair(obj["base"]))
+            cycle = CycleOfIntervals(base, strict(obj["period"], int), components)
             report = ExceptionalReport(
                 cycle,
                 tuple(parse_rational(e) for e in obj["exceptional"]),

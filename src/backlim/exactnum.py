@@ -36,6 +36,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(n, d)
 
 
+def parse_pair(obj) -> tuple[Fraction, Fraction]:
+    """Parse a JSON array of exactly two rationals as text, like ["0", "1/2"]."""
+    if type(obj) is not list or len(obj) != 2:
+        raise RationalParseError(f"expected an array of two rationals, got {obj!r:.40}")
+    return parse_rational(obj[0]), parse_rational(obj[1])
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """Closed interval [lo, hi]; degenerate (lo == hi) means a single point."""

@@ -6,9 +6,10 @@ Evaluation, composition, iteration, exact images and preimages all stay in
 rational arithmetic.
 
 Composition is one walk over segments `(x0, x1, slope, intercept)` in x
-order: f o h cuts each segment of h where its values cross a dot of f, and
-adjacent segments of one affine map merge. `powers` yields f^1..f^n as such
-segment lists; `compose` and `iterate` make a `PLMap` of the walk's result.
+order: g o f pulls g back through f's pieces, cutting each where its values
+cross an end of g's segments, and adjacent segments of one affine map merge.
+`powers` yields f^1..f^n as such segment lists; `compose` and `iterate` make
+a `PLMap` of the walk's result.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .exactnum import (
     EMPTY,
     Interval,
     IntervalSet,
-    parse_rational,
+    parse_pair,
     RationalParseError,
 )
 
@@ -159,10 +160,6 @@ def make_plmap(domain: Interval, dots: Iterable) -> PLMap:
     return PLMap(domain, frozen)
 
 
-def identity_map(domain: Interval) -> PLMap:
-    return PLMap(domain, ((domain.lo, domain.lo), (domain.hi, domain.hi)))
-
-
 def _drop_collinear(dots: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
     out = [dots[0]]
     for i in range(1, len(dots) - 1):
@@ -183,32 +180,33 @@ def _segments(f: PLMap) -> list[Segment]:
     return [(p.span.lo, p.span.hi, p.slope, p.intercept) for p in f.pieces]
 
 
-def _after(f: PLMap, h: list[Segment]) -> list[Segment]:
-    """f o h as segments in x order. Each segment of h is cut where its values
-    cross a dot of f, so every cut lies in one f-piece (a, b) and maps
-    x -> a(sx + c) + b; adjacent segments of one slope merge."""
-    xs, pieces = f._xs, f.pieces
+def _runs(g: list[Segment], f: PLMap) -> list[range]:
+    """For each piece of f, the segments of g its values pass, in its order:
+    two bisections at the ends of its value range, reversed where f falls."""
+    starts = [x0 for x0, *_ in g]
+    out = []
+    for piece, lo, hi in f._value_ranges:
+        i = bisect_right(starts, lo)  # g[i - 1] holds the least value
+        run = range(i - 1, max(i, bisect_left(starts, hi)))
+        out.append(run if piece.slope >= 0 else run[::-1])
+    return out
+
+
+def _pull_back(g: list[Segment], f: PLMap, runs: list[range]) -> list[Segment]:
+    """g o f as segments in x order: a piece x -> sx + c of f is cut where its
+    values leave a segment (a, b) of its run, at x = (end - c)/s, and maps
+    x -> asx + (ac + b) up to there; adjacent segments of one slope merge."""
     out: list[Segment] = []
-    v0 = h[0][2] * h[0][0] + h[0][3]  # each segment starts at the last one's end value
-    for x0, x1, s, c in h:
-        v1 = s * x1 + c
-        if s:
-            up = s > 0  # f-piece j ends at xs[j + 1] on the way up, at xs[j] on the way down
-            lo = bisect_right(xs, min(v0, v1))  # xs[lo:hi] lie strictly between v0 and v1
-            hi = bisect_left(xs, max(v0, v1))
-            run = range(lo - 1, hi) if up else range(hi - 1, lo - 2, -1)
-            parts = [((xs[j + up] - c) / s, pieces[j]) for j in run[:-1]]
-            parts.append((x1, pieces[run[-1]]))
-        else:
-            parts = [(x1, f.piece_at(c))]
-        for end, p in parts:
-            a, b = p.slope * s, p.slope * c + p.intercept
+    for piece, run in zip(f.pieces, runs):
+        x0, s, c = piece.span.lo, piece.slope, piece.intercept
+        ends = [(g[j][s > 0] - c) / s for j in run[:-1]] + [piece.span.hi]  # g[j]'s far end
+        for j, end in zip(run, ends):
+            a, b = g[j][2] * s, g[j][2] * c + g[j][3]
             if out and out[-1][2] == a:  # one slope at a shared end: one line, by continuity
                 out[-1] = (out[-1][0], end, a, b)
             else:
                 out.append((x0, end, a, b))
             x0 = end
-        v0 = v1
     return out
 
 
@@ -221,21 +219,25 @@ def _to_map(domain: Interval, h: list[Segment]) -> PLMap:
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """Exact h with h(x) = f(g(x)), by one walk over g's segments."""
+    """Exact h with h(x) = f(g(x)): f's segments pulled back through g's pieces."""
     if f.domain != g.domain:
         raise DomainMismatch(f"{f.domain} vs {g.domain}")
-    return _to_map(g.domain, _after(f, _segments(g)))
+    fs = _segments(f)
+    return _to_map(g.domain, _pull_back(fs, g, _runs(fs, g)))
 
 
 def powers(f: PLMap, n: int) -> Iterator[list[Segment]]:
-    """f^1, f^2, ..., f^n as segments: f^1 is f's pieces, each later power f
-    after the last. Raises PieceBudgetExceeded at the first power with more
-    than PIECE_CAP segments."""
+    """f^1, f^2, ..., f^n as segments: f^1 is f's pieces, and f^k is f^(k-1)
+    pulled back through them. Raises PieceBudgetExceeded at the first power
+    with more than PIECE_CAP segments; from f^3 on, where no two neighbours of
+    f^(k-1) share a slope and only runs' ends merge, before building it."""
     h = _segments(f)
     for k in range(1, n + 1):
         if k > 1:
-            h = _after(f, h)
-        if len(h) > PIECE_CAP:
+            runs = _runs(h, f)
+            least = sum(map(len, runs)) - (len(f.pieces) - 1) if k > 2 else 0
+            h = _pull_back(h, f, runs) if least <= PIECE_CAP else None
+        if h is None or len(h) > PIECE_CAP:
             raise PieceBudgetExceeded(f"more than {PIECE_CAP} pieces in f^{k}")
         yield h
 
@@ -244,7 +246,7 @@ def iterate(f: PLMap, n: int) -> PLMap:
     """f^n without collinear dots; f^0 is the identity."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    h = _segments(identity_map(f.domain))
+    h = [(f.domain.lo, f.domain.hi, Fraction(1), Fraction(0))]
     for h in powers(f, n):
         pass
     return _to_map(f.domain, h)
@@ -324,8 +326,8 @@ def parse_map(text: str) -> PLMap:
     if not isinstance(obj, dict) or set(obj) != {"domain", "dots"}:
         raise InvalidMap('expected an object with "domain" and "dots"')
     try:
-        lo, hi = (parse_rational(t) for t in obj["domain"])
-        dots = [(parse_rational(x), parse_rational(y)) for x, y in obj["dots"]]
+        lo, hi = parse_pair(obj["domain"])
+        dots = [parse_pair(dot) for dot in obj["dots"]]
     except (RationalParseError, TypeError, ValueError) as e:
         raise InvalidMap(f"malformed coordinates: {e}") from e
     try:

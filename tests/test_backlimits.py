@@ -44,7 +44,7 @@ from backlim.markov import (
     markov_partition,
 )
 from backlim.orbits import PeriodicOrbit
-from backlim.plmap import identity_map, image, make_plmap
+from backlim.plmap import image, make_plmap
 
 
 def f5():
@@ -108,7 +108,7 @@ class TestBackwardTree:
         assert tree.levels[3] == [0, Q(24, 5)]
 
     def test_identity_single_branch(self):
-        tree = expanded(identity_map(interval(0, 1)), Q(1, 2), 4)
+        tree = expanded(make_plmap(interval(0, 1), [(0, 0), (1, 1)]), Q(1, 2), 4)
         for d in range(5):
             assert tree.levels[d] == [Q(1, 2)]
 
@@ -715,6 +715,20 @@ class TestSerialization:
     )
     def test_malformed_object_is_a_value_error(self, obj):
         with pytest.raises(ValueError):
+            cert_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # two-character strings would unpack as pairs
+            dict(_WELL_FORMED[1], basin="24"),
+            dict(_WELL_FORMED[2], seed=["24"]),
+            dict(_WELL_FORMED[3], base="13"),
+            dict(_WELL_FORMED[1], basin=["2", "3", "4"]),
+        ],
+    )
+    def test_an_interval_is_an_array_of_two_rationals(self, obj):
+        with pytest.raises(ValueError, match="expected an array of two rationals"):
             cert_from_obj(obj)
 
     @given(st.one_of(_JSON, _damaged_cert_obj()))

@@ -68,6 +68,26 @@ class TestAnalyze:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: malformed coordinates: expected a rational")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # two-character strings would unpack as pairs: the tent map on [0,4]
+            '{"domain":"04","dots":["00","24","40"]}',
+            '{"domain":["0","4"],"dots":[["0","0"],"24",["4","0"]]}',
+            '{"domain":["0","4","5"],"dots":[["0","0"],["4","0"]]}',
+            '{"domain":{"0":0,"4":0},"dots":[["0","0"],["4","0"]]}',
+        ],
+        ids=["strings", "a string dot", "three items", "an object"],
+    )
+    def test_a_pair_is_an_array_of_two_rationals(self, capsys, tmp_path, text):
+        bad = tmp_path / "pairs.json"
+        bad.write_text(text)
+        code = main(["periodic", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: malformed coordinates: expected an array")
+        assert captured.err.count("\n") == 1
+
     def test_deterministic_result_section(self, capsys, f5_path):
         _, out1 = run(capsys, "analyze", f5_path, "--point", "0")
         _, out2 = run(capsys, "analyze", f5_path, "--point", "0")

@@ -1,5 +1,6 @@
 """Differential tests: the shortcuts in `compose`, the segment walk of
-`powers` and `periodic_orbits`, `find_exact_tail`,
+`powers` and `periodic_orbits` and its pull-back through f's pieces, the
+forward basins of `_contraction_words`, `find_exact_tail`,
 `find_contraction`, `cycle_membership`, `_contraction_words`,
 `point_preimages`, `preimage`, the ball seeds and the cycle search of
 `analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
@@ -9,6 +10,7 @@
 against the plain algorithms and the node-based tree they replaced, kept
 here as references."""
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,7 +19,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from backlim import backlimits
+from backlim import backlimits, orbits
 from backlim.backlimits import (
     _BALL_RADII,
     _CYCLE_PERIOD_CAP,
@@ -69,6 +71,8 @@ from backlim.orbits import (
 from backlim.plmap import (
     PLMap,
     _drop_collinear,
+    _segments,
+    _to_map,
     compose,
     image,
     iterate,
@@ -575,6 +579,144 @@ def test_powers_match_composed_maps(f):
 def test_powers_match_composed_maps_on_the_corpus():
     for entry in all_entries():
         assert_powers_match_reference(entry.map)
+
+
+def reference_after(f: PLMap, h):
+    """f o h as segments, by the walk over h that `powers` and `compose` made
+    before the pull-back: each segment of h is cut where its values cross a
+    dot of f, paying an evaluation and two bisections per segment of h."""
+    xs, pieces = f._xs, f.pieces
+    out = []
+    v0 = h[0][2] * h[0][0] + h[0][3]
+    for x0, x1, s, c in h:
+        v1 = s * x1 + c
+        if s:
+            up = s > 0
+            lo = bisect_right(xs, min(v0, v1))
+            hi = bisect_left(xs, max(v0, v1))
+            run = range(lo - 1, hi) if up else range(hi - 1, lo - 2, -1)
+            parts = [((xs[j + up] - c) / s, pieces[j]) for j in run[:-1]]
+            parts.append((x1, pieces[run[-1]]))
+        else:
+            parts = [(x1, f.piece_at(c))]
+        for end, p in parts:
+            a, b = p.slope * s, p.slope * c + p.intercept
+            if out and out[-1][2] == a:
+                out[-1] = (out[-1][0], end, a, b)
+            else:
+                out.append((x0, end, a, b))
+            x0 = end
+        v0 = v1
+    return out
+
+
+def reference_walked_powers(f: PLMap, n: int):
+    """f^1 is f's pieces, each later power f after the last, walked over the
+    last power's segments."""
+    h = _segments(f)
+    for k in range(1, n + 1):
+        if k > 1:
+            h = reference_after(f, h)
+        yield h
+
+
+def assert_pull_back_matches_walk(f, n_max=6):
+    """Every segment of every power, intercepts included, the periodic
+    structure read off them, and `compose` both ways with f^2."""
+    assert list(powers(f, n_max)) == list(reference_walked_powers(f, n_max)), f
+    with mock.patch.object(orbits, "powers", reference_walked_powers):
+        want = periodic_orbits(f, n_max)
+    assert periodic_orbits(f, n_max) == want, f
+    g = iterate(f, 2)
+    for outer, inner in ((f, g), (g, f), (f, f)):
+        walked = _to_map(f.domain, reference_after(outer, _segments(inner)))
+        assert compose(outer, inner).dots == walked.dots, (outer, inner)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps))
+# a flat piece, whose whole span maps to one value
+@example(make_plmap(interval(0, 4), [(0, 4), (1, 2), (3, 2), (4, 0)]))
+# collinear input dots: f^1 is not canonical, so runs of f^2 may merge inside
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 2), (3, 4), (4, 0)]))
+# a decreasing piece whose value range crosses every segment of the last
+# power, so its run is walked right to left
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 4), (4, 0)]))
+def test_pull_back_matches_walk_over_the_last_power(f):
+    assert_pull_back_matches_walk(f)
+
+
+def test_pull_back_matches_walk_over_the_last_power_on_the_corpus():
+    for entry in all_entries():
+        assert_pull_back_matches_walk(entry.map)
+
+
+def reference_inverse_words(f, t, p):
+    """`_contraction_words` with each basin as the inverse composition of its
+    word: two divisions per end per step, and the slope tested at the end."""
+    orbit = forward_orbit(f, t, p)
+    if orbit.pop() != t:
+        raise PreconditionError(f"{t} is not {p}-periodic")
+    words = set()
+    for left in (True, False):
+        itinerary = []
+        for v in orbit:
+            i = (bisect_left if left else bisect_right)(f._xs, v) - 1
+            if not 0 <= i < len(f.pieces) or f.pieces[i].slope == 0:
+                break
+            itinerary.append(i)
+            left ^= f.pieces[i].slope < 0
+        else:
+            words.add(tuple(reversed(itinerary)))
+    results = []
+    for word in sorted(words):
+        s, c, feas = Q(1), Q(0), f.domain
+        for i in word:
+            piece = f.pieces[i]
+            s, c = s / piece.slope, (c - piece.intercept) / piece.slope
+            a, b = sorted((end - c) / s for end in (piece.span.lo, piece.span.hi))
+            feas = feas.intersection(Interval(a, b))
+        if abs(s) >= 1:
+            continue
+        if s < 0:
+            r = min(t - feas.lo, feas.hi - t)
+            feas = Interval(t - r, t + r)
+        if not feas.is_point:
+            results.append((word, feas))
+    return results
+
+
+def assert_forward_basins_match_inverse(f, max_period):
+    """Words and basins at every point of every isolated orbit up to
+    max_period; returns the number of points."""
+    points = [
+        (t, orbit.least_period)
+        for orbit in periodic_orbits(f, max_period).isolated_orbits
+        for t in orbit.points
+    ]
+    for t, p in points:
+        got = [(w.pieces, w.basin) for w in _contraction_words(f, t, p)]
+        assert got == reference_inverse_words(f, t, p), (f, t, p)
+    return len(points)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps))
+# a flat piece and collinear dots, as for the powers
+@example(make_plmap(interval(0, 4), [(0, 4), (1, 2), (3, 2), (4, 0)]))
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 2), (3, 4), (4, 0)]))
+# the orbit {1/3, 2} on slopes -3 and 1/3: both its words multiply to -1
+@example(make_plmap(interval(0, 4), [(0, 3), (1, 0), (4, 1)]))
+def test_forward_basins_match_inverse_composition(f):
+    assert_forward_basins_match_inverse(f, 6)
+
+
+def test_forward_basins_match_inverse_composition_on_the_corpus():
+    points = [
+        assert_forward_basins_match_inverse(entry.map, entry.budget.max_period)
+        for entry in all_entries()
+    ]
+    assert sum(points) > 0
 
 
 maps_and_points = uppers.flatmap(

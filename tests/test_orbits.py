@@ -12,7 +12,7 @@ from backlim.orbits import (
     periodic_orbits,
     sharkovsky_precedes,
 )
-from backlim.plmap import PieceBudgetExceeded, identity_map, iterate, make_plmap, powers
+from backlim.plmap import PieceBudgetExceeded, iterate, make_plmap, powers
 
 
 def f5():
@@ -41,7 +41,7 @@ class TestForwardOrbit:
         assert forward_orbit(f8(), Q(1), 4) == [1, 5, 3, 7, 1]
 
     def test_identity(self):
-        assert forward_orbit(identity_map(interval(0, 1)), Q(1, 2), 2) == [Q(1, 2)] * 3
+        assert forward_orbit(make_plmap(interval(0, 1), [(0, 0), (1, 1)]), Q(1, 2), 2) == [Q(1, 2)] * 3
 
 
 class TestFixedPoints:
@@ -52,7 +52,7 @@ class TestFixedPoints:
         assert fixed_point_set(f8()) == iset((Q(14, 3), Q(14, 3)))
 
     def test_identity(self):
-        assert fixed_point_set(identity_map(interval(0, 1))) == iset((0, 1))
+        assert fixed_point_set(make_plmap(interval(0, 1), [(0, 0), (1, 1)])) == iset((0, 1))
 
 
 class TestPeriodicPoints:
@@ -65,7 +65,7 @@ class TestPeriodicPoints:
         assert pts.contains(Q(2)) and pts.contains(Q(6))
 
     def test_identity_whole_domain(self):
-        ident = identity_map(interval(0, 1))
+        ident = make_plmap(interval(0, 1), [(0, 0), (1, 1)])
         assert fixed_point_set(ident, 5) == iset((0, 1))
 
     def test_exactness_invariant(self):
@@ -100,7 +100,7 @@ class TestPeriodicOrbits:
         assert (4, iset((1, 3), (5, 7))) in st.fixed_intervals
 
     def test_identity_continuum(self):
-        st = periodic_orbits(identity_map(interval(0, 1)), 1)
+        st = periodic_orbits(make_plmap(interval(0, 1), [(0, 0), (1, 1)]), 1)
         assert st.isolated_orbits == ()
         assert st.fixed_intervals == ((1, iset((0, 1))),)
 
@@ -140,6 +140,37 @@ class TestPieceCap:
             with pytest.raises(PieceBudgetExceeded, match=r"^more than 20 pieces in f\^3$"):
                 compute(f, 5)
 
+
+    def test_a_power_whose_runs_exceed_the_cap_is_not_built(self, monkeypatch):
+        # f^3 has 64 pieces, and the runs of its four pieces through f^2 show
+        # at least 64 - 3 before it is built: a cap of 60 stops it there
+        f = make_plmap(interval(0, 4), [(0, 0), (1, 4), (2, 0), (3, 4), (4, 0)])
+        built, pull_back = [], plmap._pull_back
+        monkeypatch.setattr(plmap, "_pull_back", lambda g, *a: built.append(len(g)) or pull_back(g, *a))
+        monkeypatch.setattr(plmap, "PIECE_CAP", 60)
+        with pytest.raises(PieceBudgetExceeded, match=r"^more than 60 pieces in f\^3$"):
+            list(powers(f, 5))
+        assert built == [4]  # f^2 alone, from f's four pieces
+
+    def test_a_power_at_the_cap_is_built_where_runs_merge(self, monkeypatch):
+        # the two flat pieces hold one value, so the segments they pull back
+        # merge: f^3 has 16 pieces, from runs of 19 segments of f^2
+        f = make_plmap(interval(0, 5), [(0, 0), (1, 5), (2, 2), (3, 2), (4, 2), (5, 0)])
+        counts = [len(h) for h in powers(f, 5)]
+        assert counts == [5, 8, 16, 32, 64]
+        for k in (3, 4, 5):
+            monkeypatch.setattr(plmap, "PIECE_CAP", counts[k - 1])
+            assert [len(h) for h in powers(f, k)] == counts[:k]
+            monkeypatch.setattr(plmap, "PIECE_CAP", counts[k - 1] - 1)
+            with pytest.raises(PieceBudgetExceeded, match=rf"^more than {counts[k - 1] - 1} pieces in f\^{k}$"):
+                list(powers(f, k))
+
+    def test_f_squared_is_built_before_its_cap_is_checked(self, monkeypatch):
+        # the tent map with a dot inside each side: f^1 keeps the collinear
+        # dots, so segments of f^2 merge inside its runs (5 of them, 4 pieces)
+        f = make_plmap(interval(0, 4), [(0, 0), (1, 2), (2, 4), (3, 2), (4, 0)])
+        monkeypatch.setattr(plmap, "PIECE_CAP", 4)
+        assert [len(h) for h in powers(f, 2)] == [4, 4]
 
 class TestSharkovsky:
     def test_three_forces_everything(self):

@@ -10,7 +10,6 @@ from backlim.plmap import (
     DomainMismatch,
     InvalidMap,
     compose,
-    identity_map,
     image,
     iterate,
     make_plmap,
@@ -41,7 +40,7 @@ class TestConstruction:
         assert f.eval_at(Q(4)) == 2 and f.eval_at(Q(5)) == 0
 
     def test_identity(self):
-        ident = identity_map(interval(0, 1))
+        ident = make_plmap(interval(0, 1), [(0, 0), (1, 1)])
         assert ident.eval_at(Q(1, 3)) == Q(1, 3)
 
     def test_rejects_unordered_x(self):
@@ -74,8 +73,8 @@ class TestEval:
 class TestCompose:
     def test_identity_compose(self):
         f = f5()
-        assert compose(identity_map(f.domain), f).dots == f.dots
-        assert compose(f, identity_map(f.domain)).dots == f.dots
+        assert compose(make_plmap(f.domain, [(0, 0), (5, 5)]), f).dots == f.dots
+        assert compose(f, make_plmap(f.domain, [(0, 0), (5, 5)])).dots == f.dots
 
     def test_f5_squared_at_2(self):
         h = compose(f5(), f5())
@@ -92,7 +91,7 @@ class TestCompose:
 
 class TestIterate:
     def test_zero_is_identity(self):
-        assert iterate(f5(), 0).dots == identity_map(interval(0, 5)).dots
+        assert iterate(f5(), 0).dots == make_plmap(interval(0, 5), [(0, 0), (5, 5)]).dots
 
     def test_f5_squared_identity_on_middle(self):
         h = iterate(f5(), 2)
@@ -121,7 +120,7 @@ class TestImagePreimage:
         assert image(f8(), iset((Q(3, 2), Q(5, 2)))) == iset((Q(11, 2), Q(13, 2)))
 
     def test_image_identity(self):
-        assert image(identity_map(interval(0, 1)), iset((0, 1))) == iset((0, 1))
+        assert image(make_plmap(interval(0, 1), [(0, 0), (1, 1)]), iset((0, 1))) == iset((0, 1))
 
     def test_preimage_point(self):
         assert preimage(f5(), iset((0, 0))) == iset((5, 5))
