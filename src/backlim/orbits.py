@@ -4,7 +4,8 @@ Periodic structure distinguishes isolated periodic orbits from whole
 intervals of n-periodic points (continua), which arise as soon as some
 composition is the identity on a subinterval. The fixed points of each power
 f^n are read straight off its segments from `plmap.powers`, with no map built
-per power.
+per power: the segments' reduced int pairs are tested in ints, and a Fraction
+is made only for a fixed point that is kept.
 """
 
 from __future__ import annotations
@@ -56,18 +57,23 @@ def image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
 
 def _fixed_points(h: list[Segment]) -> IntervalSet:
     """Exact {x : h(x) = x} of a map given as segments: x = c/(1 - s) where
-    that lies in [x0, x1], and an identity segment's whole span. The segments
-    come in x order, so each part starts at or after the last one and only
-    needs merging with it where they touch."""
+    that lies in [x0, x1], tested on the segments' int pairs by
+    cross-multiplication, and an identity segment's whole span; Fractions are
+    made only for the parts kept. The segments come in x order, so each part
+    starts at or after the last one and only needs merging with it where they
+    touch."""
     out: list[Interval] = []
-    for x0, x1, s, c in h:
-        if s != 1:
-            x = c / (1 - s)
-            if not x0 <= x <= x1:
+    for (x0n, x0d), (x1n, x1d), (sn, sd), (cn, cd) in h:
+        if sn != sd:  # s != 1, as s is reduced
+            n, d = cn * sd, cd * (sd - sn)
+            if d < 0:
+                n, d = -n, -d
+            if n * x0d < x0n * d or x1n * d < n * x1d:  # x < x0 or x1 < x
                 continue
+            x = Fraction(n, d)
             part = Interval(x, x)
-        elif c == 0:
-            part = Interval(x0, x1)
+        elif cn == 0:
+            part = Interval(Fraction(x0n, x0d), Fraction(x1n, x1d))
         else:
             continue
         if out and part.lo <= out[-1].hi:

@@ -8,8 +8,11 @@ rational arithmetic.
 Composition is one walk over segments `(x0, x1, slope, intercept)` in x
 order: g o f pulls g back through f's pieces, cutting each where its values
 cross an end of g's segments, and adjacent segments of one affine map merge.
-`powers` yields f^1..f^n as such segment lists; `compose` and `iterate` make
-a `PLMap` of the walk's result.
+A segment's four values are reduced `(numerator, denominator)` int pairs with
+a positive denominator, so the walk computes in ints, with one `gcd` per
+value, and two values are equal exactly when their pairs are. `powers` yields
+f^1..f^n as such segment lists; `compose` and `iterate` make the Fractions
+of a `PLMap` from the walk's result.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from math import gcd
 from typing import Iterable, Iterator
 
 from .exactnum import (
@@ -173,53 +177,80 @@ def _drop_collinear(dots: list[tuple[Fraction, Fraction]]) -> list[tuple[Fractio
     return out
 
 
-Segment = tuple[Fraction, Fraction, Fraction, Fraction]  # x0, x1, slope, intercept
+Pair = tuple[int, int]  # n/d as (n, d), reduced, with d > 0: equal values, equal pairs
+Segment = tuple[Pair, Pair, Pair, Pair]  # x0, x1, slope, intercept
+
+
+def _pair(n: int, d: int) -> Pair:
+    """n/d (d != 0) reduced, with the sign on the numerator."""
+    k = gcd(n, d)
+    return (n // k, d // k) if d > 0 else (-n // k, -d // k)
 
 
 def _segments(f: PLMap) -> list[Segment]:
-    return [(p.span.lo, p.span.hi, p.slope, p.intercept) for p in f.pieces]
+    return [
+        (p.span.lo.as_integer_ratio(), p.span.hi.as_integer_ratio(),
+         p.slope.as_integer_ratio(), p.intercept.as_integer_ratio())
+        for p in f.pieces
+    ]
+
+
+def _starts_past(v: Fraction):
+    """Bisection key: a segment's start x0 lies past v where it is > 0."""
+    n, d = v.as_integer_ratio()
+    return lambda seg: seg[0][0] * d - n * seg[0][1]
 
 
 def _runs(g: list[Segment], f: PLMap) -> list[range]:
     """For each piece of f, the segments of g its values pass, in its order:
     two bisections at the ends of its value range, reversed where f falls."""
-    starts = [x0 for x0, *_ in g]
     out = []
     for piece, lo, hi in f._value_ranges:
-        i = bisect_right(starts, lo)  # g[i - 1] holds the least value
-        run = range(i - 1, max(i, bisect_left(starts, hi)))
-        out.append(run if piece.slope >= 0 else run[::-1])
+        i = bisect_right(g, 0, key=_starts_past(lo))  # g[i - 1] holds the least value
+        run = range(i - 1, max(i, bisect_left(g, 0, key=_starts_past(hi))))
+        out.append(run if piece.slope.numerator >= 0 else run[::-1])
     return out
 
 
 def _pull_back(g: list[Segment], f: PLMap, runs: list[range]) -> list[Segment]:
     """g o f as segments in x order: a piece x -> sx + c of f is cut where its
     values leave a segment (a, b) of its run, at x = (end - c)/s, and maps
-    x -> asx + (ac + b) up to there; adjacent segments of one slope merge."""
+    x -> asx + (ac + b) up to there; adjacent segments of one slope merge.
+    Every value is computed in ints and reduced once."""
     out: list[Segment] = []
-    for piece, run in zip(f.pieces, runs):
-        x0, s, c = piece.span.lo, piece.slope, piece.intercept
-        ends = [(g[j][s > 0] - c) / s for j in run[:-1]] + [piece.span.hi]  # g[j]'s far end
+    for (x0, x1, (sn, sd), (cn, cd)), run in zip(_segments(f), runs):
+        far = (g[j][sn > 0] for j in run[:-1])  # g[j]'s far end
+        ends = [_pair((en * cd - cn * ed) * sd, ed * cd * sn) for en, ed in far] + [x1]
         for j, end in zip(run, ends):
-            a, b = g[j][2] * s, g[j][2] * c + g[j][3]
-            if out and out[-1][2] == a:  # one slope at a shared end: one line, by continuity
-                out[-1] = (out[-1][0], end, a, b)
+            (an, ad), (bn, bd) = g[j][2:]
+            a = _pair(an * sn, ad * sd)
+            # reduced pairs are equal exactly when the slopes are, and one slope
+            # at a shared end is one line, by continuity: the intercept stays
+            if out and out[-1][2] == a:
+                out[-1] = (out[-1][0], end, a, out[-1][3])
             else:
-                out.append((x0, end, a, b))
+                out.append((x0, end, a, _pair(an * cn * bd + bn * ad * cd, ad * cd * bd)))
             x0 = end
     return out
 
 
+def _value(x: Pair, s: Pair, c: Pair) -> Fraction:
+    """s * x + c."""
+    (xn, xd), (sn, sd), (cn, cd) = x, s, c
+    return Fraction(sn * xn * cd + cn * sd * xd, sd * xd * cd)
+
+
 def _to_map(domain: Interval, h: list[Segment]) -> PLMap:
-    """The map of h, with a dot at both ends and where its slope changes."""
-    dots = [(x0, s * x0 + c) for i, (x0, _, s, c) in enumerate(h) if i == 0 or h[i - 1][2] != s]
-    x1, s, c = h[-1][1:]
-    dots.append((x1, s * x1 + c))
-    return PLMap(domain, tuple(dots))
+    """The map of h, with a dot at both ends and where its slope changes:
+    where the pairs of `compose` and `iterate` become Fractions."""
+    ends = [(x0, s, c) for i, (x0, _, s, c) in enumerate(h) if i == 0 or h[i - 1][2] != s]
+    ends.append(h[-1][1:])
+    return PLMap(domain, tuple((Fraction(*x), _value(x, s, c)) for x, s, c in ends))
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """Exact h with h(x) = f(g(x)): f's segments pulled back through g's pieces."""
+    """Exact h with h(x) = f(g(x)): f's segments pulled back through g's
+    pieces in int pairs, with Fractions made only for h's dots."""
     if f.domain != g.domain:
         raise DomainMismatch(f"{f.domain} vs {g.domain}")
     fs = _segments(f)
@@ -227,10 +258,11 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
 
 
 def powers(f: PLMap, n: int) -> Iterator[list[Segment]]:
-    """f^1, f^2, ..., f^n as segments: f^1 is f's pieces, and f^k is f^(k-1)
-    pulled back through them. Raises PieceBudgetExceeded at the first power
-    with more than PIECE_CAP segments; from f^3 on, where no two neighbours of
-    f^(k-1) share a slope and only runs' ends merge, before building it."""
+    """f^1, f^2, ..., f^n as segments of reduced int pairs: f^1 is f's
+    pieces, and f^k is f^(k-1) pulled back through them. Raises
+    PieceBudgetExceeded at the first power with more than PIECE_CAP segments;
+    from f^3 on, where no two neighbours of f^(k-1) share a slope and only
+    runs' ends merge, before building it."""
     h = _segments(f)
     for k in range(1, n + 1):
         if k > 1:
@@ -246,7 +278,7 @@ def iterate(f: PLMap, n: int) -> PLMap:
     """f^n without collinear dots; f^0 is the identity."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    h = [(f.domain.lo, f.domain.hi, Fraction(1), Fraction(0))]
+    h = [(f.domain.lo.as_integer_ratio(), f.domain.hi.as_integer_ratio(), (1, 1), (0, 1))]
     for h in powers(f, n):
         pass
     return _to_map(f.domain, h)

@@ -1,5 +1,6 @@
 """Differential tests: the shortcuts in `compose`, the segment walk of
-`powers` and `periodic_orbits` and its pull-back through f's pieces, the
+`powers` and `periodic_orbits`, its pull-back through f's pieces and its
+reduced int pairs against the Fraction walk, the
 forward basins of `_contraction_words`, `find_exact_tail`,
 `find_contraction`, `cycle_membership`, `_contraction_words`,
 `point_preimages`, `preimage`, the ball seeds and the cycle search of
@@ -15,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction as Q
+from math import gcd
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -71,8 +73,7 @@ from backlim.orbits import (
 from backlim.plmap import (
     PLMap,
     _drop_collinear,
-    _segments,
-    _to_map,
+    Segment,
     compose,
     image,
     iterate,
@@ -547,6 +548,16 @@ def reference_periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
     return PeriodicStructure(tuple(orbits), tuple(continua))
 
 
+def as_fractions(h: list[Segment]) -> list[tuple[Q, Q, Q, Q]]:
+    """A walk's segments of int pairs as segments of Fractions."""
+    return [tuple(Q(*v) for v in seg) for seg in h]
+
+
+def as_pairs(h) -> list[Segment]:
+    """Segments of Fractions as segments of reduced int pairs."""
+    return [tuple(v.as_integer_ratio() for v in seg) for seg in h]
+
+
 def assert_powers_match_reference(f, n_max=6):
     """Dots (so breakpoints and piece count) and fixed points of every power,
     and the periodic structure read off them."""
@@ -554,8 +565,9 @@ def assert_powers_match_reference(f, n_max=6):
     want = list(reference_powers(f, n_max))
     assert len(got) == len(want) == n_max
     for h, ref in zip(got, want):
-        dots = [(x0, s * x0 + c) for x0, _, s, c in h]
-        x1, s, c = h[-1][1:]
+        exact = as_fractions(h)
+        dots = [(x0, s * x0 + c) for x0, _, s, c in exact]
+        x1, s, c = exact[-1][1:]
         assert tuple(dots + [(x1, s * x1 + c)]) == ref.dots
         assert len(h) == len(ref.pieces)
         assert _fixed_points(h) == reference_fixed_point_set(ref)
@@ -579,6 +591,73 @@ def test_powers_match_composed_maps(f):
 def test_powers_match_composed_maps_on_the_corpus():
     for entry in all_entries():
         assert_powers_match_reference(entry.map)
+
+
+# The Fraction walk that the int-pair walk replaced, kept verbatim.
+def _segments_q(f: PLMap):
+    return [(p.span.lo, p.span.hi, p.slope, p.intercept) for p in f.pieces]
+
+
+def _runs_q(g, f: PLMap) -> list[range]:
+    """For each piece of f, the segments of g its values pass, in its order:
+    two bisections at the ends of its value range, reversed where f falls."""
+    starts = [x0 for x0, *_ in g]
+    out = []
+    for piece, lo, hi in f._value_ranges:
+        i = bisect_right(starts, lo)  # g[i - 1] holds the least value
+        run = range(i - 1, max(i, bisect_left(starts, hi)))
+        out.append(run if piece.slope >= 0 else run[::-1])
+    return out
+
+
+def _pull_back_q(g, f: PLMap, runs: list[range]):
+    """g o f as segments in x order: a piece x -> sx + c of f is cut where its
+    values leave a segment (a, b) of its run, at x = (end - c)/s, and maps
+    x -> asx + (ac + b) up to there; adjacent segments of one slope merge."""
+    out = []
+    for piece, run in zip(f.pieces, runs):
+        x0, s, c = piece.span.lo, piece.slope, piece.intercept
+        ends = [(g[j][s > 0] - c) / s for j in run[:-1]] + [piece.span.hi]  # g[j]'s far end
+        for j, end in zip(run, ends):
+            a, b = g[j][2] * s, g[j][2] * c + g[j][3]
+            if out and out[-1][2] == a:  # one slope at a shared end: one line, by continuity
+                out[-1] = (out[-1][0], end, a, b)
+            else:
+                out.append((x0, end, a, b))
+            x0 = end
+    return out
+
+
+def _fixed_points_q(h) -> IntervalSet:
+    """Exact {x : h(x) = x} of a map given as segments: x = c/(1 - s) where
+    that lies in [x0, x1], and an identity segment's whole span. The segments
+    come in x order, so each part starts at or after the last one and only
+    needs merging with it where they touch."""
+    out: list[Interval] = []
+    for x0, x1, s, c in h:
+        if s != 1:
+            x = c / (1 - s)
+            if not x0 <= x <= x1:
+                continue
+            part = Interval(x, x)
+        elif c == 0:
+            part = Interval(x0, x1)
+        else:
+            continue
+        if out and part.lo <= out[-1].hi:
+            if part.hi > out[-1].hi:
+                out[-1] = Interval(out[-1].lo, part.hi)
+        else:
+            out.append(part)
+    return IntervalSet(tuple(out))
+
+
+def _to_map_q(domain: Interval, h) -> PLMap:
+    """The map of h, with a dot at both ends and where its slope changes."""
+    dots = [(x0, s * x0 + c) for i, (x0, _, s, c) in enumerate(h) if i == 0 or h[i - 1][2] != s]
+    x1, s, c = h[-1][1:]
+    dots.append((x1, s * x1 + c))
+    return PLMap(domain, tuple(dots))
 
 
 def reference_after(f: PLMap, h):
@@ -613,7 +692,7 @@ def reference_after(f: PLMap, h):
 def reference_walked_powers(f: PLMap, n: int):
     """f^1 is f's pieces, each later power f after the last, walked over the
     last power's segments."""
-    h = _segments(f)
+    h = _segments_q(f)
     for k in range(1, n + 1):
         if k > 1:
             h = reference_after(f, h)
@@ -623,13 +702,15 @@ def reference_walked_powers(f: PLMap, n: int):
 def assert_pull_back_matches_walk(f, n_max=6):
     """Every segment of every power, intercepts included, the periodic
     structure read off them, and `compose` both ways with f^2."""
-    assert list(powers(f, n_max)) == list(reference_walked_powers(f, n_max)), f
-    with mock.patch.object(orbits, "powers", reference_walked_powers):
+    got = [as_fractions(h) for h in powers(f, n_max)]
+    assert got == list(reference_walked_powers(f, n_max)), f
+    walked_pairs = lambda f, n: map(as_pairs, reference_walked_powers(f, n))
+    with mock.patch.object(orbits, "powers", walked_pairs):
         want = periodic_orbits(f, n_max)
     assert periodic_orbits(f, n_max) == want, f
     g = iterate(f, 2)
     for outer, inner in ((f, g), (g, f), (f, f)):
-        walked = _to_map(f.domain, reference_after(outer, _segments(inner)))
+        walked = _to_map_q(f.domain, reference_after(outer, _segments_q(inner)))
         assert compose(outer, inner).dots == walked.dots, (outer, inner)
 
 
@@ -649,6 +730,85 @@ def test_pull_back_matches_walk_over_the_last_power(f):
 def test_pull_back_matches_walk_over_the_last_power_on_the_corpus():
     for entry in all_entries():
         assert_pull_back_matches_walk(entry.map)
+
+
+def fraction_powers(f: PLMap, n: int):
+    """f^1..f^n by the Fraction walk, with no piece cap."""
+    h = _segments_q(f)
+    for k in range(1, n + 1):
+        if k > 1:
+            h = _pull_back_q(h, f, _runs_q(h, f))
+        yield h
+
+
+def fraction_compose(f: PLMap, g: PLMap) -> PLMap:
+    fs = _segments_q(f)
+    return _to_map_q(g.domain, _pull_back_q(fs, g, _runs_q(fs, g)))
+
+
+def assert_pairs_match_fraction_walk(f, n_max=6):
+    """Every power's segments read as Fractions and its fixed points, the
+    periodic structure, `compose` both ways with f^2 and `iterate`, against
+    the Fraction walk."""
+    want = list(fraction_powers(f, n_max))
+    got = list(powers(f, n_max))
+    assert [as_fractions(h) for h in got] == want, f
+    for h, ref in zip(got, want):
+        assert _fixed_points(h) == _fixed_points_q(ref), f
+    with mock.patch.multiple(orbits, powers=fraction_powers, _fixed_points=_fixed_points_q):
+        structure = periodic_orbits(f, n_max)
+    assert periodic_orbits(f, n_max) == structure, f
+    g = iterate(f, 2)
+    for outer, inner in ((f, g), (g, f), (f, f)):
+        assert compose(outer, inner).dots == fraction_compose(outer, inner).dots, (outer, inner)
+    assert iterate(f, 0).dots == ((f.domain.lo, f.domain.lo), (f.domain.hi, f.domain.hi))
+    for k, ref in enumerate(want, 1):
+        assert iterate(f, k).dots == _to_map_q(f.domain, ref).dots, (f, k)
+
+
+# negative values and non-integer dots: cuts divide by a negative slope
+SIGNED_MAP = parse_map('{"domain":["-1/3","5/7"],"dots":[["-1/3","5/7"],["0","-1/3"],["5/7","5/7"]]}')
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps))
+# a flat piece, whose whole span maps to one value
+@example(make_plmap(interval(0, 4), [(0, 4), (1, 2), (3, 2), (4, 0)]))
+# collinear input dots, kept in f^1 and merged from f^2 on
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 2), (3, 4), (4, 0)]))
+# a decreasing piece walked right to left over every segment of the last power
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 4), (4, 0)]))
+# the identity: every power is one segment, a continuum at n = 1
+@example(make_plmap(interval(0, 3), [(0, 0), (3, 3)]))
+@example(SIGNED_MAP)
+def test_pair_walk_matches_fraction_walk(f):
+    assert_pairs_match_fraction_walk(f)
+
+
+def test_pair_walk_matches_fraction_walk_on_the_corpus():
+    for entry in all_entries():
+        assert_pairs_match_fraction_walk(entry.map)
+
+
+def assert_reduced_pairs(f, n_max=6):
+    for k, h in enumerate(powers(f, n_max), 1):
+        for seg in h:
+            for n, d in seg:
+                assert type(n) is int and type(d) is int, (f, k, seg)
+                assert d > 0 and gcd(n, d) == 1, (f, k, seg)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps))
+@example(make_plmap(interval(0, 4), [(0, 0), (1, 4), (4, 0)]))
+@example(SIGNED_MAP)
+def test_every_segment_value_is_a_reduced_pair(f):
+    assert_reduced_pairs(f)
+
+
+def test_every_segment_value_is_a_reduced_pair_on_the_corpus():
+    for entry in all_entries():
+        assert_reduced_pairs(entry.map)
 
 
 def reference_inverse_words(f, t, p):
