@@ -2,10 +2,8 @@
 machine-checkable certificates bounding backward limit sets."""
 
 from .exactnum import (
-    EMPTY,
     Interval,
     IntervalSet,
-    parse_interval,
     parse_interval_set,
     parse_rational,
 )
@@ -19,7 +17,6 @@ from .plmap import (
     map_digest,
     parse_map,
     preimage,
-    serialize_map,
 )
 from .orbits import (
     PeriodicOrbit,
@@ -39,7 +36,6 @@ from .markov import (
     is_mixing,
     is_transitive,
     markov_partition,
-    orbit_closure,
 )
 from .backlimits import (
     AvoidanceCert,
@@ -55,7 +51,6 @@ from .backlimits import (
     cert_from_obj,
     cert_to_obj,
     certified_period_set,
-    cycle_membership,
     find_contraction,
     find_exact_tail,
     salpha_enclosure,

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from typing import NamedTuple
 
@@ -48,20 +48,24 @@ from .orbits import (
     MAX_STEPS,
     PeriodicOrbit,
     PeriodicStructure,
-    forward_orbit,
     image_after,
     periodic_orbits,
 )
-from .plmap import PLMap, _per_map, image, point_preimages, preimage
+from .plmap import PLMap, _affine, _per_map, image, point_preimages, preimage
 
 DEFAULT_DEPTH = 12
 DEFAULT_WIDTH_CAP = 10_000
 DEFAULT_MAX_PERIOD = 6
 DEFAULT_AVOID_LAYERS = 4
+TREE_CAP = 10**6
 
 
 class PreconditionError(ValueError):
     """A stated precondition of an operation does not hold."""
+
+
+class TreeBudgetExceeded(RuntimeError):
+    """A backward tree would store more than TREE_CAP values."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,8 @@ class BackwardTree:
     sets `has_sampled`. A level keeps at most `width_cap` values, the
     children of its least parents, and `truncated[d]` records that level d
     was cut. Either makes the tree `degraded`, so exactness relying on it
-    degrades honestly.
+    degrades honestly. `size` counts the values of all levels; a level that
+    would take it past TREE_CAP raises TreeBudgetExceeded instead of being kept.
     """
 
     def __init__(self, f: PLMap, root: Fraction, width_cap: int = DEFAULT_WIDTH_CAP):
@@ -111,6 +116,7 @@ class BackwardTree:
         self.root = root
         self.width_cap = width_cap
         self.levels: list[list[Fraction]] = [[root]]
+        self.size = 1
         self.truncated: list[bool] = [False]
         self.has_sampled = False
 
@@ -133,6 +139,11 @@ class BackwardTree:
                     truncated = True
                     del nxt[self.width_cap:]
                     break
+            if self.size + len(nxt) > TREE_CAP:
+                level = len(self.levels)
+                raise TreeBudgetExceeded(
+                    f"backward tree of {self.root} passes {TREE_CAP} values at level {level}")
+            self.size += len(nxt)
             nxt.sort()
             self.levels.append(nxt)
             self.truncated.append(truncated)
@@ -239,33 +250,40 @@ def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
 
     The window is f^p of the word's lap: t's piece mapped forward along the
     itinerary, clipped to each piece on the way, and cut symmetric about t
-    where f^p falls. |f^p'| <= 1 skips the word before any of that.
+    where f^p falls. |f^p'| <= 1 skips the word before any of that. All of it
+    is in reduced int pairs (see `plmap`), up to the basin's Fraction ends.
     """
-    orbit = forward_orbit(f, t, p)
-    if orbit.pop() != t:
+    orbit = list(islice(f._walk(t), p + 1))
+    if orbit.pop() != orbit[0]:
         raise PreconditionError(f"{t} is not {p}-periodic")
+    segs, (scale, xs) = f._segments, f._grid
     words = set()
     for left in (True, False):
         itinerary = []
-        for v in orbit:
-            i = (bisect_left if left else bisect_right)(f._xs, v) - 1
-            if not 0 <= i < len(f.pieces) or f.pieces[i].slope == 0:
+        for n, d in orbit:  # the last dot below n/d on the left, at or below it on the
+            q = n * scale  # right: the left side falls off the domain at lo, the right at hi
+            i = (bisect_left(xs, -(-q // d)) if left else bisect_right(xs, q // d)) - 1
+            if not 0 <= i < len(segs) or segs[i][2][0] == 0:
                 break
             itinerary.append(i)
-            left ^= f.pieces[i].slope < 0
+            left ^= segs[i][2][0] < 0
         else:
             words.add(tuple(reversed(itinerary)))
     results: list[_Word] = []
     for word in sorted(words):
-        pieces = [f.pieces[i] for i in reversed(word)]  # t's itinerary
-        slope = prod(piece.slope for piece in pieces)
-        if abs(slope) <= 1:
+        laps = [segs[i] for i in reversed(word)]  # t's itinerary
+        sn, sd = prod(seg[2][0] for seg in laps), prod(seg[2][1] for seg in laps)
+        if abs(sn) <= sd:
             continue
-        lo, hi = f.domain.lo, f.domain.hi  # no clip after the last: f maps it into the domain
-        for piece in pieces:
-            lo, hi = max(lo, piece.span.lo), min(hi, piece.span.hi)  # t's orbit keeps lo <= hi
-            lo, hi = sorted((piece.value_at(lo), piece.value_at(hi)))
-        if slope < 0:
+        lo, hi = segs[0][0], segs[-1][1]  # no clip after the last: f maps it into the domain
+        for x0, x1, s, c in laps:  # t's orbit keeps lo <= hi
+            lo = x0 if lo[0] * x0[1] < x0[0] * lo[1] else lo
+            hi = x1 if x1[0] * hi[1] < hi[0] * x1[1] else hi
+            lo, hi = _affine(s, c, lo), _affine(s, c, hi)
+            if s[0] < 0:
+                lo, hi = hi, lo
+        lo, hi = Fraction(*lo), Fraction(*hi)
+        if sn < 0:
             r = min(t - lo, hi - t)
             lo, hi = t - r, t + r
         if lo < hi:

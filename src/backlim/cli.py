@@ -27,6 +27,7 @@ from .backlimits import (
     PreconditionError,
     RejectedSeed,
     SalphaEnclosure,
+    TreeBudgetExceeded,
     _set_obj,
     avoided_region,
     beta_upper,
@@ -168,7 +169,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         # the stats report the tree the search explores, to the full depth
         tree.ensure_depth(args.depth)
     stats = {
-        "tree_nodes": sum(map(len, tree.levels)),
+        "tree_nodes": tree.size,
         "depth_explored": len(tree.levels) - 1,
     }
     inputs = {"point": str(y), "target": str(t), "period": orbit.least_period}
@@ -328,7 +329,7 @@ def _cmd_scan(args) -> tuple[dict, int]:
                     for j in range(k, hi + 1)
                 ]
                 break
-            except PreconditionError as e:
+            except (PreconditionError, TreeBudgetExceeded) as e:
                 skipped.append({"digest": map_digest(f), "point": str(y), "reason": str(e)})
                 continue
             if 3 not in periods:
@@ -510,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
             report["wall_time_ms"] = int((time.monotonic() - started) * 1000)
             _emit(report, args.json)
         return code
-    except (_InputError, PieceBudgetExceeded) as e:
+    except (_InputError, PieceBudgetExceeded, TreeBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as e:

@@ -26,7 +26,7 @@ from .backlimits import (
 from .exactnum import Interval, IntervalSet
 from .markov import CycleOfIntervals, check_cycle_of_intervals
 from .orbits import PeriodicOrbit
-from .plmap import PLMap, _drop_collinear, image, make_plmap
+from .plmap import PLMap, image, iterate, make_plmap
 
 
 @dataclass(frozen=True)
@@ -341,8 +341,8 @@ def build_chuxiong(levels: int = 6) -> CorpusEntry:
     xs = sorted(
         {geo.lefts[n] + k * geo.widths[n] for n in range(levels) for k in range(6)}
     )
-    dots = _drop_collinear([(x, _tower_value(geo, x)) for x in xs])
-    f = make_plmap(Interval(Fraction(0), Fraction(1)), dots)
+    dots = [(x, _tower_value(geo, x)) for x in xs]
+    f = iterate(make_plmap(Interval(Fraction(0), Fraction(1)), dots), 1)  # no collinear dots
     x_term = geo.lefts[levels]
     expectations: list[Expectation] = [
         Expectation(

@@ -5,7 +5,9 @@ intervals of n-periodic points (continua), which arise as soon as some
 composition is the identity on a subinterval. The fixed points of each power
 f^n are read straight off its segments from `plmap.powers`, with no map built
 per power: the segments' reduced int pairs are tested in ints, and a Fraction
-is made only for a fixed point that is kept.
+is made only for a fixed point that is kept. The forward walks step through
+`PLMap._walk` in the same pairs, so equal values are equal tuples, and make
+Fractions only for the values they return.
 """
 
 from __future__ import annotations
@@ -13,18 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .exactnum import Interval, IntervalSet
-from .plmap import PLMap, Segment, powers
+from .plmap import Pair, PLMap, Segment, powers
 
 MAX_STEPS = 4096
 
 
 def forward_orbit(f: PLMap, x: Fraction, n: int) -> list[Fraction]:
-    out = [x]
-    for _ in range(n):
-        out.append(f.eval_at(out[-1]))
-    return out
+    return [Fraction(*v) for v in islice(f._walk(x), n + 1)]
 
 
 def orbit_until_repeat(f: PLMap, x: Fraction, cap: int) -> tuple[list[Fraction], int | None]:
@@ -33,14 +33,12 @@ def orbit_until_repeat(f: PLMap, x: Fraction, cap: int) -> tuple[list[Fraction],
     The walk stops at the first j <= cap with f^j(x) = values[start], so
     values[start:] is the cycle x falls into; start is None, and values is
     x, ..., f^cap(x), when no value repeats within cap steps."""
-    first = {x: 0}  # the step at which each value was first seen
-    v = x
-    for i in range(1, cap + 1):
-        v = f.eval_at(v)
+    first: dict[Pair, int] = {}  # the step at which each value was first seen
+    for i, v in enumerate(islice(f._walk(x), cap + 1)):
         if v in first:
-            return list(first), first[v]
+            return [Fraction(*u) for u in first], first[v]
         first[v] = i
-    return list(first), None
+    return [Fraction(*u) for u in first], None
 
 
 def image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
@@ -101,12 +99,15 @@ class PeriodicOrbit:
     @staticmethod
     def from_point(f: PLMap, x: Fraction, bound: int) -> "PeriodicOrbit | None":
         """x's orbit, walked once; None when x does not return within bound steps."""
-        pts = [x]
-        for _ in range(bound):
-            v = f.eval_at(pts[-1])
-            if v == x:
-                k = pts.index(min(pts))
-                return PeriodicOrbit(tuple(pts[k:] + pts[:k]))
+        walk = f._walk(x)
+        pts = [next(walk)]
+        for v in islice(walk, bound):
+            if v == pts[0]:
+                k = 0  # the least point, by cross-multiplication
+                for i, (n, d) in enumerate(pts):
+                    if n * pts[k][1] < pts[k][0] * d:
+                        k = i
+                return PeriodicOrbit(tuple(Fraction(*v) for v in pts[k:] + pts[:k]))
             pts.append(v)
         return None
 

@@ -13,6 +13,12 @@ a positive denominator, so the walk computes in ints, with one `gcd` per
 value, and two values are equal exactly when their pairs are. `powers` yields
 f^1..f^n as such segment lists; `compose` and `iterate` make the Fractions
 of a `PLMap` from the walk's result.
+
+A map is evaluated on the same reduced pairs, by one evaluator: the segment
+holding x is found by bisecting the dots' x over a common denominator, and
+s * x + c is reduced once. `eval_at` and every forward walk share it; a walk
+checks the domain where it starts, as f maps the domain into itself, and
+makes Fractions only for the values it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .exactnum import (
@@ -112,21 +118,55 @@ class PLMap:
         return tuple(x for x, _ in self.dots)
 
     @cached_property
+    def _segments(self) -> tuple[Segment, ...]:
+        return tuple(
+            (p.span.lo.as_integer_ratio(), p.span.hi.as_integer_ratio(),
+             p.slope.as_integer_ratio(), p.intercept.as_integer_ratio())
+            for p in self.pieces
+        )
+
+    @cached_property
+    def _grid(self) -> tuple[int, tuple[int, ...]]:
+        """(D, the dots' x times D), D their least common denominator: for an
+        int X, X <= n/d iff X <= (n * D) // d, and X < n/d iff X < -(-n * D // d)."""
+        scale = lcm(*(x.denominator for x in self._xs))
+        return scale, tuple(x.numerator * (scale // x.denominator) for x in self._xs)
+
+    @cached_property
     def memo(self) -> dict:
         """Results kept on the map by `_per_map`; not compared or hashed."""
         return {}
 
-    def piece_at(self, x: Fraction) -> Piece:
-        """Leftmost piece whose span contains x."""
+    def _check(self, x: Fraction) -> None:
         if not self.domain.contains(x):
             raise ValueError(f"{x} outside domain {self.domain}")
-        i = bisect_right(self._xs, x) - 1
-        if i >= len(self.pieces):
-            i = len(self.pieces) - 1
-        return self.pieces[i]
+
+    def piece_at(self, x: Fraction) -> Piece:
+        """The last piece whose span contains x."""
+        self._check(x)
+        return self.pieces[min(bisect_right(self._xs, x), len(self.pieces)) - 1]
+
+    def _at(self, x: Pair) -> Pair:
+        """f(x) for x in the domain, both reduced pairs: s * x + c on the last
+        segment that starts at or before x."""
+        n, d = x
+        scale, xs = self._grid
+        _, _, s, c = self._segments[bisect_right(xs, n * scale // d, 0, len(xs) - 1) - 1]
+        return _affine(s, c, x)
+
+    def _walk(self, x: Fraction) -> Iterator[Pair]:
+        """x, f(x), f^2(x), ... as reduced pairs. The domain is checked before
+        the first step; f maps it into itself, so no later value needs it."""
+        v = x.as_integer_ratio()
+        yield v
+        self._check(x)
+        while True:
+            v = self._at(v)
+            yield v
 
     def eval_at(self, x: Fraction) -> Fraction:
-        return self.piece_at(x).value_at(x)
+        self._check(x)
+        return Fraction(*self._at(x.as_integer_ratio()))
 
     __call__ = eval_at
 
@@ -164,19 +204,6 @@ def make_plmap(domain: Interval, dots: Iterable) -> PLMap:
     return PLMap(domain, frozen)
 
 
-def _drop_collinear(dots: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    out = [dots[0]]
-    for i in range(1, len(dots) - 1):
-        x0, y0 = out[-1]
-        x1, y1 = dots[i]
-        x2, y2 = dots[i + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        out.append(dots[i])
-    out.append(dots[-1])
-    return out
-
-
 Pair = tuple[int, int]  # n/d as (n, d), reduced, with d > 0: equal values, equal pairs
 Segment = tuple[Pair, Pair, Pair, Pair]  # x0, x1, slope, intercept
 
@@ -187,12 +214,10 @@ def _pair(n: int, d: int) -> Pair:
     return (n // k, d // k) if d > 0 else (-n // k, -d // k)
 
 
-def _segments(f: PLMap) -> list[Segment]:
-    return [
-        (p.span.lo.as_integer_ratio(), p.span.hi.as_integer_ratio(),
-         p.slope.as_integer_ratio(), p.intercept.as_integer_ratio())
-        for p in f.pieces
-    ]
+def _affine(s: Pair, c: Pair, x: Pair) -> Pair:
+    """s * x + c."""
+    (sn, sd), (cn, cd), (xn, xd) = s, c, x
+    return _pair(sn * xn * cd + cn * sd * xd, sd * xd * cd)
 
 
 def _starts_past(v: Fraction):
@@ -218,7 +243,7 @@ def _pull_back(g: list[Segment], f: PLMap, runs: list[range]) -> list[Segment]:
     x -> asx + (ac + b) up to there; adjacent segments of one slope merge.
     Every value is computed in ints and reduced once."""
     out: list[Segment] = []
-    for (x0, x1, (sn, sd), (cn, cd)), run in zip(_segments(f), runs):
+    for (x0, x1, (sn, sd), (cn, cd)), run in zip(f._segments, runs):
         far = (g[j][sn > 0] for j in run[:-1])  # g[j]'s far end
         ends = [_pair((en * cd - cn * ed) * sd, ed * cd * sn) for en, ed in far] + [x1]
         for j, end in zip(run, ends):
@@ -234,18 +259,12 @@ def _pull_back(g: list[Segment], f: PLMap, runs: list[range]) -> list[Segment]:
     return out
 
 
-def _value(x: Pair, s: Pair, c: Pair) -> Fraction:
-    """s * x + c."""
-    (xn, xd), (sn, sd), (cn, cd) = x, s, c
-    return Fraction(sn * xn * cd + cn * sd * xd, sd * xd * cd)
-
-
 def _to_map(domain: Interval, h: list[Segment]) -> PLMap:
     """The map of h, with a dot at both ends and where its slope changes:
     where the pairs of `compose` and `iterate` become Fractions."""
     ends = [(x0, s, c) for i, (x0, _, s, c) in enumerate(h) if i == 0 or h[i - 1][2] != s]
     ends.append(h[-1][1:])
-    return PLMap(domain, tuple((Fraction(*x), _value(x, s, c)) for x, s, c in ends))
+    return PLMap(domain, tuple((Fraction(*x), Fraction(*_affine(s, c, x))) for x, s, c in ends))
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
@@ -253,7 +272,7 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     pieces in int pairs, with Fractions made only for h's dots."""
     if f.domain != g.domain:
         raise DomainMismatch(f"{f.domain} vs {g.domain}")
-    fs = _segments(f)
+    fs = f._segments
     return _to_map(g.domain, _pull_back(fs, g, _runs(fs, g)))
 
 
@@ -263,7 +282,7 @@ def powers(f: PLMap, n: int) -> Iterator[list[Segment]]:
     PieceBudgetExceeded at the first power with more than PIECE_CAP segments;
     from f^3 on, where no two neighbours of f^(k-1) share a slope and only
     runs' ends merge, before building it."""
-    h = _segments(f)
+    h = f._segments
     for k in range(1, n + 1):
         if k > 1:
             runs = _runs(h, f)

@@ -149,6 +149,16 @@ class TestBackwardTree:
         assert tree.levels[3] == [Q(3, 8), Q(7, 2), Q(75, 16)]
         assert tree.truncated == [False, False, False, True]
 
+    def test_a_level_past_the_tree_cap_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(backlimits, "TREE_CAP", 5)
+        tree = expanded(f5(), Q(0), 3)  # levels [0], [5], [1], [0, 9/2]: at the cap
+        assert tree.size == 5
+        # level 4 holds the preimages of 0 and 9/2
+        with pytest.raises(backlimits.TreeBudgetExceeded,
+                           match=r"^backward tree of 0 passes 5 values at level 4$"):
+            tree.ensure_depth(4)
+        assert len(tree.levels) == 4 and tree.size == 5
+
     def test_width_cap_flags_truncation(self):
         tree = expanded(overlap(), Q(1, 2), 4, width_cap=5)
         assert any(tree.truncated) and tree.degraded

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 from unittest import mock
@@ -373,6 +374,42 @@ class TestPieceBudget:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: more than 4 pieces in f^")
         assert len(captured.err.splitlines()) == 1
+
+
+class TestTreeBudget:
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            (["analyze", "OVERLAP", "--point", "1/2", "--depth", "100000"], "1/2"),
+            (["certify", "F5", "--point", "3", "--target", "2", "--depth", "1000000"], "3"),
+            (["plot", "F5", "--samples", "3", "--tree", "3,1000000", "--out", "OUT"], "3"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else "",
+    )
+    def test_exhausted_budget_is_an_input_error(
+        self, capsys, f5_path, overlap_path, tmp_path, monkeypatch, argv, point
+    ):
+        monkeypatch.setattr(backlimits, "TREE_CAP", 50)
+        paths = {"F5": f5_path, "OVERLAP": overlap_path, "OUT": str(tmp_path / "plot.tsv")}
+        code = main([paths.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(rf"error: backward tree of {point} passes 50 values at level \d+\n",
+                            captured.err)
+        assert not (tmp_path / "plot.tsv").exists()
+
+    def test_scan_skips_the_points_past_the_budget(self, capsys, monkeypatch):
+        argv = ["scan", "--dots", "3", "--domain", "0..3", "--limit", "20"]
+        _, full = run(capsys, *argv)
+        monkeypatch.setattr(backlimits, "TREE_CAP", 3)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(full)["skipped"] == []
+        skipped = json.loads(out)["skipped"]
+        assert skipped
+        for s in skipped:
+            assert re.fullmatch(rf"backward tree of {s['point']} passes 3 values at level \d+",
+                                s["reason"])
 
 
 class TestScan:

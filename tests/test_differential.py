@@ -6,9 +6,10 @@ forward basins of `_contraction_words`, `find_exact_tail`,
 `point_preimages`, `preimage`, the ball seeds and the cycle search of
 `analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
 `BackwardTree`, the Markov-graph gate of `salpha_enclosure` and
-`certified_period_set`, the merge of `SalphaEnclosure.lower_closure`, and
+`certified_period_set`, the merge of `SalphaEnclosure.lower_closure`,
 `image_after` and `markov_partition`'s cuts on the walk to the first repeat,
-against the plain algorithms and the node-based tree they replaced, kept
+and the forward walks and contraction words in reduced int pairs, against
+the plain algorithms, Fraction walks and node-based tree they replaced, kept
 here as references."""
 
 from bisect import bisect_left, bisect_right
@@ -16,9 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, prod
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from backlim import backlimits, orbits
@@ -72,7 +74,6 @@ from backlim.orbits import (
 )
 from backlim.plmap import (
     PLMap,
-    _drop_collinear,
     Segment,
     compose,
     image,
@@ -83,6 +84,19 @@ from backlim.plmap import (
     powers,
     preimage,
 )
+
+
+def _drop_collinear(dots: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
+    out = [dots[0]]
+    for i in range(1, len(dots) - 1):
+        x0, y0 = out[-1]
+        x1, y1 = dots[i]
+        x2, y2 = dots[i + 1]
+        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+            continue
+        out.append(dots[i])
+    out.append(dots[-1])
+    return out
 
 
 def reference_compose(f: PLMap, g: PLMap) -> PLMap:
@@ -1357,3 +1371,144 @@ def test_walk_to_first_repeat_matches_old_loops(case, cap):
 def test_walk_to_first_repeat_matches_old_loops_on_the_corpus():
     for entry in all_entries():
         assert_walks_match_reference(entry.map, entry.map._xs, 64)
+
+
+def reference_eval(f, x):
+    """f(x) as `PLMap.eval_at` computed it in Fractions: the domain check, a
+    bisection of the dots' x, then the piece's s * x + c."""
+    if not f.domain.contains(x):
+        raise ValueError(f"{x} outside domain {f.domain}")
+    i = bisect_right(f._xs, x) - 1
+    if i >= len(f.pieces):
+        i = len(f.pieces) - 1
+    return f.pieces[i].value_at(x)
+
+
+def reference_forward_orbit(f, x, n):
+    out = [x]
+    for _ in range(n):
+        out.append(reference_eval(f, out[-1]))
+    return out
+
+
+def reference_orbit_until_repeat(f, x, cap):
+    first = {x: 0}  # the step at which each value was first seen
+    v = x
+    for i in range(1, cap + 1):
+        v = reference_eval(f, v)
+        if v in first:
+            return list(first), first[v]
+        first[v] = i
+    return list(first), None
+
+
+def reference_walk_from_point(f, x, bound):
+    pts = [x]
+    for _ in range(bound):
+        v = reference_eval(f, pts[-1])
+        if v == x:
+            k = pts.index(min(pts))
+            return PeriodicOrbit(tuple(pts[k:] + pts[:k]))
+        pts.append(v)
+    return None
+
+
+def reference_fraction_words(f, t, p):
+    """`_contraction_words` with its orbit, itineraries and laps in Fractions."""
+    orbit = reference_forward_orbit(f, t, p)
+    if orbit.pop() != t:
+        raise PreconditionError(f"{t} is not {p}-periodic")
+    words = set()
+    for left in (True, False):
+        itinerary = []
+        for v in orbit:
+            i = (bisect_left if left else bisect_right)(f._xs, v) - 1
+            if not 0 <= i < len(f.pieces) or f.pieces[i].slope == 0:
+                break
+            itinerary.append(i)
+            left ^= f.pieces[i].slope < 0
+        else:
+            words.add(tuple(reversed(itinerary)))
+    results = []
+    for word in sorted(words):
+        pieces = [f.pieces[i] for i in reversed(word)]  # t's itinerary
+        slope = prod(piece.slope for piece in pieces)
+        if abs(slope) <= 1:
+            continue
+        lo, hi = f.domain.lo, f.domain.hi  # no clip after the last: f maps it into the domain
+        for piece in pieces:
+            lo, hi = max(lo, piece.span.lo), min(hi, piece.span.hi)  # t's orbit keeps lo <= hi
+            lo, hi = sorted((piece.value_at(lo), piece.value_at(hi)))
+        if slope < 0:
+            r = min(t - lo, hi - t)
+            lo, hi = t - r, t + r
+        if lo < hi:
+            results.append((word, Interval(lo, hi)))
+    return tuple(results)
+
+
+def assert_walks_match_fraction_walks(f, y):
+    """Every forward walk in pairs against its Fraction walk, from each dot,
+    y, the domain's midpoint and a point outside the domain, and the
+    contraction words at every point of every orbit target."""
+    outside = f.domain.hi + 1
+    for x in [*f._xs, y, f.domain.midpoint, outside]:
+        for n in (0, 1, 7):
+            try:
+                want = reference_forward_orbit(f, x, n)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    forward_orbit(f, x, n)
+            else:
+                got = forward_orbit(f, x, n)
+                assert got == want and all(type(v) is Q for v in got), (f, x, n)
+        for cap in (0, 1, 64):
+            try:
+                want = reference_orbit_until_repeat(f, x, cap)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    orbit_until_repeat(f, x, cap)
+            else:
+                assert orbit_until_repeat(f, x, cap) == want, (f, x, cap)
+        for bound in (0, 1, 6, 12):
+            try:
+                want = reference_walk_from_point(f, x, bound)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    PeriodicOrbit.from_point(f, x, bound)
+            else:
+                assert PeriodicOrbit.from_point(f, x, bound) == want, (f, x, bound)
+        if x != outside:
+            assert f.eval_at(x) == reference_eval(f, x), (f, x)
+    for orbit in orbit_targets(f, 6):
+        for t in orbit.points:
+            got = _contraction_words(f, t, orbit.least_period)
+            want = reference_fraction_words(f, t, orbit.least_period)
+            assert [(w.pieces, w.basin) for w in got] == list(want), (f, t)
+            for w in got:
+                assert type(w.basin.lo) is Q and type(w.basin.hi) is Q
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points)
+# y on a dot
+@example((make_plmap(interval(0, 4), [(0, 1), (1, 4), (3, 2), (4, 0)]), Q(3)))
+# the fixed point 0 at the left end and the 2-cycle {1, 4} through the right
+# end: a left side at 0 and a right side at 4 fall off the domain
+@example((make_plmap(interval(0, 4), [(0, 0), (1, 4), (4, 1)]), Q(4)))
+# the fixed point 4 at the right end, reached through an expanding piece
+@example((make_plmap(interval(0, 4), [(0, 2), (2, 0), (4, 4)]), Q(0)))
+# a constant piece, holding the fixed point 2
+@example((make_plmap(interval(0, 4), [(0, 4), (1, 2), (3, 2), (4, 0)]), Q(2)))
+# negative values and non-integer dots
+@example((SIGNED_MAP, Q(-1, 5)))
+# 2/7 does not repeat within 64 steps
+@example((make_plmap(interval(0, 3), [(0, 0), (1, 3), (3, 0)]), Q(2, 7)))
+def test_walks_match_fraction_walks(case):
+    assert_walks_match_fraction_walks(*case)
+
+
+def test_walks_match_fraction_walks_on_the_corpus():
+    for entry in all_entries():
+        lo, hi = entry.map.domain.lo, entry.map.domain.hi
+        assert_walks_match_fraction_walks(entry.map, lo + (hi - lo) * Q(2, 7))
