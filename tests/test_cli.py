@@ -384,7 +384,7 @@ class TestTreeBudget:
             (["certify", "F5", "--point", "3", "--target", "2", "--depth", "1000000"], "3"),
             (["plot", "F5", "--samples", "3", "--tree", "3,1000000", "--out", "OUT"], "3"),
         ],
-        ids=lambda v: v[0] if isinstance(v, list) else "",
+        ids=["analyze", "certify", "plot"],
     )
     def test_exhausted_budget_is_an_input_error(
         self, capsys, f5_path, overlap_path, tmp_path, monkeypatch, argv, point
