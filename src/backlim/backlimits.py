@@ -253,7 +253,7 @@ def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
     where f^p falls. |f^p'| <= 1 skips the word before any of that. All of it
     is in reduced int pairs (see `plmap`), up to the basin's Fraction ends.
     """
-    orbit = list(islice(f._walk(t), p + 1))
+    orbit = list(islice(f._walk(f._check(t)), p + 1))
     if orbit.pop() != orbit[0]:
         raise PreconditionError(f"{t} is not {p}-periodic")
     segs, (scale, xs) = f._segments, f._grid

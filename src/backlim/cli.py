@@ -59,6 +59,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+MAX_SAMPLES = 10**6
 
 
 class _InputError(Exception):
@@ -223,6 +224,8 @@ def _cmd_periodic(args) -> tuple[dict, int]:
 
 
 def _cmd_markov(args) -> tuple[dict, int]:
+    if args.cap > MAX_STEPS:  # a dot orbit that never repeats costs quadratic time in cap
+        raise _InputError(f"--cap must be at most {MAX_STEPS}, got {args.cap}")
     f = _load_map(args.map)
     ms = markov_partition(f, args.cap)
     if ms is None:
@@ -375,8 +378,8 @@ def _cmd_scan(args) -> tuple[dict, int]:
 
 def _cmd_plot(args) -> tuple[None, int]:
     f = _load_map(args.map)
-    if args.samples < 2:
-        raise _InputError("need at least 2 samples")
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        raise _InputError(f"--samples must be from 2 to {MAX_SAMPLES}, got {args.samples}")
     xs = {x for x, _ in f.dots}
     span = f.domain.length
     for k in range(1, args.samples + 1):

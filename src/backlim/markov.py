@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exactnum import Interval, IntervalSet
 from .orbits import orbit_until_repeat
-from .plmap import PLMap, _per_map, image, point_preimages
+from .plmap import Pair, PLMap, _per_map, image, point_preimages
 
 
 class Verdict(Enum):
@@ -55,15 +55,16 @@ class MarkovSystem:
 def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
     """Markov system on the forward orbits of the dot x-coordinates, or None
     when some dot orbit fails to close up within cap iterations."""
-    cuts: set[Fraction] = set()
-    periodic: set[Fraction] = set()
-    for x, _ in f.dots:
+    cuts: set[Pair] = set()
+    periodic: set[Pair] = set()
+    for x in f._xs:
         orbit, start = orbit_until_repeat(f, x, cap)
         if start is None:
             return None
         cuts.update(orbit)
         periodic.update(orbit[start:])
-    ordered = tuple(sorted(cuts))
+    exact = {v: Fraction(*v) for v in cuts}  # the partition closes: make its cuts
+    ordered = tuple(sorted(exact.values()))
     cells = [Interval(a, b) for a, b in zip(ordered, ordered[1:])]
     slopes = []
     rows = []
@@ -77,7 +78,7 @@ def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
         b = piece.value_at(cell.hi)
         img = Interval(min(a, b), max(a, b))
         rows.append(tuple(1 if img.contains_interval(c) else 0 for c in cells))
-    return MarkovSystem(ordered, tuple(rows), tuple(slopes), frozenset(periodic))
+    return MarkovSystem(ordered, tuple(rows), tuple(slopes), frozenset(map(exact.get, periodic)))
 
 
 @_per_map

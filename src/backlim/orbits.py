@@ -4,10 +4,11 @@ Periodic structure distinguishes isolated periodic orbits from whole
 intervals of n-periodic points (continua), which arise as soon as some
 composition is the identity on a subinterval. The fixed points of each power
 f^n are read straight off its segments from `plmap.powers`, with no map built
-per power: the segments' reduced int pairs are tested in ints, and a Fraction
-is made only for a fixed point that is kept. The forward walks step through
-`PLMap._walk` in the same pairs, so equal values are equal tuples, and make
-Fractions only for the values they return.
+per power. Fixed points, orbits and the walks to a first repeat all stay in
+the segments' reduced int pairs, compared in ints, so equal values are equal
+tuples; Fractions are made only for the points of an orbit that is kept, the
+ends of a continuum and the values a public walk returns. The walks step
+through `PLMap._walk`, and the public ones check the domain where they start.
 """
 
 from __future__ import annotations
@@ -18,27 +19,28 @@ from functools import cached_property
 from itertools import islice
 
 from .exactnum import Interval, IntervalSet
-from .plmap import Pair, PLMap, Segment, powers
+from .plmap import Pair, PLMap, Segment, _pair, powers
 
 MAX_STEPS = 4096
 
 
 def forward_orbit(f: PLMap, x: Fraction, n: int) -> list[Fraction]:
-    return [Fraction(*v) for v in islice(f._walk(x), n + 1)]
+    v0 = f._check(x) if n else x.as_integer_ratio()  # checked where a step is taken
+    return [Fraction(*v) for v in islice(f._walk(v0), n + 1)]
 
 
-def orbit_until_repeat(f: PLMap, x: Fraction, cap: int) -> tuple[list[Fraction], int | None]:
-    """x, f(x), ... up to the first value seen before, and that value's index.
-
-    The walk stops at the first j <= cap with f^j(x) = values[start], so
-    values[start:] is the cycle x falls into; start is None, and values is
-    x, ..., f^cap(x), when no value repeats within cap steps."""
+def orbit_until_repeat(f: PLMap, x: Fraction, cap: int) -> tuple[list[Pair], int | None]:
+    """x, f(x), ... in reduced pairs up to the first value seen before, and
+    that value's index: the walk stops at the first j <= cap with f^j(x) =
+    values[start], so values[start:] is the cycle x falls into; start is None,
+    and values is x, ..., f^cap(x), when no value repeats within cap steps."""
+    v0 = f._check(x) if cap else x.as_integer_ratio()
     first: dict[Pair, int] = {}  # the step at which each value was first seen
-    for i, v in enumerate(islice(f._walk(x), cap + 1)):
+    for i, v in enumerate(islice(f._walk(v0), cap + 1)):
         if v in first:
-            return [Fraction(*u) for u in first], first[v]
+            return list(first), first[v]
         first[v] = i
-    return [Fraction(*u) for u in first], None
+    return list(first), None
 
 
 def image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
@@ -46,40 +48,51 @@ def image_after(f: PLMap, z: Fraction, k: int) -> Fraction | None:
     forward orbit repeats, k is reduced modulo that cycle. None when k
     exceeds MAX_STEPS and no value repeats within that many steps."""
     values, start = orbit_until_repeat(f, z, min(k, MAX_STEPS))
-    if k < len(values):
-        return values[k]
-    if start is None:
-        return None
-    return values[start + (k - start) % (len(values) - start)]
+    if k >= len(values):
+        if start is None:
+            return None
+        k = start + (k - start) % (len(values) - start)
+    return Fraction(*values[k])
 
 
-def _fixed_points(h: list[Segment]) -> IntervalSet:
-    """Exact {x : h(x) = x} of a map given as segments: x = c/(1 - s) where
-    that lies in [x0, x1], tested on the segments' int pairs by
-    cross-multiplication, and an identity segment's whole span; Fractions are
-    made only for the parts kept. The segments come in x order, so each part
-    starts at or after the last one and only needs merging with it where they
-    touch."""
-    out: list[Interval] = []
+def _fixed_points(h: list[Segment]) -> list[tuple[Pair, Pair]]:
+    """Exact {x : h(x) = x} of a map given as segments, as merged parts
+    (lo, hi) of reduced pairs, lo == hi for a point: x = c/(1 - s) where that
+    lies in [x0, x1], tested by cross-multiplication, and an identity
+    segment's whole span. The segments come in x order, so each part starts
+    at or after the end of the last one, and merges with it where they meet."""
+    out: list[tuple[Pair, Pair]] = []
     for (x0n, x0d), (x1n, x1d), (sn, sd), (cn, cd) in h:
         if sn != sd:  # s != 1, as s is reduced
-            n, d = cn * sd, cd * (sd - sn)
-            if d < 0:
-                n, d = -n, -d
+            lo = hi = _pair(cn * sd, cd * (sd - sn))
+            n, d = lo
             if n * x0d < x0n * d or x1n * d < n * x1d:  # x < x0 or x1 < x
                 continue
-            x = Fraction(n, d)
-            part = Interval(x, x)
         elif cn == 0:
-            part = Interval(Fraction(x0n, x0d), Fraction(x1n, x1d))
+            lo, hi = (x0n, x0d), (x1n, x1d)
         else:
             continue
-        if out and part.lo <= out[-1].hi:
-            if part.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, part.hi)
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
         else:
-            out.append(part)
-    return IntervalSet(tuple(out))
+            out.append((lo, hi))
+    return out
+
+
+def _cycle(f: PLMap, v: Pair, bound: int) -> list[Pair] | None:
+    """v's orbit from its least point, walked once in reduced pairs; None
+    when v does not return within bound steps."""
+    walk = f._walk(v)
+    pts = [next(walk)]
+    for u in islice(walk, bound):
+        if u == v:
+            k = 0  # the least point, by cross-multiplication
+            for i, (n, d) in enumerate(pts):
+                if n * pts[k][1] < pts[k][0] * d:
+                    k = i
+            return pts[k:] + pts[:k]
+        pts.append(u)
+    return None
 
 
 @dataclass(frozen=True)
@@ -98,18 +111,9 @@ class PeriodicOrbit:
 
     @staticmethod
     def from_point(f: PLMap, x: Fraction, bound: int) -> "PeriodicOrbit | None":
-        """x's orbit, walked once; None when x does not return within bound steps."""
-        walk = f._walk(x)
-        pts = [next(walk)]
-        for v in islice(walk, bound):
-            if v == pts[0]:
-                k = 0  # the least point, by cross-multiplication
-                for i, (n, d) in enumerate(pts):
-                    if n * pts[k][1] < pts[k][0] * d:
-                        k = i
-                return PeriodicOrbit(tuple(Fraction(*v) for v in pts[k:] + pts[:k]))
-            pts.append(v)
-        return None
+        """x's orbit; None when x does not return within bound steps."""
+        pts = _cycle(f, f._check(x) if bound else x.as_integer_ratio(), bound)
+        return None if pts is None else PeriodicOrbit(tuple(Fraction(*v) for v in pts))
 
 
 @dataclass(frozen=True)
@@ -127,30 +131,23 @@ def periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     orbits: list[PeriodicOrbit] = []
-    seen: set[Fraction] = set()
+    seen: set[Pair] = set()
     continua: list[tuple[int, IntervalSet]] = []
     for n, h in enumerate(powers(f, n_max), 1):
-        s = _fixed_points(h)
         fresh = []
-        for part in s.parts:
-            if part.is_point:
-                continue
-            covered = any(
-                n % d == 0 and c.contains_set(IntervalSet((part,)))
-                for d, c in continua
-            )
-            if not covered:
-                fresh.append(part)
+        for lo, hi in _fixed_points(h):
+            if lo != hi:
+                part = Interval(Fraction(*lo), Fraction(*hi))
+                if not any(n % d == 0 and c.contains_set(IntervalSet((part,)))
+                           for d, c in continua):
+                    fresh.append(part)
+            elif lo not in seen:
+                pts = _cycle(f, lo, n)
+                if pts is not None and len(pts) == n:
+                    seen.update(pts)
+                    orbits.append(PeriodicOrbit(tuple(Fraction(*v) for v in pts)))
         if fresh:
-            continua.append((n, IntervalSet.of(fresh)))
-        for part in s.parts:
-            if not part.is_point or part.lo in seen:
-                continue
-            orbit = PeriodicOrbit.from_point(f, part.lo, n)
-            if orbit is None or orbit.least_period != n:
-                continue
-            orbits.append(orbit)
-            seen.update(orbit.points)
+            continua.append((n, IntervalSet(tuple(fresh))))
     orbits.sort(key=lambda o: (o.least_period, o.points[0]))
     return PeriodicStructure(tuple(orbits), tuple(continua))
 

@@ -17,8 +17,8 @@ of a `PLMap` from the walk's result.
 A map is evaluated on the same reduced pairs, by one evaluator: the segment
 holding x is found by bisecting the dots' x over a common denominator, and
 s * x + c is reduced once. `eval_at` and every forward walk share it; a walk
-checks the domain where it starts, as f maps the domain into itself, and
-makes Fractions only for the values it returns.
+starts from a pair that its public entry point checks against the domain,
+which f maps into itself, and makes Fractions only for the values it returns.
 """
 
 from __future__ import annotations
@@ -137,9 +137,11 @@ class PLMap:
         """Results kept on the map by `_per_map`; not compared or hashed."""
         return {}
 
-    def _check(self, x: Fraction) -> None:
+    def _check(self, x: Fraction) -> Pair:
+        """x as a reduced pair, once it is known to lie in the domain."""
         if not self.domain.contains(x):
             raise ValueError(f"{x} outside domain {self.domain}")
+        return x.as_integer_ratio()
 
     def piece_at(self, x: Fraction) -> Piece:
         """The last piece whose span contains x."""
@@ -154,19 +156,16 @@ class PLMap:
         _, _, s, c = self._segments[bisect_right(xs, n * scale // d, 0, len(xs) - 1) - 1]
         return _affine(s, c, x)
 
-    def _walk(self, x: Fraction) -> Iterator[Pair]:
-        """x, f(x), f^2(x), ... as reduced pairs. The domain is checked before
-        the first step; f maps it into itself, so no later value needs it."""
-        v = x.as_integer_ratio()
+    def _walk(self, v: Pair) -> Iterator[Pair]:
+        """v, f(v), f^2(v), ... for a reduced pair v in the domain, which the
+        caller checks; f maps the domain into itself, so no later value needs it."""
         yield v
-        self._check(x)
         while True:
             v = self._at(v)
             yield v
 
     def eval_at(self, x: Fraction) -> Fraction:
-        self._check(x)
-        return Fraction(*self._at(x.as_integer_ratio()))
+        return Fraction(*self._at(self._check(x)))
 
     __call__ = eval_at
 

@@ -272,6 +272,26 @@ class TestBudgets:
             f"error: argument {option}: must be at least {least}, got {value}"
         )
 
+    @pytest.mark.parametrize(
+        "command,option,value,message",
+        [
+            ("markov", "--cap", "4097", "--cap must be at most 4096, got 4097"),
+            ("plot", "--samples", "1000001", "--samples must be from 2 to 1000000, got 1000001"),
+        ],
+    )
+    def test_above_the_most_is_an_input_error(self, capsys, f5_path, tmp_path, command,
+                                              option, value, message):
+        out = tmp_path / "x.tsv"
+        plot_out = ["--out", str(out)] if command == "plot" else []
+        code = main([command, f5_path, option, value, *plot_out])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: {message}\n"
+
+    def test_cap_at_the_most_is_accepted(self, capsys, f5_path):
+        code, out = run(capsys, "markov", f5_path, "--cap", "4096")
+        assert code == 0 and json.loads(out)["result"]["markov"] is True
+
     def test_negative_plot_tree_depth(self, capsys, f5_path, tmp_path):
         code = main(["plot", f5_path, "--samples", "4", "--out", str(tmp_path / "x.tsv"),
                      "--tree", "1/2,-1"])

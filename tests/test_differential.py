@@ -8,7 +8,9 @@ forward basins of `_contraction_words`, `find_exact_tail`,
 `BackwardTree`, the Markov-graph gate of `salpha_enclosure` and
 `certified_period_set`, the merge of `SalphaEnclosure.lower_closure`,
 `image_after` and `markov_partition`'s cuts on the walk to the first repeat,
-and the forward walks and contraction words in reduced int pairs, against
+the forward walks and contraction words in reduced int pairs, and the pair
+fixed points and orbits of `periodic_orbits` against its loop over Fraction
+fixed points, against
 the plain algorithms, Fraction walks and node-based tree they replaced, kept
 here as references."""
 
@@ -532,12 +534,14 @@ def reference_fixed_point_set(f: PLMap) -> IntervalSet:
     return IntervalSet.of(out)
 
 
-def reference_periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
+def reference_periodic_orbits(f: PLMap, fixed_point_sets) -> PeriodicStructure:
+    """The loop of `periodic_orbits` over the fixed point sets of f^1..f^n as
+    IntervalSets, with `seen` a set of Fractions and each isolated fixed point
+    walked by the Fraction walk."""
     orbits: list[PeriodicOrbit] = []
     seen: set[Q] = set()
     continua: list[tuple[int, IntervalSet]] = []
-    for n, composed in enumerate(reference_powers(f, n_max), 1):
-        s = reference_fixed_point_set(composed)
+    for n, s in enumerate(fixed_point_sets, 1):
         fresh = []
         for part in s.parts:
             if part.is_point:
@@ -553,13 +557,22 @@ def reference_periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
         for part in s.parts:
             if not part.is_point or part.lo in seen:
                 continue
-            orbit = PeriodicOrbit.from_point(f, part.lo, n)
+            orbit = reference_walk_from_point(f, part.lo, n)
             if orbit is None or orbit.least_period != n:
                 continue
             orbits.append(orbit)
             seen.update(orbit.points)
     orbits.sort(key=lambda o: (o.least_period, o.points[0]))
     return PeriodicStructure(tuple(orbits), tuple(continua))
+
+
+def fixed_point_set(h: list[Segment]) -> IntervalSet:
+    """`_fixed_points` of h as an IntervalSet, whose constructor checks that
+    the parts are sorted and do not touch; every end must be a reduced pair."""
+    parts = _fixed_points(h)
+    for n, d in (end for part in parts for end in part):
+        assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1, parts
+    return IntervalSet(tuple(Interval(Q(*lo), Q(*hi)) for lo, hi in parts))
 
 
 def as_fractions(h: list[Segment]) -> list[tuple[Q, Q, Q, Q]]:
@@ -584,8 +597,9 @@ def assert_powers_match_reference(f, n_max=6):
         x1, s, c = exact[-1][1:]
         assert tuple(dots + [(x1, s * x1 + c)]) == ref.dots
         assert len(h) == len(ref.pieces)
-        assert _fixed_points(h) == reference_fixed_point_set(ref)
-    assert periodic_orbits(f, n_max) == reference_periodic_orbits(f, n_max)
+        assert fixed_point_set(h) == reference_fixed_point_set(ref)
+    fixed = [reference_fixed_point_set(ref) for ref in want]
+    assert periodic_orbits(f, n_max) == reference_periodic_orbits(f, fixed)
 
 
 @settings(deadline=None, derandomize=True)
@@ -762,16 +776,15 @@ def fraction_compose(f: PLMap, g: PLMap) -> PLMap:
 
 def assert_pairs_match_fraction_walk(f, n_max=6):
     """Every power's segments read as Fractions and its fixed points, the
-    periodic structure, `compose` both ways with f^2 and `iterate`, against
-    the Fraction walk."""
+    periodic structure against the loop over Fraction fixed points,
+    `compose` both ways with f^2 and `iterate`, against the Fraction walk."""
     want = list(fraction_powers(f, n_max))
     got = list(powers(f, n_max))
     assert [as_fractions(h) for h in got] == want, f
-    for h, ref in zip(got, want):
-        assert _fixed_points(h) == _fixed_points_q(ref), f
-    with mock.patch.multiple(orbits, powers=fraction_powers, _fixed_points=_fixed_points_q):
-        structure = periodic_orbits(f, n_max)
-    assert periodic_orbits(f, n_max) == structure, f
+    fixed = [_fixed_points_q(ref) for ref in want]
+    for h, ref in zip(got, fixed):
+        assert fixed_point_set(h) == ref, f
+    assert periodic_orbits(f, n_max) == reference_periodic_orbits(f, fixed), f
     g = iterate(f, 2)
     for outer, inner in ((f, g), (g, f), (f, f)):
         assert compose(outer, inner).dots == fraction_compose(outer, inner).dots, (outer, inner)
@@ -794,6 +807,12 @@ SIGNED_MAP = parse_map('{"domain":["-1/3","5/7"],"dots":[["-1/3","5/7"],["0","-1
 @example(make_plmap(interval(0, 4), [(0, 0), (1, 4), (4, 0)]))
 # the identity: every power is one segment, a continuum at n = 1
 @example(make_plmap(interval(0, 3), [(0, 0), (3, 3)]))
+# the fixed point 2 ends one segment and starts the next
+@example(make_plmap(interval(0, 4), [(0, 3), (2, 2), (4, 0)]))
+# the isolated fixed points 1 and 3 touch the identity span [1, 3] at either end
+@example(make_plmap(interval(0, 4), [(0, 2), (1, 1), (3, 3), (4, 0)]))
+# [0, 2] is a continuum of period 2, which covers it again at period 4
+@example(make_plmap(interval(0, 4), [(0, 2), (2, 0), (3, 3), (4, 4)]))
 @example(SIGNED_MAP)
 def test_pair_walk_matches_fraction_walk(f):
     assert_pairs_match_fraction_walk(f)
@@ -1468,8 +1487,10 @@ def assert_walks_match_fraction_walks(f, y):
             except ValueError:
                 with pytest.raises(ValueError):
                     orbit_until_repeat(f, x, cap)
-            else:
-                assert orbit_until_repeat(f, x, cap) == want, (f, x, cap)
+            else:  # the walk returns reduced pairs, each made a Fraction here
+                values, start = orbit_until_repeat(f, x, cap)
+                assert all(d > 0 and gcd(n, d) == 1 for n, d in values), (f, x, cap)
+                assert ([Q(*v) for v in values], start) == want, (f, x, cap)
         for bound in (0, 1, 6, 12):
             try:
                 want = reference_walk_from_point(f, x, bound)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from backlim import plmap
-from backlim.exactnum import IntervalSet, interval
+from backlim.exactnum import Interval, IntervalSet, interval
 from backlim.orbits import (
     PeriodicOrbit,
     _fixed_points,
@@ -28,9 +28,9 @@ def iset(*pairs):
 
 
 def fixed_point_set(f, n=1):
-    """Exact {x : f^n(x) = x}, read off the segments of f^n."""
+    """Exact {x : f^n(x) = x}, read off the segments of f^n, as an IntervalSet."""
     *_, h = powers(f, n)
-    return _fixed_points(h)
+    return IntervalSet(tuple(Interval(Q(*lo), Q(*hi)) for lo, hi in _fixed_points(h)))
 
 
 class TestForwardOrbit:
