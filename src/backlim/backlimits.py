@@ -699,11 +699,6 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
                 hi = min(f.domain.hi, pt + r)
                 balls.append(Interval(lo, hi))
             ball_set = IntervalSet.of(balls)
-            # f maps each end into image(f, ball_set): an end mapped outside
-            # the set rules it out before the image is built
-            ends = (x for part in ball_set.parts for x in (part.lo, part.hi))
-            if not all(ball_set.contains(f(x)) for x in ends):
-                continue
             if ball_set.contains_set(image(f, ball_set)):
                 propose(ball_set)
                 break

@@ -436,13 +436,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_budget(p, depth=DEFAULT_DEPTH):
         p.add_argument("--depth", type=nonnegative_int, default=depth)
         p.add_argument("--width", type=positive_int, default=DEFAULT_WIDTH_CAP)
-        p.add_argument("--max-period", dest="max_period", type=positive_int,
-                       default=DEFAULT_MAX_PERIOD)
         p.add_argument("--json", default=None)
 
     p = sub.add_parser("analyze", help="certified enclosure of a limit set")
     p.add_argument("map")
     p.add_argument("--point", required=True)
+    p.add_argument("--max-period", dest="max_period", type=positive_int,
+                   default=DEFAULT_MAX_PERIOD)
     add_budget(p)
     p.set_defaults(func=_cmd_analyze)
 

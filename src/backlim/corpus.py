@@ -396,16 +396,16 @@ class BulletReport:
 
 
 def _affine_transport(f: PLMap, span: Interval, steps: int):
-    """Image interval and composed slope of f^steps on span, provided every
-    intermediate image stays inside a single affine piece; None otherwise."""
+    """Image interval and composed slope of f^steps on span, provided no dot
+    lies strictly inside an intermediate image, so that f is affine on each;
+    None otherwise."""
     cur = span
     slope = Fraction(1)
     for _ in range(steps):
-        piece = f.piece_at(cur.lo)
-        if not piece.span.contains_interval(cur):
+        if any(cur.strictly_contains(x) for x in f._xs):
             return None
-        a, b = piece.value_at(cur.lo), piece.value_at(cur.hi)
-        slope *= piece.slope
+        a, b = f(cur.lo), f(cur.hi)
+        slope *= (b - a) / cur.length  # the tower has no constant piece
         cur = Interval(min(a, b), max(a, b))
     return cur, slope
 

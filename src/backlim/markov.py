@@ -65,20 +65,13 @@ def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
         periodic.update(orbit[start:])
     exact = {v: Fraction(*v) for v in cuts}  # the partition closes: make its cuts
     ordered = tuple(sorted(exact.values()))
+    # every dot x starts its own orbit, so it is a cut and f is affine on each cell
+    ys = [f(x) for x in ordered]
     cells = [Interval(a, b) for a, b in zip(ordered, ordered[1:])]
-    slopes = []
-    rows = []
-    for cell in cells:
-        piece = f.piece_at(cell.lo)
-        if not piece.span.contains_interval(cell):
-            # cells refine pieces because every dot x-coordinate is a cut
-            raise AssertionError("partition cell straddles a piece")
-        slopes.append(piece.slope)
-        a = piece.value_at(cell.lo)
-        b = piece.value_at(cell.hi)
-        img = Interval(min(a, b), max(a, b))
-        rows.append(tuple(1 if img.contains_interval(c) else 0 for c in cells))
-    return MarkovSystem(ordered, tuple(rows), tuple(slopes), frozenset(map(exact.get, periodic)))
+    slopes = [(b - a) / cell.length for a, b, cell in zip(ys, ys[1:], cells)]
+    imgs = [Interval(min(a, b), max(a, b)) for a, b in zip(ys, ys[1:])]
+    rows = tuple(tuple(1 if img.contains_interval(c) else 0 for c in cells) for img in imgs)
+    return MarkovSystem(ordered, rows, tuple(slopes), frozenset(map(exact.get, periodic)))
 
 
 @_per_map
@@ -109,7 +102,7 @@ def _cycle_cells_reaching(f: PLMap) -> tuple[IntervalSet, ...] | None:
         reach.append(seen)
     on_cycle = [i for i in range(len(cells)) if i in reach[i]]
     return tuple(
-        IntervalSet.of(cells[i] for i in on_cycle if i == k or k in reach[i])
+        IntervalSet.of(cells[i] for i in on_cycle if k in reach[i])
         for k in range(len(cells))
     )
 
@@ -214,7 +207,6 @@ def is_transitive(ms: MarkovSystem, cycle: CycleOfIntervals) -> Verdict:
     idx, bail = _subgraph(ms, cycle)
     if bail is not None:
         return bail
-    pos = {c: k for k, c in enumerate(idx)}
     n = len(idx)
     adj = [[ms.matrix[i][j] for j in idx] for i in idx]
 

@@ -19,6 +19,9 @@ holding x is found by bisecting the dots' x over a common denominator, and
 s * x + c is reduced once. `eval_at` and every forward walk share it; a walk
 starts from a pair that its public entry point checks against the domain,
 which f maps into itself, and makes Fractions only for the values it returns.
+Images go through it too: f is affine between dots, so f of an interval
+[a, b] is the hull of f(a), f(b) and the values of the dots strictly inside
+(a, b), found by two bisections of the dots' x.
 """
 
 from __future__ import annotations
@@ -62,9 +65,6 @@ class Piece:
     span: Interval
     slope: Fraction
     intercept: Fraction
-
-    def value_at(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
 
     def solve(self, y: Fraction) -> Fraction:
         # only valid for non-constant pieces
@@ -142,11 +142,6 @@ class PLMap:
         if not self.domain.contains(x):
             raise ValueError(f"{x} outside domain {self.domain}")
         return x.as_integer_ratio()
-
-    def piece_at(self, x: Fraction) -> Piece:
-        """The last piece whose span contains x."""
-        self._check(x)
-        return self.pieces[min(bisect_right(self._xs, x), len(self.pieces)) - 1]
 
     def _at(self, x: Pair) -> Pair:
         """f(x) for x in the domain, both reduced pairs: s * x + c on the last
@@ -303,15 +298,16 @@ def iterate(f: PLMap, n: int) -> PLMap:
 
 
 def image(f: PLMap, s: IntervalSet) -> IntervalSet:
+    """f(s): f is affine between dots, so f of a part [a, b], clipped to the
+    domain, is the hull of f(a), f(b) and the dot values strictly inside."""
     out = []
     for part in s.parts:
-        for piece in f.pieces:
-            q = piece.span.intersection(part)
-            if q is None:
-                continue
-            a = piece.value_at(q.lo)
-            b = piece.value_at(q.hi)
-            out.append(Interval(min(a, b), max(a, b)))
+        q = f.domain.intersection(part)
+        if q is None:
+            continue
+        inner = f.dots[bisect_right(f._xs, q.lo):bisect_left(f._xs, q.hi)]
+        ys = [f(q.lo), f(q.hi), *(y for _, y in inner)]
+        out.append(Interval(min(ys), max(ys)))
     return IntervalSet.of(out)
 
 

@@ -220,11 +220,10 @@ class TestExclude:
 
 class TestMaxPeriod:
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["analyze", "certify", "periodic", "scan"])
+    @pytest.mark.parametrize("command", ["analyze", "periodic", "scan"])
     def test_below_one_is_an_input_error(self, capsys, f5_path, command, value):
         argv = {
             "analyze": [command, f5_path, "--point", "0"],
-            "certify": [command, f5_path, "--point", "0", "--target", "2"],
             "periodic": [command, f5_path],
             "scan": [command, "--dots", "4", "--domain", "0..4", "--limit", "5"],
         }[command] + ["--max-period", value]
@@ -237,6 +236,63 @@ class TestMaxPeriod:
         assert captured.err.splitlines()[-1].endswith(
             f"error: argument --max-period: must be at least 1, got {value}"
         )
+
+    def test_certify_takes_none(self, capsys, f5_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", f5_path, "--point", "0", "--target", "2", "--max-period", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: unrecognized arguments: --max-period 3"
+        )
+
+
+class TestInputErrors:
+    """Malformed arguments end with one line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["scan", "--dots", "7", "--domain", "0..5", "--limit", "3"], 2,
+             "error: dots must be between 2 and 6"),
+            (["scan", "--dots", "4", "--domain", "0..x", "--limit", "3"], 2,
+             "error: malformed domain '0..x'"),
+            (["scan", "--dots", "4", "--domain", "1..4", "--limit", "3"], 2,
+             "error: domain must be 0..D with 1 <= D <= 10"),
+            (["plot", "F5", "--samples", "4", "--out", "OUT", "--tree", "1/2,x"], 2,
+             "error: malformed tree argument '1/2,x'"),
+            (["exclude", "F5", "--point", "0", "--seed", "[1,2"], 2,
+             "error: malformed interval '[1,2'"),
+            (["certify", "F5", "--point", "0", "--target", "1/3"], 3,
+             "precondition failed: target 1/3 is not periodic within 64 steps"),
+        ],
+        ids=["scan-dots", "scan-domain-text", "scan-domain-start", "plot-tree",
+             "exclude-seed", "certify-target"],
+    )
+    def test_one_line_and_no_output(self, capsys, f5_path, tmp_path, argv, code, message):
+        out = tmp_path / "x.tsv"
+        argv = [{"F5": f5_path, "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+        assert not out.exists()
+
+    def test_plot_into_a_missing_directory(self, capsys, f5_path, tmp_path):
+        out = tmp_path / "missing" / "x.tsv"
+        code = main(["plot", f5_path, "--samples", "4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    def test_markov_without_a_partition(self, capsys, tmp_path):
+        # the orbit of the dot 1/2 never repeats: 2/3, 7/9, ...
+        path = tmp_path / "m.json"
+        path.write_text('{"domain":["0","1"],"dots":[["0","0"],["1/2","2/3"],["1","1"]]}')
+        code, out = run(capsys, "markov", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == {"markov": False}
 
 
 class TestBudgets:

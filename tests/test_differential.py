@@ -8,9 +8,10 @@ forward basins of `_contraction_words`, `find_exact_tail`,
 `BackwardTree`, the Markov-graph gate of `salpha_enclosure` and
 `certified_period_set`, the merge of `SalphaEnclosure.lower_closure`,
 `image_after` and `markov_partition`'s cuts on the walk to the first repeat,
-the forward walks and contraction words in reduced int pairs, and the pair
+the forward walks and contraction words in reduced int pairs, the pair
 fixed points and orbits of `periodic_orbits` against its loop over Fraction
-fixed points, against
+fixed points, and `image` and `markov_partition`'s cell rows and slopes,
+read off f at the ends, against
 the plain algorithms, Fraction walks and node-based tree they replaced, kept
 here as references."""
 
@@ -107,7 +108,7 @@ def reference_compose(f: PLMap, g: PLMap) -> PLMap:
     for piece in g.pieces:
         if piece.slope == 0:
             continue
-        a, b = piece.value_at(piece.span.lo), piece.value_at(piece.span.hi)
+        a, b = (piece.slope * x + piece.intercept for x in (piece.span.lo, piece.span.hi))
         for cx, _ in f.dots:
             if min(a, b) <= cx <= max(a, b):
                 x = piece.solve(cx)
@@ -273,7 +274,7 @@ def reference_contraction_words(f, t, p):
         for piece in f.pieces:
             if piece.slope == 0 or not piece.span.contains(target):
                 continue
-            if piece.value_at(target) != prev:
+            if piece.slope * target + piece.intercept != prev:
                 continue
             ns = hs / piece.slope
             ni = (hi_ - piece.intercept) / piece.slope
@@ -327,6 +328,37 @@ def reference_preimage(f, s):
             if q is not None:
                 out.append(q)
     return IntervalSet.of(out)
+
+
+def reference_image(f, s):
+    """f(s), intersecting every part of s with every piece of f and imaging
+    each intersection by the piece's s * x + c at its ends."""
+    out = []
+    for part in s.parts:
+        for piece in f.pieces:
+            q = piece.span.intersection(part)
+            if q is None:
+                continue
+            a = piece.slope * q.lo + piece.intercept
+            b = piece.slope * q.hi + piece.intercept
+            out.append(Interval(min(a, b), max(a, b)))
+    return IntervalSet.of(out)
+
+
+def reference_cell_rows(f, cuts):
+    """The transition rows and slopes of the cells between the cuts, read off
+    the piece that holds each cell, found by bisecting the dots' x."""
+    cells = [Interval(a, b) for a, b in zip(cuts, cuts[1:])]
+    rows, slopes = [], []
+    for cell in cells:
+        piece = f.pieces[min(bisect_right(f._xs, cell.lo), len(f.pieces)) - 1]
+        assert piece.span.contains_interval(cell)
+        slopes.append(piece.slope)
+        a = piece.slope * cell.lo + piece.intercept
+        b = piece.slope * cell.hi + piece.intercept
+        img = Interval(min(a, b), max(a, b))
+        rows.append(tuple(1 if img.contains_interval(c) else 0 for c in cells))
+    return tuple(rows), tuple(slopes)
 
 
 def reference_seed_candidates(f, max_period):
@@ -705,7 +737,7 @@ def reference_after(f: PLMap, h):
             parts = [((xs[j + up] - c) / s, pieces[j]) for j in run[:-1]]
             parts.append((x1, pieces[run[-1]]))
         else:
-            parts = [(x1, f.piece_at(c))]
+            parts = [(x1, pieces[min(bisect_right(xs, c), len(pieces)) - 1])]
         for end, p in parts:
             a, b = p.slope * s, p.slope * c + p.intercept
             if out and out[-1][2] == a:
@@ -1140,6 +1172,67 @@ def test_preimage_matches_reference(case):
     assert preimage(f, s) == reference_preimage(f, s)
 
 
+@st.composite
+def sets_around(draw, upper):
+    """Interval sets on [-1, upper + 1], whose parts may leave [0, upper]."""
+    ends = st.fractions(-1, upper + 1, max_denominator=6)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=4))
+    return IntervalSet.of(Interval(min(a, b), max(a, b)) for a, b in pairs)
+
+
+IMAGE_MAP = make_plmap(interval(0, 4), [(0, 1), (1, 3), (2, 3), (3, 0), (4, 2)])
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(lambda u: st.tuples(integer_maps(u), sets_around(u))))
+@example((IMAGE_MAP, IntervalSet.single(3, 3)))  # a point part on a dot
+@example((IMAGE_MAP, IntervalSet.single(Q(1, 2), 3)))  # a part ending on a dot
+@example((IMAGE_MAP, IntervalSet.single(Q(1, 2), Q(5, 2))))  # spanning the constant piece
+@example((IMAGE_MAP, IntervalSet.single(0, 4)))  # the whole domain
+@example((IMAGE_MAP, IntervalSet.single(Q(7, 2), 5)))  # straddling the domain's end
+@example((IMAGE_MAP, IntervalSet.single(-2, -1)))  # wholly outside the domain
+@example((IMAGE_MAP, IntervalSet.single(4, 5)))  # meeting the domain at its end
+def test_image_matches_reference(case):
+    f, s = case
+    assert image(f, s) == reference_image(f, s)
+
+
+def test_image_matches_reference_on_the_corpus():
+    for entry in all_entries():
+        f = entry.map
+        lo, hi, xs = f.domain.lo, f.domain.hi, f._xs
+        sets = [
+            IntervalSet((f.domain,)),
+            IntervalSet((Interval(lo - 1, f.domain.midpoint),)),
+            IntervalSet((Interval(f.domain.midpoint, hi + 1),)),
+            IntervalSet((Interval(hi + 1, hi + 2),)),
+            *(IntervalSet((Interval(a, b),)) for a, b in zip(xs, xs[2:])),
+            *(IntervalSet((Interval(x, x),)) for x in xs),
+            *(IntervalSet((Interval((a + b) / 2, (b + c) / 2),))
+              for a, b, c in zip(xs, xs[1:], xs[2:])),
+        ]
+        for s in sets:
+            assert image(f, s) == reference_image(f, s)
+
+
+def assert_cells_match_reference(f):
+    ms = markov_partition(f)
+    if ms is not None:
+        assert (ms.matrix, ms.cell_slopes) == reference_cell_rows(f, ms.cuts)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps))
+@example(IMAGE_MAP)
+def test_markov_cells_match_piece_rows(f):
+    assert_cells_match_reference(f)
+
+
+def test_markov_cells_match_piece_rows_on_the_corpus():
+    for entry in all_entries():
+        assert_cells_match_reference(entry.map)
+
+
 # the orbit {20/7, 25/7} with r* = 1/7: the slope-3 side left of 20/7 maps
 # 20/7 - 1/2 to 29/14, and the slope -2 side right of 25/7 maps 25/7 + 1/4
 # to 33/14, each farther than its radius from both points
@@ -1400,7 +1493,7 @@ def reference_eval(f, x):
     i = bisect_right(f._xs, x) - 1
     if i >= len(f.pieces):
         i = len(f.pieces) - 1
-    return f.pieces[i].value_at(x)
+    return f.pieces[i].slope * x + f.pieces[i].intercept
 
 
 def reference_forward_orbit(f, x, n):
@@ -1457,7 +1550,7 @@ def reference_fraction_words(f, t, p):
         lo, hi = f.domain.lo, f.domain.hi  # no clip after the last: f maps it into the domain
         for piece in pieces:
             lo, hi = max(lo, piece.span.lo), min(hi, piece.span.hi)  # t's orbit keeps lo <= hi
-            lo, hi = sorted((piece.value_at(lo), piece.value_at(hi)))
+            lo, hi = sorted(piece.slope * x + piece.intercept for x in (lo, hi))
         if slope < 0:
             r = min(t - lo, hi - t)
             lo, hi = t - r, t + r
