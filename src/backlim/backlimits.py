@@ -58,6 +58,7 @@ DEFAULT_WIDTH_CAP = 10_000
 DEFAULT_MAX_PERIOD = 6
 DEFAULT_AVOID_LAYERS = 4
 TREE_CAP = 10**6
+AVOID_CAP = 10**4
 
 
 class PreconditionError(ValueError):
@@ -66,6 +67,10 @@ class PreconditionError(ValueError):
 
 class TreeBudgetExceeded(RuntimeError):
     """A backward tree would store more than TREE_CAP values."""
+
+
+class RegionBudgetExceeded(RuntimeError):
+    """An avoidance region would hold more than AVOID_CAP parts."""
 
 
 @dataclass(frozen=True)
@@ -316,6 +321,19 @@ def certify_orbit(tree: BackwardTree, orbit: PeriodicOrbit, depth: int) -> Orbit
     return None
 
 
+@_per_map
+def _avoidance_chain(f: PLMap, seed: IntervalSet) -> str | list[tuple[IntervalSet, IntervalSet]]:
+    """The refusal of `seed` that does not depend on y, or the y-free layers
+    (R_k, preimage(f, R_k)) grown from it so far, which hold no reference to f."""
+    if seed.is_empty:
+        return "empty seed"
+    if not seed.within(f.domain):
+        return "seed escapes the domain"
+    if not seed.contains_set(image(f, seed)):
+        return "seed is not forward-invariant"
+    return [(seed, preimage(f, seed))]
+
+
 def avoided_region(
     f: PLMap,
     y: Fraction,
@@ -330,16 +348,14 @@ def avoided_region(
     halfway toward the last sound boundary (a closed set cannot exclude a
     single point exactly, so stabilization is then reported honestly as
     false). Degenerate candidates are dropped: they never affect the exported
-    closed upper bound.
+    closed upper bound. A region of more than AVOID_CAP parts raises
+    RegionBudgetExceeded.
     """
-    if seed.is_empty:
-        return RejectedSeed("empty seed")
-    if not seed.within(f.domain):
-        return RejectedSeed("seed escapes the domain")
-    if seed.contains(y):
-        return RejectedSeed("point inside seed")
-    if not seed.contains_set(image(f, seed)):
-        return RejectedSeed("seed is not forward-invariant")
+    chain = _avoidance_chain(f, seed)
+    if seed.contains(y) and chain != "seed escapes the domain":
+        chain = "point inside seed"
+    if isinstance(chain, str):
+        return RejectedSeed(chain)
 
     def split_at_point(part: Interval, region: IntervalSet) -> list[Interval]:
         pieces = []
@@ -357,24 +373,35 @@ def avoided_region(
             pieces.append(Interval((y + anchor) / 2, part.hi))
         return pieces
 
-    def fresh_parts(region: IntervalSet) -> list[Interval]:
-        fresh: list[Interval] = []
-        for part in preimage(f, region).parts:
-            chunks = split_at_point(part, region) if part.contains(y) else [part]
-            for q in chunks:
-                if not q.is_point and not region.contains_set(IntervalSet((q,))):
+    def fresh_parts(region: IntervalSet, pre: IntervalSet) -> list[Interval]:
+        # both are sorted, so one merge walk finds the part of region that could hold q
+        parts, i, fresh = region.parts, 0, []
+        for part in pre.parts:
+            for q in split_at_point(part, region) if part.contains(y) else [part]:
+                while i < len(parts) and parts[i].hi < q.lo:
+                    i += 1
+                if not q.is_point and (i == len(parts) or not parts[i].contains_interval(q)):
                     fresh.append(q)
         return fresh
 
-    # the step after the last layer is probed too, so `stabilized` is honest
-    # when the budget runs out
-    region = seed
-    used = 0
-    fresh = fresh_parts(region)
+    # the step after the last layer is probed too, so `stabilized` is honest when the budget
+    # runs out; layers before the first whose preimage holds y are read off the seed's chain
+    (region, pre), used, y_free = chain[0], 0, True
+    fresh = fresh_parts(region, pre)
     while fresh and used < layers:
-        region = region.union(IntervalSet.of(fresh))
         used += 1
-        fresh = fresh_parts(region)
+        y_free = y_free and not pre.contains(y)
+        if y_free and used < len(chain):
+            region, pre = chain[used]
+        else:  # a preimage distributes over unions
+            new = IntervalSet.of(fresh)
+            region, pre = region.union(new), pre.union(preimage(f, new))
+            if len(region.parts) > AVOID_CAP:
+                raise RegionBudgetExceeded(
+                    f"avoidance region of seed {seed} passes {AVOID_CAP} parts at layer {used}")
+            if y_free:
+                chain.append((region, pre))
+        fresh = fresh_parts(region, pre)
     return AvoidanceCert(seed, used, region, not fresh)
 
 
@@ -493,6 +520,8 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
     if isinstance(cert, AvoidanceCert):
         if cert.seed.is_empty:
             return _fail("empty seed")
+        if not (cert.seed.within(f.domain) and cert.final.within(f.domain)):
+            return _fail("region escapes the domain")
         if not cert.seed.contains_set(image(f, cert.seed)):
             return _fail("seed is not forward-invariant")
         if cert.seed.contains(y):

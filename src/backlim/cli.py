@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from heapq import merge
 from pathlib import Path
 
 from .backlimits import (
@@ -25,6 +26,7 @@ from .backlimits import (
     DEFAULT_WIDTH_CAP,
     ExactTailCert,
     PreconditionError,
+    RegionBudgetExceeded,
     RejectedSeed,
     SalphaEnclosure,
     TreeBudgetExceeded,
@@ -380,11 +382,10 @@ def _cmd_plot(args) -> tuple[None, int]:
     f = _load_map(args.map)
     if not 2 <= args.samples <= MAX_SAMPLES:
         raise _InputError(f"--samples must be from 2 to {MAX_SAMPLES}, got {args.samples}")
-    xs = {x for x, _ in f.dots}
-    span = f.domain.length
-    for k in range(1, args.samples + 1):
-        xs.add(f.domain.lo + Fraction(k, args.samples + 1) * span)
-    lines = [f"{x}\t{f.eval_at(x)}" for x in sorted(xs)]
+    lo, span, n = f.domain.lo, f.domain.length, args.samples + 1
+    samples = (lo + Fraction(k, n) * span for k in range(1, n))
+    xs = [x for x, _ in itertools.groupby(merge([x for x, _ in f.dots], samples))]
+    lines = [f"{x}\t{f.eval_at(x)}" for x in xs]
     if args.tree:
         point_s, _, depth_s = args.tree.partition(",")
         root = _point(f, point_s)
@@ -514,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
             report["wall_time_ms"] = int((time.monotonic() - started) * 1000)
             _emit(report, args.json)
         return code
-    except (_InputError, PieceBudgetExceeded, TreeBudgetExceeded) as e:
+    except (_InputError, PieceBudgetExceeded, TreeBudgetExceeded, RegionBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as e:

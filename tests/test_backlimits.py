@@ -417,6 +417,14 @@ class TestAvoidance:
         for d, value in BackwardTree(f, Q(0)).point_values(12):
             assert not got.final.contains(value)
 
+    def test_regions_outside_the_domain_are_refused(self):
+        seed = iset((-3, -1), (2, 4))
+        assert avoided_region(f5(), Q(0), seed) == RejectedSeed("seed escapes the domain")
+        cert = AvoidanceCert(seed, 0, seed, True)
+        for got in (cert, cert_from_obj(cert_to_obj(cert))):
+            assert verify_certificate(f5(), Q(0), got) == Verification(
+                False, "region escapes the domain")
+
 
 class TestCycleMembership:
     def test_overlap_interior_hop(self):
@@ -807,6 +815,19 @@ class TestGraphGate:
                       for c in enc.orbit_certs]
             assert enc.lower_points == tuple(sorted(x for o in orbits for x in o.points))
         assert sum(len(enc.lower_points) for enc in encs) > 0
+
+    def test_one_avoidance_chain_per_distinct_seed(self):
+        # the 95 grid points try the 5 seed candidates other than the whole
+        # domain, which holds them all; each seed grows one chain on the map,
+        # which every later point reads
+        f = overlap()
+        points = [Q(k, d) for d in range(2, 18) for k in range(1, d) if Q(k, d).denominator == d]
+        budget = Budget(depth=4, width_cap=2_000, max_period=6, avoid_layers=2)
+        for y in points:
+            salpha_enclosure(f, y, budget)
+        tried = {s for s in analyze_map(f, 6).seed_candidates if not all(map(s.contains, points))}
+        chains = [key[1] for key in f.memo if key[0] == "_avoidance_chain"]
+        assert len(chains) == len(tried) == 5 and set(chains) == tried
 
 
 class TestMapLifetime:

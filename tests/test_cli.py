@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -488,6 +489,17 @@ class TestTreeBudget:
                                 s["reason"])
 
 
+class TestRegionBudget:
+    def test_exhausted_budget_is_an_input_error(self, capsys, f5_path, monkeypatch):
+        # the regions grown from [2,4] at 0 hold 1, 2, 3, 5, 8, ... parts, so
+        # 8 layers stay small even without the cap
+        monkeypatch.setattr(backlimits, "AVOID_CAP", 4)
+        code = main(["exclude", f5_path, "--point", "0", "--seed", "[2,4]", "--depth", "8"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: avoidance region of seed {[2,4]} passes 4 parts at layer 3\n"
+
+
 class TestScan:
     def test_empty_limit(self, capsys):
         code, out = run(capsys, "scan", "--dots", "4", "--domain", "0..5",
@@ -602,6 +614,18 @@ class TestPlot:
         sections = out_file.read_text().split("\n\n")
         assert len(sections) == 2
         assert sections[1].startswith("0\t1/2")
+
+    @pytest.mark.parametrize("samples", [2, 4, 9, 11, 100])
+    def test_rows_match_the_sorted_set_of_samples_and_dots(self, capsys, f5_path, tmp_path,
+                                                           samples):
+        # with 4 (and 9) samples on [0,5], the samples 1 and 4 land on dots
+        f = build_f5().map
+        xs = {x for x, _ in f.dots}
+        xs.update(Fraction(k, samples + 1) * 5 for k in range(1, samples + 1))
+        want = "".join(f"{x}\t{f.eval_at(x)}\n" for x in sorted(xs))
+        out_file = tmp_path / "plot.tsv"
+        code, _ = run(capsys, "plot", f5_path, "--samples", str(samples), "--out", str(out_file))
+        assert code == 0 and out_file.read_text() == want
 
     def test_too_few_samples(self, capsys, f5_path, tmp_path):
         code, _ = run(capsys, "plot", f5_path, "--samples", "1",

@@ -10,8 +10,8 @@ forward basins of `_contraction_words`, `find_exact_tail`,
 `image_after` and `markov_partition`'s cuts on the walk to the first repeat,
 the forward walks and contraction words in reduced int pairs, the pair
 fixed points and orbits of `periodic_orbits` against its loop over Fraction
-fixed points, and `image` and `markov_partition`'s cell rows and slopes,
-read off f at the ends, against
+fixed points, `image` and `markov_partition`'s cell rows and slopes,
+read off f at the ends, and `avoided_region`'s chain of y-free layers, against
 the plain algorithms, Fraction walks and node-based tree they replaced, kept
 here as references."""
 
@@ -1626,3 +1626,112 @@ def test_walks_match_fraction_walks_on_the_corpus():
     for entry in all_entries():
         lo, hi = entry.map.domain.lo, entry.map.domain.hi
         assert_walks_match_fraction_walks(entry.map, lo + (hi - lo) * Q(2, 7))
+
+
+def reference_avoided_region(f, y, seed, layers=4):
+    """`avoided_region` growing every layer afresh from its whole region,
+    with one containment test per candidate part."""
+    if seed.is_empty:
+        return backlimits.RejectedSeed("empty seed")
+    if not seed.within(f.domain):
+        return backlimits.RejectedSeed("seed escapes the domain")
+    if seed.contains(y):
+        return backlimits.RejectedSeed("point inside seed")
+    if not seed.contains_set(image(f, seed)):
+        return backlimits.RejectedSeed("seed is not forward-invariant")
+
+    def split_at_point(part, region):
+        pieces = []
+        if part.lo < y:
+            anchor = part.lo
+            for q in region.parts:
+                if part.lo <= q.hi < y:
+                    anchor = max(anchor, q.hi)
+            pieces.append(Interval(part.lo, (anchor + y) / 2))
+        if y < part.hi:
+            anchor = part.hi
+            for q in region.parts:
+                if y < q.lo <= part.hi:
+                    anchor = min(anchor, q.lo)
+            pieces.append(Interval((y + anchor) / 2, part.hi))
+        return pieces
+
+    def fresh_parts(region):
+        fresh = []
+        for part in preimage(f, region).parts:
+            chunks = split_at_point(part, region) if part.contains(y) else [part]
+            for q in chunks:
+                if not q.is_point and not region.contains_set(IntervalSet((q,))):
+                    fresh.append(q)
+        return fresh
+
+    region = seed
+    used = 0
+    fresh = fresh_parts(region)
+    while fresh and used < layers:
+        region = region.union(IntervalSet.of(fresh))
+        used += 1
+        fresh = fresh_parts(region)
+    return AvoidanceCert(seed, used, region, not fresh)
+
+
+def assert_avoidance_matches_reference(f, queries):
+    """Each (y, seed, layers) in turn on the one map, so later queries read
+    the chains that earlier ones grew."""
+    for y, seed, layers in queries:
+        got = avoided_region(f, y, seed, layers)
+        assert got == reference_avoided_region(f, y, seed, layers), (f, y, seed, layers)
+
+
+@st.composite
+def avoidance_queries(draw):
+    """A map, and queries whose seeds are its analysis seed candidates or
+    arbitrary sets, at drawn points and budgets of 0 to 5 layers."""
+    upper = draw(uppers)
+    f = draw(integer_maps(upper))
+    candidates = analyze_map(make_plmap(f.domain, f.dots), 4).seed_candidates
+    seeds = st.sampled_from(candidates) if candidates else interval_sets(upper)
+    query = st.tuples(st.fractions(0, upper, max_denominator=6),
+                      st.one_of(seeds, interval_sets(upper)), st.integers(0, 5))
+    return f, draw(st.lists(query, min_size=1, max_size=6))
+
+
+F5 = make_plmap(interval(0, 5), [(0, 1), (1, 5), (4, 2), (5, 0)])
+F5_SEED = IntervalSet.single(2, 4)  # P_0 = [1/4,3/4] ∪ [2,4], P_1 adds [37/8,39/8]
+
+
+@settings(deadline=None, derandomize=True)
+@given(avoidance_queries())
+@example((F5, [(Q(1, 2), F5_SEED, 4)]))  # y enters at layer 0
+@example((F5, [(Q(19, 4), F5_SEED, 4)]))  # at a middle layer
+@example((F5, [(Q(19, 4), F5_SEED, 1)]))  # only at the final probe, k == layers
+@example((F5, [(Q(0), F5_SEED, 5), (Q(0), F5_SEED, 2)]))  # never, read back shorter
+@example((F5, [(Q(0), EMPTY, 2)]))  # empty seed
+@example((F5, [(Q(3), IntervalSet.of([interval(-3, -1), interval(2, 4)]), 2)]))  # escapes, holds y
+@example((F5, [(Q(3), F5_SEED, 2)]))  # point inside seed
+@example((F5, [(Q(3, 2), IntervalSet.single(1, 2), 2)]))  # holds y and is not invariant
+@example((F5, [(Q(0), IntervalSet.single(1, 2), 2)]))  # not invariant
+def test_avoidance_chain_matches_reference(case):
+    f, queries = case
+    assert_avoidance_matches_reference(make_plmap(f.domain, f.dots), queries)
+
+
+def test_avoidance_chain_matches_reference_on_the_corpus():
+    """Every expectation point of each entry against every seed candidate,
+    at 0 to 3 layers, shortest first and then longest first."""
+    for entry in all_entries():
+        f = entry.map
+        seeds = analyze_map(f, entry.budget.max_period).seed_candidates
+        points = [exp.params["y"] for exp in entry.expectations if "y" in exp.params]
+        queries = [(y, seed, n) for y in points for seed in seeds for n in range(4)]
+        assert_avoidance_matches_reference(f, queries + queries[::-1])
+
+
+@settings(deadline=None, derandomize=True)
+@given(avoidance_queries())
+def test_avoidance_does_not_depend_on_query_order(case):
+    f, queries = case
+    a, b = make_plmap(f.domain, f.dots), make_plmap(f.domain, f.dots)
+    forward = [avoided_region(a, *q) for q in queries]
+    backward = [avoided_region(b, *q) for q in reversed(queries)]
+    assert forward == backward[::-1]
