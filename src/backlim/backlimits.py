@@ -107,11 +107,13 @@ class BackwardTree:
     sorted, and built from the previous level's values in that order. A
     constant piece maps a whole interval onto a value; that interval is
     continued from three sampled representatives (its ends and midpoint) and
-    sets `has_sampled`. A level keeps at most `width_cap` values, the
-    children of its least parents, and `truncated[d]` records that level d
-    was cut. Either makes the tree `degraded`, so exactness relying on it
-    degrades honestly. `size` counts the values of all levels; a level that
-    would take it past TREE_CAP raises TreeBudgetExceeded instead of being kept.
+    sets `has_sampled`. A level holds each value once: distinct parents have
+    distinct children, and a parent's children are deduplicated. It keeps at
+    most `width_cap` values, the children of its least parents, and
+    `truncated[d]` records that level d was cut. Either makes the tree
+    `degraded`, so exactness relying on it degrades honestly. `size` counts
+    the values of all levels; a level that would take it past TREE_CAP raises
+    TreeBudgetExceeded instead of being kept.
     """
 
     def __init__(self, f: PLMap, root: Fraction, width_cap: int = DEFAULT_WIDTH_CAP):
@@ -134,12 +136,15 @@ class BackwardTree:
             nxt: list[Fraction] = []
             truncated = False
             for value in self.levels[-1]:
+                start, flat = len(nxt), False
                 for _, hit in point_preimages(self.f, value):
                     if isinstance(hit, Interval):
-                        self.has_sampled = True
-                        nxt.extend(dict.fromkeys((hit.lo, hit.midpoint, hit.hi)))
+                        flat = self.has_sampled = True
+                        nxt.extend((hit.lo, hit.midpoint, hit.hi))
                     else:
                         nxt.append(hit)
+                if flat:  # a span's end may also be a neighbouring piece's point preimage
+                    nxt[start:] = dict.fromkeys(nxt[start:])
                 if len(nxt) > self.width_cap:
                     truncated = True
                     del nxt[self.width_cap:]

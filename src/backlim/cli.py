@@ -510,6 +510,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        if getattr(args, "max_period", 0) > MAX_STEPS:  # orbit walks cost linear time in it
+            raise _InputError(f"--max-period must be at most {MAX_STEPS}, got {args.max_period}")
         report, code = args.func(args)
         if report is not None:
             report["wall_time_ms"] = int((time.monotonic() - started) * 1000)

@@ -519,7 +519,7 @@ def _run_excluded(entry: CorpusEntry, p: dict) -> _Outcome:
     check = verify_certificate(f, y, got)
     if not check:
         return False, f"verifier: {check.reason}", ()
-    if not got.final.relative_interior_contains(point, f.domain):
+    if got.final.complement(f.domain).contains(point):
         return False, f"{point} not interior to the avoided region", ()
     return True, "exclusion certified", ((y, got),)
 

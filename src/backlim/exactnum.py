@@ -176,25 +176,6 @@ class IntervalSet:
     def within(self, domain: Interval) -> bool:
         return all(domain.contains_interval(p) for p in self.parts)
 
-    def relative_interior_contains(self, x: Fraction, domain: Interval) -> bool:
-        """True iff x is interior to this set relative to the ambient interval.
-
-        A domain endpoint counts as interior of a non-degenerate part touching
-        it; degenerate parts have empty relative interior.
-        """
-        if not self.within(domain):
-            raise ValueError("set not contained in domain")
-        for p in self.parts:
-            if p.is_point:
-                continue
-            if p.lo < x < p.hi:
-                return True
-            if x == p.lo == domain.lo:
-                return True
-            if x == p.hi == domain.hi:
-                return True
-        return False
-
     def __str__(self) -> str:
         return "{" + ";".join(str(p) for p in self.parts) + "}"
 

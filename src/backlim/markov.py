@@ -74,6 +74,21 @@ def markov_partition(f: PLMap, cap: int = 64) -> MarkovSystem | None:
     return MarkovSystem(ordered, rows, tuple(slopes), frozenset(map(exact.get, periodic)))
 
 
+def _reach(succ: dict) -> dict:
+    """For a graph given as node -> successors, the nodes each node reaches
+    in one step or more."""
+    reach = {}
+    for start in succ:
+        seen, stack = set(), list(succ[start])
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(succ[u])
+        reach[start] = seen
+    return reach
+
+
 @_per_map
 def _cycle_cells_reaching(f: PLMap) -> tuple[IntervalSet, ...] | None:
     """For each cell of f's Markov partition, the union of the cells that lie
@@ -84,23 +99,14 @@ def _cycle_cells_reaching(f: PLMap) -> tuple[IntervalSet, ...] | None:
     if ms is None:
         return None
     cells = ms.cells
-    succ = []
-    for cell, row, slope in zip(cells, ms.matrix, ms.cell_slopes):
+    succ = {}
+    for i, (cell, row, slope) in enumerate(zip(cells, ms.matrix, ms.cell_slopes)):
         if slope == 0:
             v = f.eval_at(cell.lo)
             row = [c.contains(v) for c in cells]
-        succ.append([j for j, edge in enumerate(row) if edge])
-    reach = []  # the cells reached from each cell in one step or more
-    for i in range(len(cells)):
-        seen: set[int] = set()
-        stack = list(succ[i])
-        while stack:
-            j = stack.pop()
-            if j not in seen:
-                seen.add(j)
-                stack.extend(succ[j])
-        reach.append(seen)
-    on_cycle = [i for i in range(len(cells)) if i in reach[i]]
+        succ[i] = [j for j, edge in enumerate(row) if edge]
+    reach = _reach(succ)
+    on_cycle = [i for i in reach if i in reach[i]]
     return tuple(
         IntervalSet.of(cells[i] for i in on_cycle if k in reach[i])
         for k in range(len(cells))
@@ -207,22 +213,8 @@ def is_transitive(ms: MarkovSystem, cycle: CycleOfIntervals) -> Verdict:
     idx, bail = _subgraph(ms, cycle)
     if bail is not None:
         return bail
-    n = len(idx)
-    adj = [[ms.matrix[i][j] for j in idx] for i in idx]
-
-    def reach(start: int, forward: bool) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                edge = adj[u][v] if forward else adj[v][u]
-                if edge and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    ok = len(reach(0, True)) == n and len(reach(0, False)) == n
+    reach = _reach({i: [j for j in idx if ms.matrix[i][j]] for i in idx})
+    ok = all(reach[i] | {i} >= set(idx) for i in idx)
     return Verdict.YES if ok else Verdict.NO
 
 
@@ -251,71 +243,38 @@ class ExceptionalReport:
     accessible_endpoints: tuple[Fraction, ...]
 
 
-def _accessibility_witness(
-    f: PLMap, ms: MarkovSystem, m: IntervalSet, cutset: set[Fraction], cand: Fraction
-) -> tuple[Fraction, int] | None:
-    """A backward preimage (z, k) of cand, f^k(z) = cand, lying in m and
-    strictly inside a cell; None when every preimage of cand within m stays
-    in the cut-point set.
-
-    The search ends within len(cutset) + 1 levels: only cut points not
-    visited before are continued, so each level that goes on adds at least
-    one cut point to `visited`.
-    """
-    visited = {cand}
-    frontier = [cand]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for _, hit in point_preimages(f, u):
-                if isinstance(hit, Interval):
-                    for part in m.intersect(IntervalSet((hit,))).parts:
-                        for cell in ms.cells:
-                            ov = part.intersection(cell)
-                            if ov is not None and not ov.is_point:
-                                return ov.midpoint, depth
-                    continue
-                if not m.contains(hit):
-                    continue
-                if hit not in cutset:
-                    return hit, depth
-                if hit not in visited:
-                    visited.add(hit)
-                    nxt.append(hit)
-        frontier = nxt
-    return None
-
-
 def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> ExceptionalReport:
     """Decide membership in the exceptional set E for every component endpoint
     and every periodic cut point of the cycle.
 
     A candidate is exceptional iff its whole backward preimage set within the
-    cycle stays inside the finite forward-invariant cut-point set; the first
-    preimage falling strictly inside a cell witnesses accessibility instead.
+    cycle's components m stays inside the finite forward-invariant cut-point
+    set. So it is accessible iff it, or a cut it reaches through preimages in
+    m that are cuts, is marked: a point preimage of it lies in m off the
+    cuts, or a flat span of its preimages meets m in more than a point.
 
     The periodic cuts are `ms.periodic_cuts`, the repeating tails of the dot
     orbits: every cut lies on a dot's orbit, and is periodic iff on its tail.
     """
     m = cycle.components
     cutset = set(ms.cuts)
-    endpoints = []
-    for part in m.parts:
-        endpoints.append(part.lo)
-        if part.hi != part.lo:
-            endpoints.append(part.hi)
-    candidates = list(dict.fromkeys(endpoints))
-    for c in ms.cuts:
-        if m.contains(c) and c not in candidates and c in ms.periodic_cuts:
-            candidates.append(c)
-
-    exceptional = []
-    accessible = []
-    for cand in candidates:
-        if _accessibility_witness(f, ms, m, cutset, cand) is None:
-            exceptional.append(cand)
-        elif cand in endpoints:
-            accessible.append(cand)
+    endpoints = list(dict.fromkeys(x for part in m.parts for x in (part.lo, part.hi)))
+    in_m = [c for c in ms.cuts if m.contains(c)]
+    candidates = endpoints + [c for c in in_m if c in ms.periodic_cuts and c not in endpoints]
+    succ: dict[Fraction, list[Fraction]] = {}
+    marked = set()
+    for u in dict.fromkeys(in_m + endpoints):
+        succ[u] = []
+        for _, hit in point_preimages(f, u):
+            if isinstance(hit, Interval):
+                if any(not p.is_point for p in m.intersect(IntervalSet((hit,))).parts):
+                    marked.add(u)
+            elif m.contains(hit):
+                if hit in cutset:
+                    succ[u].append(hit)
+                else:
+                    marked.add(u)
+    reach = _reach(succ)
+    exceptional = [c for c in candidates if c not in marked and not reach[c] & marked]
+    accessible = [c for c in endpoints if c not in exceptional]
     return ExceptionalReport(cycle, tuple(exceptional), tuple(accessible))

@@ -76,13 +76,6 @@ class PLMap:
     domain: Interval
     dots: tuple[tuple[Fraction, Fraction], ...]
 
-    def __hash__(self) -> int:  # immutable cache key: hash the dots once
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.domain, self.dots))
-
     def __post_init__(self) -> None:
         if len(self.dots) < 2:
             raise InvalidMap("need at least two dots")

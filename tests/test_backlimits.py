@@ -168,6 +168,14 @@ class TestBackwardTree:
         tree = expanded(flat, Q(1), 2)
         assert tree.has_sampled and tree.degraded
 
+    def test_a_level_holds_each_value_once(self):
+        # the flat span [1, 2] has the end 1, which is also the point preimage
+        # of 1 on the piece to its left
+        flat = make_plmap(interval(0, 3), [(0, 0), (1, 1), (2, 1), (3, 3)])
+        tree = expanded(flat, Q(1), 12)
+        assert all(len(set(level)) == len(level) for level in tree.levels)
+        assert tree.size == 169 and not any(tree.truncated)
+
     def test_first_hit_expands_only_to_the_hit(self):
         tree = BackwardTree(f5(), Q(0))  # levels [0], [5], [1], [0, 9/2]
         assert tree.first_hit(3, interval(4, 5), anything) == (Q(5), 1)
@@ -393,7 +401,7 @@ class TestAvoidance:
         got = avoided_region(f5(), Q(0), iset((2, 4)), 4)
         assert isinstance(got, AvoidanceCert)
         assert got.final.contains_set(iset((Q(1, 4), Q(3, 4))))  # first layer
-        assert got.final.relative_interior_contains(Q(3), f5().domain)
+        assert not got.final.complement(f5().domain).contains(Q(3))
         assert verify_certificate(f5(), Q(0), got)
 
     def test_f8_swap_seed(self):
@@ -401,7 +409,7 @@ class TestAvoidance:
         got = avoided_region(f8(), Q(0), seed, 4)
         assert isinstance(got, AvoidanceCert)
         for x in (Q(2), Q(6)):
-            assert got.final.relative_interior_contains(x, f8().domain)
+            assert not got.final.complement(f8().domain).contains(x)
 
     def test_point_inside_seed_rejected(self):
         got = avoided_region(f5(), Q(3), iset((2, 4)), 4)

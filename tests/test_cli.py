@@ -238,6 +238,12 @@ class TestMaxPeriod:
             f"error: argument --max-period: must be at least 1, got {value}"
         )
 
+    def test_at_the_most_is_accepted(self, capsys, tmp_path):
+        identity = tmp_path / "id.json"
+        identity.write_text('{"domain":["0","1"],"dots":[["0","0"],["1","1"]]}')
+        code, out = run(capsys, "periodic", str(identity), "--max-period", "4096")
+        assert code == 0 and json.loads(out)["inputs"]["max_period"] == 4096
+
     def test_certify_takes_none(self, capsys, f5_path):
         with pytest.raises(SystemExit) as exc:
             main(["certify", f5_path, "--point", "0", "--target", "2", "--max-period", "3"])
@@ -334,13 +340,20 @@ class TestBudgets:
         [
             ("markov", "--cap", "4097", "--cap must be at most 4096, got 4097"),
             ("plot", "--samples", "1000001", "--samples must be from 2 to 1000000, got 1000001"),
+            *((command, "--max-period", "100000000",
+               "--max-period must be at most 4096, got 100000000")
+              for command in ("analyze", "periodic", "scan")),
         ],
     )
     def test_above_the_most_is_an_input_error(self, capsys, f5_path, tmp_path, command,
                                               option, value, message):
         out = tmp_path / "x.tsv"
-        plot_out = ["--out", str(out)] if command == "plot" else []
-        code = main([command, f5_path, option, value, *plot_out])
+        argv = {
+            "analyze": [command, f5_path, "--point", "0"],
+            "plot": [command, f5_path, "--out", str(out)],
+            "scan": [command, "--dots", "4", "--domain", "0..4", "--limit", "5"],
+        }.get(command, [command, f5_path])
+        code = main([*argv, option, value])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out.exists()
         assert captured.err == f"error: {message}\n"
@@ -614,6 +627,15 @@ class TestPlot:
         sections = out_file.read_text().split("\n\n")
         assert len(sections) == 2
         assert sections[1].startswith("0\t1/2")
+
+    def test_tree_section_writes_each_value_once(self, capsys, tmp_path):
+        flat = tmp_path / "flat.json"
+        flat.write_text('{"domain":["0","3"],"dots":[["0","0"],["1","1"],["2","1"],["3","3"]]}')
+        out_file = tmp_path / "plot.tsv"
+        code, _ = run(capsys, "plot", str(flat), "--samples", "4",
+                      "--out", str(out_file), "--tree", "1,12")
+        rows = out_file.read_text().split("\n\n")[1].splitlines()
+        assert code == 0 and len(rows) == len(set(rows)) == 169
 
     @pytest.mark.parametrize("samples", [2, 4, 9, 11, 100])
     def test_rows_match_the_sorted_set_of_samples_and_dots(self, capsys, f5_path, tmp_path,

@@ -11,7 +11,8 @@ forward basins of `_contraction_words`, `find_exact_tail`,
 the forward walks and contraction words in reduced int pairs, the pair
 fixed points and orbits of `periodic_orbits` against its loop over Fraction
 fixed points, `image` and `markov_partition`'s cell rows and slopes,
-read off f at the ends, and `avoided_region`'s chain of y-free layers, against
+read off f at the ends, `avoided_region`'s chain of y-free layers, and the
+one reachability rule behind G(y), `is_transitive` and `exceptional_set`, against
 the plain algorithms, Fraction walks and node-based tree they replaced, kept
 here as references."""
 
@@ -26,7 +27,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from backlim import backlimits, orbits
+from backlim import backlimits, markov, orbits
 from backlim.backlimits import (
     _BALL_RADII,
     _CYCLE_PERIOD_CAP,
@@ -57,6 +58,8 @@ from backlim.exactnum import EMPTY, Interval, IntervalSet, interval
 from backlim.markov import (
     CycleFailure,
     CycleOfIntervals,
+    ExceptionalReport,
+    MarkovSystem,
     Verdict,
     check_cycle_of_intervals,
     exceptional_set,
@@ -132,8 +135,9 @@ class ReferenceTree:
     """Breadth-first preimage tree with one node per preimage: an interval
     preimage through a constant piece is a node of its own, followed by its
     three sampled representatives, and takes a slot under the width cap. A
-    level's parents are expanded in increasing value order, so a cut level
-    keeps the children of its least parents."""
+    parent's value nodes hold distinct values. A level's parents are expanded
+    in increasing value order, so a cut level keeps the children of its least
+    parents."""
 
     def __init__(self, f: PLMap, root: Q, width_cap: int):
         self.f = f
@@ -148,14 +152,17 @@ class ReferenceTree:
         truncated = False
         parents = [(i, n) for i, n in enumerate(self.levels[-1]) if n.value is not None]
         for idx, node in sorted(parents, key=lambda p: p[1].value):
+            seen = set()  # one value node per parent: a span's end may be a point preimage too
             for piece_idx, hit in point_preimages(self.f, node.value):
                 if isinstance(hit, Interval):
                     self.has_sampled = True
                     nxt.append(TreeNode(d, None, hit, idx, piece_idx, True))
-                    reps = dict.fromkeys((hit.lo, hit.midpoint, hit.hi))
-                    for rep in reps:
-                        nxt.append(TreeNode(d, rep, None, idx, piece_idx, True))
-                else:
+                    for rep in (hit.lo, hit.midpoint, hit.hi):
+                        if rep not in seen:
+                            seen.add(rep)
+                            nxt.append(TreeNode(d, rep, None, idx, piece_idx, True))
+                elif hit not in seen:
+                    seen.add(hit)
                     nxt.append(TreeNode(d, hit, None, idx, piece_idx, node.sampled))
             if len(nxt) > self.width_cap:
                 truncated = True
@@ -1735,3 +1742,160 @@ def test_avoidance_does_not_depend_on_query_order(case):
     forward = [avoided_region(a, *q) for q in queries]
     backward = [avoided_region(b, *q) for q in reversed(queries)]
     assert forward == backward[::-1]
+
+
+def reference_cycle_cells_reaching(f):
+    """`_cycle_cells_reaching` with a depth-first search from each cell."""
+    ms = markov_partition(f)
+    if ms is None:
+        return None
+    cells = ms.cells
+    succ = []
+    for cell, row, slope in zip(cells, ms.matrix, ms.cell_slopes):
+        if slope == 0:
+            v = f.eval_at(cell.lo)
+            row = [c.contains(v) for c in cells]
+        succ.append([j for j, edge in enumerate(row) if edge])
+    reach = []  # the cells reached from each cell in one step or more
+    for i in range(len(cells)):
+        seen: set[int] = set()
+        stack = list(succ[i])
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                stack.extend(succ[j])
+        reach.append(seen)
+    on_cycle = [i for i in range(len(cells)) if i in reach[i]]
+    return tuple(
+        IntervalSet.of(cells[i] for i in on_cycle if k in reach[i])
+        for k in range(len(cells))
+    )
+
+
+def reference_is_transitive(ms, cycle):
+    """`is_transitive` with a forward and a backward search from the first cell."""
+    idx, bail = markov._subgraph(ms, cycle)
+    if bail is not None:
+        return bail
+    n = len(idx)
+    adj = [[ms.matrix[i][j] for j in idx] for i in idx]
+
+    def reach(start: int, forward: bool) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in range(n):
+                edge = adj[u][v] if forward else adj[v][u]
+                if edge and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+    ok = len(reach(0, True)) == n and len(reach(0, False)) == n
+    return Verdict.YES if ok else Verdict.NO
+
+
+def reference_accessibility_witness(f, ms, m, cutset, cand):
+    """A backward preimage (z, k) of cand, f^k(z) = cand, lying in m and
+    strictly inside a cell; None when every preimage of cand within m stays
+    in the cut-point set. A breadth-first search from cand alone."""
+    visited = {cand}
+    frontier = [cand]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for _, hit in point_preimages(f, u):
+                if isinstance(hit, Interval):
+                    for part in m.intersect(IntervalSet((hit,))).parts:
+                        for cell in ms.cells:
+                            ov = part.intersection(cell)
+                            if ov is not None and not ov.is_point:
+                                return ov.midpoint, depth
+                    continue
+                if not m.contains(hit):
+                    continue
+                if hit not in cutset:
+                    return hit, depth
+                if hit not in visited:
+                    visited.add(hit)
+                    nxt.append(hit)
+        frontier = nxt
+    return None
+
+
+def reference_exceptional_set(f, ms, cycle):
+    """`exceptional_set` searching again from each candidate."""
+    m = cycle.components
+    cutset = set(ms.cuts)
+    endpoints = []
+    for part in m.parts:
+        endpoints.append(part.lo)
+        if part.hi != part.lo:
+            endpoints.append(part.hi)
+    candidates = list(dict.fromkeys(endpoints))
+    for c in ms.cuts:
+        if m.contains(c) and c not in candidates and c in ms.periodic_cuts:
+            candidates.append(c)
+
+    exceptional = []
+    accessible = []
+    for cand in candidates:
+        if reference_accessibility_witness(f, ms, m, cutset, cand) is None:
+            exceptional.append(cand)
+        elif cand in endpoints:
+            accessible.append(cand)
+    return ExceptionalReport(cycle, tuple(exceptional), tuple(accessible))
+
+
+def assert_reachability_matches_reference(f, most_cuts=None):
+    """G(y)'s cell table, then transitivity and the exceptional set of every
+    cycle of intervals through a pair of dots, or a pair of cuts when the
+    partition has at most `most_cuts` of them, transitive or not. Returns the
+    number of cycles compared."""
+    assert markov._cycle_cells_reaching(f) == reference_cycle_cells_reaching(f)
+    ms = markov_partition(f)
+    if ms is None:
+        return 0
+    cut_pairs = combinations(ms.cuts, 2) if most_cuts is None or len(ms.cuts) <= most_cuts else ()
+    cycles = set()
+    for a, b in [*combinations(f._xs, 2), *cut_pairs]:
+        got = check_cycle_of_intervals(f, Interval(a, b), 4)
+        if isinstance(got, CycleOfIntervals) and got not in cycles:
+            cycles.add(got)
+            assert is_transitive(ms, got) is reference_is_transitive(ms, got), (f, got)
+            assert exceptional_set(f, ms, got) == reference_exceptional_set(f, ms, got), (f, got)
+    return len(cycles)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps))
+@example(make_plmap(interval(0, 1), [(0, 0), (Q(1, 2), 1), (1, 0)]))  # tent: all accessible
+@example(build_overlap().map)  # the middle cycle [1/3, 2/3]
+# a non-transitive two-component cycle whose exceptional set is {1/3, 2/3}
+@example(make_plmap(interval(0, 1), [(0, Q(5, 6)), (Q(1, 12), 1), (Q(1, 3), Q(2, 3)),
+                                     (Q(2, 3), Q(1, 3)), (Q(5, 6), 0), (1, Q(1, 4))]))
+@example(make_plmap(interval(0, 1), [(0, 1), (1, 0)]))  # a single-cell cycle
+# the flat span [1, 2] meets the tent's cycle [0, 1] in the point 1
+@example(make_plmap(interval(0, 2), [(0, 0), (Q(1, 2), 1), (1, 0), (2, 0)]))
+# no partition: the orbit of 1/2 does not close up
+@example(make_plmap(interval(0, 1), [(0, 0), (Q(1, 2), Q(3, 4)), (1, 0)]))
+def test_reachability_matches_reference(f):
+    assert_reachability_matches_reference(f)
+
+
+def test_reachability_matches_reference_on_the_corpus():
+    """Cut pairs on every entry but chuxiong6, whose 254 cuts would take
+    seconds; its dot pairs still give it cycles."""
+    counts = [assert_reachability_matches_reference(entry.map, 64) for entry in all_entries()]
+    assert counts == [2, 3, 6, 17, 4]
+
+
+@pytest.mark.parametrize("loop", [0, 1])
+def test_single_cell_cycle_is_transitive(loop):
+    ms = MarkovSystem((Q(0), Q(1)), ((loop,),), (Q(2),), frozenset())
+    cycle = CycleOfIntervals(interval(0, 1), 1, IntervalSet.single(0, 1))
+    assert is_transitive(ms, cycle) is reference_is_transitive(ms, cycle) is Verdict.YES

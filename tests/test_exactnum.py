@@ -84,13 +84,14 @@ class TestIntervalSetAlgebra:
             iset((2, 4)).complement(interval(0, 3))
 
     def test_relative_interior(self):
+        # x is interior to s relative to the domain iff the closed complement misses it
         dom01 = interval(0, 1)
-        assert iset((0, Q(1, 4))).relative_interior_contains(Q(0), dom01)
+        assert not iset((0, Q(1, 4))).complement(dom01).contains(Q(0))
         dom05 = interval(0, 5)
-        assert iset((2, 4)).relative_interior_contains(Q(3), dom05)
-        assert not iset((2, 4)).relative_interior_contains(Q(2), dom05)
+        assert not iset((2, 4)).complement(dom05).contains(Q(3))
+        assert iset((2, 4)).complement(dom05).contains(Q(2))
         # degenerate parts have empty relative interior
-        assert not iset((0, 0)).relative_interior_contains(Q(0), dom01)
+        assert iset((0, 0)).complement(dom01).contains(Q(0))
 
     def test_canonicalization_idempotent(self):
         s = iset((0, 1), (Q(1, 2), 2), (3, 3))
