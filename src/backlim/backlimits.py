@@ -28,7 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .exactnum import EMPTY, Interval, IntervalSet, parse_pair, parse_rational
@@ -88,18 +88,6 @@ class Budget:
                 raise ValueError(f"budget {name} must be at least {low}, got {value}")
 
 
-def _first_within(
-    vals: list[Fraction], window: Interval, ok: Callable[[Fraction], bool]
-) -> Fraction | None:
-    """Least value of the sorted `vals` inside `window` that passes `ok`."""
-    i = bisect_left(vals, window.lo)
-    while i < len(vals) and vals[i] <= window.hi:
-        if ok(vals[i]):
-            return vals[i]
-        i += 1
-    return None
-
-
 class BackwardTree:
     """Breadth-first exact preimage values of a point, expanded lazily.
 
@@ -114,6 +102,14 @@ class BackwardTree:
     `degraded`, so exactness relying on it degrades honestly. `size` counts
     the values of all levels; a level that would take it past TREE_CAP raises
     TreeBudgetExceeded instead of being kept.
+
+    A level is solved in ints (`point_preimages`), then sorted and searched
+    by int keys: each value times L, the level's least common denominator, as
+    `PLMap._grid` does for the dots. With K the lcm over pieces of intercept
+    denominator x |slope numerator| (times 2 and the dots' x denominators
+    where flat spans add midpoints), a child (y - c)/s of y has a denominator
+    dividing K times y's; so L divides d_root * K^d at level d, as the
+    values' own denominators do, and a key is as long as such a numerator.
     """
 
     def __init__(self, f: PLMap, root: Fraction, width_cap: int = DEFAULT_WIDTH_CAP):
@@ -123,6 +119,7 @@ class BackwardTree:
         self.root = root
         self.width_cap = width_cap
         self.levels: list[list[Fraction]] = [[root]]
+        self._keys: list[tuple[int, list[int]]] = [(root.denominator, [root.numerator])]
         self.size = 1
         self.truncated: list[bool] = [False]
         self.has_sampled = False
@@ -154,8 +151,11 @@ class BackwardTree:
                 raise TreeBudgetExceeded(
                     f"backward tree of {self.root} passes {TREE_CAP} values at level {level}")
             self.size += len(nxt)
-            nxt.sort()
-            self.levels.append(nxt)
+            pairs = [z.as_integer_ratio() for z in nxt]
+            scale = lcm(*{d for _, d in pairs})
+            ranked = sorted(zip([n * (scale // d) for n, d in pairs], nxt))  # keys are distinct
+            self.levels.append([z for _, z in ranked])
+            self._keys.append((scale, [k for k, _ in ranked]))
             self.truncated.append(truncated)
 
     def first_hit(
@@ -164,11 +164,14 @@ class BackwardTree:
         """(value, level) for the least level d <= depth holding a value in
         `window` that passes `ok`, and the least such value there; None if no
         level does. Levels are expanded one at a time, as far as the hit."""
+        (ln, ld), (hn, hd) = window.lo.as_integer_ratio(), window.hi.as_integer_ratio()
         for d in range(depth + 1):
             self.ensure_depth(d)
-            z = _first_within(self.levels[d], window, ok)
-            if z is not None:
-                return z, d
+            scale, keys = self._keys[d]  # value = key / L: bisect ceil(lo * L) and floor(hi * L)
+            least, most = -(-ln * scale // ld), hn * scale // hd
+            for i in range(bisect_left(keys, least), bisect_right(keys, most)):
+                if ok(self.levels[d][i]):
+                    return self.levels[d][i], d
         return None
 
     def point_values(self, depth: int) -> list[tuple[int, Fraction]]:
@@ -684,11 +687,10 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
 
     ms = markov_partition(f)
 
-    candidates = [Interval(a, b) for a, b in combinations(f._xs, 2)]
-    for _, iset in structure.fixed_intervals:
-        for part in iset.parts:
-            if part not in candidates:
-                candidates.append(part)
+    candidates = dict.fromkeys([
+        *(Interval(a, b) for a, b in combinations(f._xs, 2)),
+        *(part for _, iset in structure.fixed_intervals for part in iset.parts),
+    ])
 
     cycles: list[ExceptionalReport] = []
     if ms is not None:

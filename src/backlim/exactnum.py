@@ -8,8 +8,11 @@ non-touching) so that equal point sets compare equal structurally.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
@@ -127,13 +130,16 @@ class IntervalSet:
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # the dataclass hash, once per set: sets are memo keys
+        return hash((self.parts,))
+
     def contains(self, x: Fraction) -> bool:
-        for p in self.parts:
-            if p.lo > x:
-                return False
-            if x <= p.hi:
-                return True
-        return False
+        k = bisect_right(self.parts, x, key=attrgetter("lo"))  # the last part to start <= x, + 1
+        return k > 0 and x <= self.parts[k - 1].hi
 
     def contains_set(self, other: "IntervalSet") -> bool:
         i = 0
@@ -148,15 +154,19 @@ class IntervalSet:
         return IntervalSet.of(self.parts + other.parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """One merge walk: the part that ends first meets no later part of the
+        other set. Results touch only within one pair of parts: canonical."""
         out: list[Interval] = []
-        for p in self.parts:
-            for q in other.parts:
-                if q.lo > p.hi:
-                    break
-                got = p.intersection(q)
-                if got is not None:
-                    out.append(got)
-        return IntervalSet.of(out)
+        a, b, i, j = self.parts, other.parts, 0, 0
+        while i < len(a) and j < len(b):
+            got = a[i].intersection(b[j])
+            if got is not None:
+                out.append(got)
+            if a[i].hi < b[j].hi:
+                i += 1
+            else:
+                j += 1
+        return IntervalSet(tuple(out))
 
     def complement(self, domain: Interval) -> "IntervalSet":
         """Closure of domain minus this set (boundary points are shared)."""

@@ -22,6 +22,11 @@ which f maps into itself, and makes Fractions only for the values it returns.
 Images go through it too: f is affine between dots, so f of an interval
 [a, b] is the hull of f(a), f(b) and the values of the dots strictly inside
 (a, b), found by two bisections of the dots' x.
+
+The backward layer, `point_preimages`, `preimage` and `_runs`, reads one
+value table of ints: each piece's least and greatest dot value over their
+common denominator. It solves x = (y - c)/s in pairs, and makes Fractions
+only for what it returns.
 """
 
 from __future__ import annotations
@@ -99,14 +104,6 @@ class PLMap:
         return tuple(out)
 
     @cached_property
-    def _value_ranges(self) -> tuple[tuple[Piece, Fraction, Fraction], ...]:
-        """Each piece with the least and greatest of its two dot values."""
-        out = []
-        for piece, (_, a), (_, b) in zip(self.pieces, self.dots, self.dots[1:]):
-            out.append((piece, a, b) if a <= b else (piece, b, a))
-        return tuple(out)
-
-    @cached_property
     def _xs(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.dots)
 
@@ -124,6 +121,16 @@ class PLMap:
         int X, X <= n/d iff X <= (n * D) // d, and X < n/d iff X < -(-n * D // d)."""
         scale = lcm(*(x.denominator for x in self._xs))
         return scale, tuple(x.numerator * (scale // x.denominator) for x in self._xs)
+
+    @cached_property
+    def _value_table(self) -> tuple[int, tuple[tuple[Segment, int, int], ...]]:
+        """(E, each segment with the least and greatest of its two dot values
+        times E), E the dot values' least common denominator: n/d (d > 0) lies
+        in a piece's values iff lo * d <= n * E <= hi * d."""
+        scale = lcm(*(y.denominator for _, y in self.dots))
+        ys = [y.numerator * (scale // y.denominator) for _, y in self.dots]
+        ends = zip(self._segments, ys, ys[1:])
+        return scale, tuple((seg, min(a, b), max(a, b)) for seg, a, b in ends)
 
     @cached_property
     def memo(self) -> dict:
@@ -207,20 +214,26 @@ def _affine(s: Pair, c: Pair, x: Pair) -> Pair:
     return _pair(sn * xn * cd + cn * sd * xd, sd * xd * cd)
 
 
-def _starts_past(v: Fraction):
-    """Bisection key: a segment's start x0 lies past v where it is > 0."""
-    n, d = v.as_integer_ratio()
+def _solve(s: Pair, c: Pair, y: Pair) -> Pair:
+    """x with s * x + c = y, for s != 0 and y = n/d with d > 0, not necessarily reduced."""
+    (sn, sd), (cn, cd), (yn, yd) = s, c, y
+    return _pair((yn * cd - cn * yd) * sd, yd * cd * sn)
+
+
+def _starts_past(n: int, d: int):
+    """Bisection key: a segment's start x0 lies past n/d (d > 0) where it is > 0."""
     return lambda seg: seg[0][0] * d - n * seg[0][1]
 
 
 def _runs(g: list[Segment], f: PLMap) -> list[range]:
     """For each piece of f, the segments of g its values pass, in its order:
     two bisections at the ends of its value range, reversed where f falls."""
+    scale, table = f._value_table
     out = []
-    for piece, lo, hi in f._value_ranges:
-        i = bisect_right(g, 0, key=_starts_past(lo))  # g[i - 1] holds the least value
-        run = range(i - 1, max(i, bisect_left(g, 0, key=_starts_past(hi))))
-        out.append(run if piece.slope.numerator >= 0 else run[::-1])
+    for (_, _, s, _), lo, hi in table:
+        i = bisect_right(g, 0, key=_starts_past(lo, scale))  # g[i - 1] holds the least value
+        run = range(i - 1, max(i, bisect_left(g, 0, key=_starts_past(hi, scale))))
+        out.append(run if s[0] >= 0 else run[::-1])
     return out
 
 
@@ -230,9 +243,9 @@ def _pull_back(g: list[Segment], f: PLMap, runs: list[range]) -> list[Segment]:
     x -> asx + (ac + b) up to there; adjacent segments of one slope merge.
     Every value is computed in ints and reduced once."""
     out: list[Segment] = []
-    for (x0, x1, (sn, sd), (cn, cd)), run in zip(f._segments, runs):
-        far = (g[j][sn > 0] for j in run[:-1])  # g[j]'s far end
-        ends = [_pair((en * cd - cn * ed) * sd, ed * cd * sn) for en, ed in far] + [x1]
+    for (x0, x1, s, c), run in zip(f._segments, runs):
+        (sn, sd), (cn, cd) = s, c
+        ends = [_solve(s, c, g[j][sn > 0]) for j in run[:-1]] + [x1]  # g[j]'s far end
         for j, end in zip(run, ends):
             (an, ad), (bn, bd) = g[j][2:]
             a = _pair(an * sn, ad * sd)
@@ -305,44 +318,48 @@ def image(f: PLMap, s: IntervalSet) -> IntervalSet:
 
 
 def preimage(f: PLMap, s: IntervalSet) -> IntervalSet:
+    """f^-1(s): on a piece with values [lo, hi], each part of s that meets
+    them, clipped to them and solved for x in int pairs; a constant piece
+    whose value s holds gives its whole span."""
+    scale, table = f._value_table
+    ends = [(p.lo.as_integer_ratio(), p.hi.as_integer_ratio()) for p in s.parts]
     out = []
-    for piece, lo, hi in f._value_ranges:
-        if lo == hi:
-            if s.contains(lo):
-                out.append(piece.span)
-            continue
-        for part in s.parts:  # sorted, so the parts that meet [lo, hi] are consecutive
-            if part.lo > hi:
+    for piece, ((_, _, sl, c), lo, hi) in zip(f.pieces, table):
+        x_lo, x_hi = piece.span.lo, piece.span.hi  # where f is lo and hi
+        if sl[0] < 0:
+            x_lo, x_hi = x_hi, x_lo
+        for (an, ad), (bn, bd) in ends:  # sorted, so the parts that meet [lo, hi] are consecutive
+            if an * scale > hi * ad:
                 break
-            if part.hi < lo:
+            if bn * scale < lo * bd:
                 continue
-            a = piece.solve(part.lo)
-            b = piece.solve(part.hi)
-            q = piece.span.intersection(Interval(min(a, b), max(a, b)))
-            if q is not None:
-                out.append(q)
+            if lo == hi:
+                out.append(piece.span)
+                break
+            a = Fraction(*_solve(sl, c, (an, ad))) if an * scale > lo * ad else x_lo
+            b = Fraction(*_solve(sl, c, (bn, bd))) if bn * scale < hi * bd else x_hi
+            out.append(Interval(a, b) if sl[0] > 0 else Interval(b, a))
     return IntervalSet.of(out)
 
 
 def point_preimages(f: PLMap, y: Fraction) -> list[tuple[int, Fraction | Interval]]:
-    """Per-piece solutions of f(x) = y in piece-index order.
+    """Per-piece solutions of f(x) = y in piece-index order, solved in ints.
 
     Non-constant pieces contribute at most one point; a constant piece whose
-    value is y contributes its whole span. Duplicate points arising at shared
-    dots are reported once (lowest piece index).
+    value is y contributes its whole span. A point at a shared dot solves its
+    two pieces, one after the other, and is reported once, by the first.
     """
+    (n, d), (scale, table) = y.as_integer_ratio(), f._value_table
     hits: list[tuple[int, Fraction | Interval]] = []
-    seen: set[Fraction] = set()
-    for piece, lo, hi in f._value_ranges:
-        if not lo <= y <= hi:  # y misses the piece's values, so no x in its span solves
+    ny, last = n * scale, None
+    for piece, ((_, _, s, c), lo, hi) in zip(f.pieces, table):
+        if not lo * d <= ny <= hi * d:  # y misses the piece's values, so no x in its span solves
             continue
         if lo == hi:
             hits.append((piece.index, piece.span))
-            continue
-        x = piece.solve(y)
-        if x not in seen:
-            seen.add(x)
-            hits.append((piece.index, x))
+        elif (x := _solve(s, c, (n, d))) != last:  # spans meet only at shared dots
+            hits.append((piece.index, Fraction(*x)))
+            last = x
     return hits
 
 

@@ -187,10 +187,10 @@ class TestBackwardTree:
 
     def test_first_hit_misses_by_every_expanded_level(self):
         tree = expanded(f5(), Q(0), 3)  # levels [0], [5], [1], [0, 9/2]
-        with mock.patch.object(backlimits, "_first_within", wraps=backlimits._first_within) as spy:
+        with mock.patch.object(backlimits, "bisect_left", wraps=backlimits.bisect_left) as spy:
             assert tree.first_hit(3, interval(2, 4), anything) is None
-        # one bisection of each level, in level order
-        assert [c.args[0] for c in spy.call_args_list] == tree.levels
+        # one bisection of each level's keys, in level order
+        assert [c.args[0] for c in spy.call_args_list] == [keys for _, keys in tree._keys]
         assert tree.first_hit(3, interval(0, 0), lambda z: z != 0) is None
         assert tree.first_hit(3, interval(4, 5), anything) == (Q(5), 1)
         # level 2 is expanded, but a hit must lie within depth
@@ -199,10 +199,10 @@ class TestBackwardTree:
 
     def test_first_hit_searches_each_level_up_to_the_hit(self):
         tree = expanded(f5(), Q(0), 2)  # levels [0], [5], [1]; level 3 is [0, 9/2]
-        with mock.patch.object(backlimits, "_first_within", wraps=backlimits._first_within) as spy:
+        with mock.patch.object(backlimits, "bisect_left", wraps=backlimits.bisect_left) as spy:
             assert tree.first_hit(3, interval(4, Q(19, 4)), anything) == (Q(9, 2), 3)
         # the expanded levels one by one, then level 3 once it is built
-        assert [c.args[0] for c in spy.call_args_list] == tree.levels
+        assert [c.args[0] for c in spy.call_args_list] == [keys for _, keys in tree._keys]
         assert len(tree.levels) == 4
 
     def test_first_hit_sees_levels_added_later(self):

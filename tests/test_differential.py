@@ -12,9 +12,12 @@ the forward walks and contraction words in reduced int pairs, the pair
 fixed points and orbits of `periodic_orbits` against its loop over Fraction
 fixed points, `image` and `markov_partition`'s cell rows and slopes,
 read off f at the ends, `avoided_region`'s chain of y-free layers, and the
-one reachability rule behind G(y), `is_transitive` and `exceptional_set`, against
-the plain algorithms, Fraction walks and node-based tree they replaced, kept
-here as references."""
+one reachability rule behind G(y), `is_transitive` and `exceptional_set`, the
+backward layer on the value table and int-keyed tree levels against the
+Fraction `point_preimages`, `preimage` and `BackwardTree`, and the merge walk
+of `IntervalSet.intersect` and bisecting `contains`, against the plain
+algorithms, Fraction walks and node-based tree they replaced, kept here as
+references."""
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -337,6 +340,125 @@ def reference_preimage(f, s):
     return IntervalSet.of(out)
 
 
+# The Fraction backward layer that the value table and the int-keyed tree
+# levels replaced, kept verbatim: `_value_ranges`, `point_preimages`,
+# `preimage`, `_first_within` and `BackwardTree`.
+def value_ranges_q(f):
+    """Each piece with the least and greatest of its two dot values."""
+    out = []
+    for piece, (_, a), (_, b) in zip(f.pieces, f.dots, f.dots[1:]):
+        out.append((piece, a, b) if a <= b else (piece, b, a))
+    return tuple(out)
+
+
+def fraction_point_preimages(f, y):
+    hits = []
+    seen = set()
+    for piece, lo, hi in value_ranges_q(f):
+        if not lo <= y <= hi:  # y misses the piece's values, so no x in its span solves
+            continue
+        if lo == hi:
+            hits.append((piece.index, piece.span))
+            continue
+        x = piece.solve(y)
+        if x not in seen:
+            seen.add(x)
+            hits.append((piece.index, x))
+    return hits
+
+
+def fraction_preimage(f, s):
+    out = []
+    for piece, lo, hi in value_ranges_q(f):
+        if lo == hi:
+            if s.contains(lo):
+                out.append(piece.span)
+            continue
+        for part in s.parts:  # sorted, so the parts that meet [lo, hi] are consecutive
+            if part.lo > hi:
+                break
+            if part.hi < lo:
+                continue
+            a = piece.solve(part.lo)
+            b = piece.solve(part.hi)
+            q = piece.span.intersection(Interval(min(a, b), max(a, b)))
+            if q is not None:
+                out.append(q)
+    return IntervalSet.of(out)
+
+
+def fraction_first_within(vals, window, ok):
+    """Least value of the sorted `vals` inside `window` that passes `ok`."""
+    i = bisect_left(vals, window.lo)
+    while i < len(vals) and vals[i] <= window.hi:
+        if ok(vals[i]):
+            return vals[i]
+        i += 1
+    return None
+
+
+class FractionTree:
+    """`BackwardTree` on sorted Fraction levels and `fraction_point_preimages`."""
+
+    def __init__(self, f, root, width_cap):
+        self.f = f
+        self.root = root
+        self.width_cap = width_cap
+        self.levels = [[root]]
+        self.size = 1
+        self.truncated = [False]
+        self.has_sampled = False
+
+    def ensure_depth(self, depth):
+        while len(self.levels) <= depth:
+            nxt = []
+            truncated = False
+            for value in self.levels[-1]:
+                start, flat = len(nxt), False
+                for _, hit in fraction_point_preimages(self.f, value):
+                    if isinstance(hit, Interval):
+                        flat = self.has_sampled = True
+                        nxt.extend((hit.lo, hit.midpoint, hit.hi))
+                    else:
+                        nxt.append(hit)
+                if flat:  # a span's end may also be a neighbouring piece's point preimage
+                    nxt[start:] = dict.fromkeys(nxt[start:])
+                if len(nxt) > self.width_cap:
+                    truncated = True
+                    del nxt[self.width_cap:]
+                    break
+            self.size += len(nxt)
+            nxt.sort()
+            self.levels.append(nxt)
+            self.truncated.append(truncated)
+
+    def first_hit(self, depth, window, ok):
+        for d in range(depth + 1):
+            self.ensure_depth(d)
+            z = fraction_first_within(self.levels[d], window, ok)
+            if z is not None:
+                return z, d
+        return None
+
+
+def assert_backward_matches_fraction(f, y, sets, searches, depth, width_cap):
+    """`point_preimages` at y, at the domain's ends and at every dot value;
+    `preimage` of each set; and, on one tree each, `first_hit` for each
+    (window, ok) in turn, then the levels, flags and size at `depth`."""
+    for point in (y, f.domain.lo, f.domain.hi, *(v for _, v in f.dots)):
+        assert point_preimages(f, point) == fraction_point_preimages(f, point), (f, point)
+    for s in sets:
+        assert preimage(f, s) == fraction_preimage(f, s), (f, s)
+    tree, ref = BackwardTree(f, y, width_cap), FractionTree(f, y, width_cap)
+    for window, ok in searches:
+        assert tree.first_hit(depth, window, ok) == ref.first_hit(depth, window, ok), (f, y, window)
+        assert len(tree.levels) == len(ref.levels)
+    tree.ensure_depth(depth)
+    ref.ensure_depth(depth)
+    assert tree.levels == ref.levels, (f, y)
+    assert (tree.truncated, tree.has_sampled, tree.size) == (ref.truncated, ref.has_sampled, ref.size)
+
+
 def reference_image(f, s):
     """f(s), intersecting every part of s with every piece of f and imaging
     each intersection by the piece's s * x + c at its ends."""
@@ -541,7 +663,7 @@ def reference_sorted_compose(f: PLMap, g: PLMap) -> PLMap:
     """h = f o g from g's dots, where h = f(v), and the g-preimages of f's
     dots, where h is the dot's value, sorted and with collinear dots dropped."""
     values = {x: f.eval_at(v) for x, v in g.dots}
-    for piece, lo, hi in g._value_ranges:
+    for piece, lo, hi in value_ranges_q(g):
         if lo == hi:
             continue
         for cx, cy in f.dots:
@@ -670,7 +792,7 @@ def _runs_q(g, f: PLMap) -> list[range]:
     two bisections at the ends of its value range, reversed where f falls."""
     starts = [x0 for x0, *_ in g]
     out = []
-    for piece, lo, hi in f._value_ranges:
+    for piece, lo, hi in value_ranges_q(f):
         i = bisect_right(starts, lo)  # g[i - 1] holds the least value
         run = range(i - 1, max(i, bisect_left(starts, hi)))
         out.append(run if piece.slope >= 0 else run[::-1])
@@ -1188,6 +1310,103 @@ def sets_around(draw, upper):
 
 
 IMAGE_MAP = make_plmap(interval(0, 4), [(0, 1), (1, 3), (2, 3), (3, 0), (4, 2)])
+
+
+def drawn_searches(f, y):
+    """Windows around y, each dot value and each piece, with a test that
+    refuses y and one that takes anything."""
+    windows = [Interval(y / 2, y), f.domain, *(Interval(v, v) for _, v in f.dots)]
+    windows += [p.span for p in f.pieces]
+    return [(w, ok) for w in windows for ok in (lambda z: z != y, lambda z: True)]
+
+
+FLAT_END_MAP = make_plmap(interval(0, 3), [(0, 0), (1, 1), (2, 1), (3, 3)])
+TENT5 = make_plmap(interval(0, 5), [(0, 1), (1, 5), (4, 2), (5, 0)])
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    uppers.flatmap(lambda u: st.tuples(
+        integer_maps(u), st.fractions(0, u, max_denominator=6), sets_around(u))),
+    st.integers(0, 6),
+    st.integers(1, 60),
+)
+# a constant piece at the value 1: its span is a hit and is sampled
+@example((make_plmap(interval(0, 2), [(0, 1), (1, 1), (2, 0)]), Q(1), IntervalSet.single(1, 1)), 4, 60)
+# y on the dot value 2 at x = 4, inside the domain
+@example((TENT5, Q(2), IntervalSet.single(Q(3, 2), 2)), 5, 60)
+# y at the domain's end 0, the value of the last dot
+@example((TENT5, Q(0), IntervalSet.single(0, Q(1, 3))), 5, 3)
+# y = 5 at the shared dot x = 1 of a rising and a falling piece: one hit
+@example((TENT5, Q(5), IntervalSet.single(5, 5)), 5, 60)
+# one falling piece
+@example((make_plmap(interval(0, 4), [(0, 4), (4, 0)]), Q(1, 3), IntervalSet.single(1, 3)), 6, 60)
+# the flat span [1, 2] at 1 ends at 1 and 2, which pieces 0 and 2 solve too
+@example((FLAT_END_MAP, Q(1), IntervalSet.single(Q(1, 2), 1)), 6, 60)
+def test_backward_layer_matches_fraction_layer(case, depth, width_cap):
+    f, y, s = case
+    sets = [s, IntervalSet((f.domain,)), *(IntervalSet((p.span,)) for p in f.pieces)]
+    assert_backward_matches_fraction(f, y, sets, drawn_searches(f, y), depth, width_cap)
+
+
+def test_backward_layer_matches_fraction_layer_on_the_corpus():
+    """Every corpus point an expectation names, at the expectation's width
+    cap and at most 8 levels, searched with the basins of the contraction
+    words of every orbit target, as `find_contraction` does."""
+    count = 0
+    for entry in all_entries():
+        f = entry.map
+        sets = [IntervalSet((f.domain,)), *analyze_map(f, 4).seed_candidates]
+        searches = [
+            (word.basin, lambda z, t=t: z != t)
+            for orbit in orbit_targets(f, 4)
+            for t in orbit.points
+            for word in _contraction_words(f, t, orbit.least_period)
+        ]
+        for exp in entry.expectations:
+            if "y" in exp.params:
+                budget = exp.params.get("budget", entry.budget)
+                depth = min(budget.depth, 8)
+                assert_backward_matches_fraction(
+                    f, exp.params["y"], sets, searches, depth, budget.width_cap)
+                count += 1
+    assert count > 0
+
+
+def reference_intersect(a, b):
+    """Every part of `a` against the parts of `b` from the first on."""
+    out = []
+    for p in a.parts:
+        for q in b.parts:
+            if q.lo > p.hi:
+                break
+            got = p.intersection(q)
+            if got is not None:
+                out.append(got)
+    return IntervalSet.of(out)
+
+
+def reference_contains(s, x):
+    """The parts in order, up to the first that starts past x."""
+    for p in s.parts:
+        if p.lo > x:
+            return False
+        if x <= p.hi:
+            return True
+    return False
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(lambda u: st.tuples(
+    sets_around(u), sets_around(u), st.fractions(-1, u + 1, max_denominator=6))))
+# parts touching at 1, a point part inside another, a point past every part
+@example((IntervalSet.single(0, 1), IntervalSet.of([interval(1, 2), interval(3, 3)]), Q(1)))
+@example((IntervalSet.of([interval(0, 1), interval(2, 4)]), IntervalSet.single(3, 3), Q(5)))
+def test_intersect_and_contains_match_reference(case):
+    a, b, x = case
+    assert a.intersect(b) == reference_intersect(a, b) == b.intersect(a)
+    assert a.contains(x) == reference_contains(a, x)
+    assert hash(a) == hash((a.parts,)) and {a: 1}[IntervalSet(a.parts)] == 1
 
 
 @settings(deadline=None, derandomize=True)
