@@ -47,7 +47,6 @@ from .markov import (
 from .orbits import (
     MAX_STEPS,
     PeriodicOrbit,
-    PeriodicStructure,
     image_after,
     periodic_orbits,
 )
@@ -590,15 +589,10 @@ _SEED_CAP = 64
 
 
 @_per_map
-def _structure(f: PLMap, max_period: int) -> PeriodicStructure:
-    return periodic_orbits(f, max_period)
-
-
-@_per_map
 def orbit_targets(f: PLMap, max_period: int) -> tuple[PeriodicOrbit, ...]:
     """Certification targets: isolated orbits plus the (periodic) endpoints of
     periodic continua, which carry the only certifiable orbits of a continuum."""
-    structure = _structure(f, max_period)
+    structure = periodic_orbits(f, max_period)
     targets: dict[frozenset, PeriodicOrbit] = {}
     for orbit in structure.isolated_orbits:
         targets.setdefault(orbit.point_set, orbit)
@@ -682,7 +676,7 @@ def _ball_table(f: PLMap, points: tuple[Fraction, ...]) -> _BallTable:
 @_per_map
 def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
     """Point-independent analysis shared by all enclosure queries on a map."""
-    structure = _structure(f, max_period)
+    structure = periodic_orbits(f, max_period)
     targets = orbit_targets(f, max_period)
 
     ms = markov_partition(f)
@@ -795,10 +789,8 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     limit set of y. Budget exhaustion can lose exactness, never soundness.
     Every certificate is sound, so an orbit or cycle reaching outside
     `graph_bound` has none, and its search is skipped."""
-    if not f.domain.contains(y):
-        raise ValueError(f"{y} outside domain {f.domain}")
-    analysis = analyze_map(f, budget.max_period)
     tree = BackwardTree(f, y, budget.width_cap)
+    analysis = analyze_map(f, budget.max_period)
     bound = graph_bound(f, y)
     inside = _inside_bound(f, bound, budget.max_period)
 

@@ -24,7 +24,6 @@ from .backlimits import (
     DEFAULT_DEPTH,
     DEFAULT_MAX_PERIOD,
     DEFAULT_WIDTH_CAP,
-    ExactTailCert,
     PreconditionError,
     RegionBudgetExceeded,
     RejectedSeed,
@@ -168,13 +167,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         raise PreconditionError(f"target {t} is not periodic within {bound} steps")
     tree = BackwardTree(f, y, args.width)
     cert = certify_orbit(tree, orbit, args.depth)
-    if not isinstance(cert, ExactTailCert):
-        # the stats report the tree the search explores, to the full depth
-        tree.ensure_depth(args.depth)
-    stats = {
-        "tree_nodes": tree.size,
-        "depth_explored": len(tree.levels) - 1,
-    }
+    stats = {"tree_nodes": tree.size, "depth_explored": len(tree.levels) - 1}
     inputs = {"point": str(y), "target": str(t), "period": orbit.least_period}
     if cert is None:
         return _report("certify", f, inputs, {"found": False, "stats": stats}), EXIT_FAIL
@@ -273,17 +266,17 @@ def _cmd_corpus_verify(args) -> tuple[dict, int]:
 def _cmd_corpus_export(args) -> tuple[None, int]:
     entry = _entry(args.name)
     outdir = Path(args.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{entry.name}.json").write_text(
-        json.dumps(map_to_obj(entry.map), indent=2) + "\n", encoding="utf-8"
-    )
     expectations = [
         {"kind": e.kind, "label": e.label, "provenance": e.provenance}
         for e in entry.expectations
     ]
-    (outdir / f"{entry.name}.expectations.json").write_text(
-        json.dumps(expectations, indent=2) + "\n", encoding="utf-8"
-    )
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, obj in ((f"{entry.name}.json", map_to_obj(entry.map)),
+                          (f"{entry.name}.expectations.json", expectations)):
+            (outdir / name).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    except OSError as e:
+        raise _InputError(f"cannot export to {outdir}: {e}") from e
     print(f"wrote {entry.name}.json and {entry.name}.expectations.json to {outdir}")
     return None, EXIT_OK
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import islice
 
 from .exactnum import Interval, IntervalSet
-from .plmap import Pair, PLMap, Segment, _pair, powers
+from .plmap import Pair, PLMap, Segment, _pair, _per_map, powers
 
 MAX_STEPS = 4096
 
@@ -122,6 +122,7 @@ class PeriodicStructure:
     fixed_intervals: tuple[tuple[int, IntervalSet], ...]
 
 
+@_per_map
 def periodic_orbits(f: PLMap, n_max: int) -> PeriodicStructure:
     """All isolated orbits of least period <= n_max plus periodic continua.
 

@@ -32,9 +32,9 @@ only for what it returns.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -165,31 +165,29 @@ class PLMap:
     __call__ = eval_at
 
 
-MemoInfo = namedtuple("MemoInfo", "hits misses")
-
-
 def _per_map(fn):
-    """Memoise fn(f, *args, **kwargs) in f.memo, so work done for one query on
-    a map is shared by every later query on that map object and freed with
-    it. A fresh map starts cold; equal maps built separately share nothing.
-
-    `cache_info()` returns the hits and misses counted since import, over all
-    maps; the counters only count, and no result reads them."""
-    counts = [0, 0]
+    """Memoise fn(f, ...) in f.memo, so work done for one query on a map is
+    shared by every later query on that map object and freed with it. A fresh
+    map starts cold; equal maps built separately share nothing. The key is
+    every argument after f, by position and with defaults filled in, so one
+    call finds one entry however it is written. Nothing is counted, and
+    nothing is kept outside the map."""
+    signature = inspect.signature(fn)
+    _, *defaults = (p.default for p in signature.parameters.values())
 
     @wraps(fn)
     def memoised(f: PLMap, *args, **kwargs):
-        key = (fn.__name__, *args, *kwargs.items())
+        if kwargs:  # bound to positions; a name fn does not take raises TypeError
+            call = signature.bind(f, *args, **kwargs)
+            call.apply_defaults()
+            args = call.args[1:]
+        key = (fn.__name__, *args, *defaults[len(args):])
         try:
-            out = f.memo[key]
+            return f.memo[key]
         except KeyError:
-            counts[1] += 1
-            out = f.memo[key] = fn(f, *args, **kwargs)
-        else:
-            counts[0] += 1
-        return out
+            out = f.memo[key] = fn(f, *args)
+            return out
 
-    memoised.cache_info = lambda: MemoInfo(*counts)
     return memoised
 
 

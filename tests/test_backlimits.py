@@ -864,14 +864,19 @@ class TestMapLifetime:
         finally:
             gc.enable()
 
-    def test_memo_counts_hits_and_misses(self):
-        # the counters accumulate over the session, so compare differences
-        f = f5()
-        before = salpha_enclosure.cache_info()
-        enc = salpha_enclosure(f, Q(0))
-        assert salpha_enclosure(f, Q(0)) is enc
-        after = salpha_enclosure.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    def test_one_memo_entry_per_call_however_written(self):
+        # defaults are filled into the key, so the spellings of one call,
+        # and beta_upper's own call, find one result
+        f, y = f5(), Q(0)
+        enc = salpha_enclosure(f, y)
+        assert salpha_enclosure(f, y, Budget()) is enc
+        assert salpha_enclosure(f, y, budget=Budget()) is enc
+        assert beta_upper(f, y) is enc.upper
+        assert [key for key in f.memo if key[0] == "salpha_enclosure"] == [
+            ("salpha_enclosure", y, Budget())]
+        ms = markov_partition(f)
+        assert markov_partition(f, 64) is ms and markov_partition(f, cap=64) is ms
+        assert sum(key[0] == "markov_partition" for key in f.memo) == 1
 
     def test_analysis_stays_on_its_map_object(self):
         a, b = f5(), f5()

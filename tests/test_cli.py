@@ -142,16 +142,20 @@ class TestCertify:
         assert code == 1
         assert json.loads(out)["result"]["found"] is False
 
-    def test_contraction_stats_cover_the_full_depth(self, capsys, f5_path):
-        # the connector sits at level 0, yet the reported tree is the one the
-        # search explores: expanded to --depth
+    @pytest.mark.parametrize("depth", ["5", "100000"])
+    def test_contraction_stats_report_the_search_tree(self, capsys, f5_path, depth):
+        # the connector sits at level 0, so the search builds the root alone,
+        # however deep --depth would let it go
+        started = time.monotonic()
         code, out = run(capsys, "certify", f5_path, "--point", "0", "--target", "2",
-                        "--depth", "5")
+                        "--depth", depth)
+        assert time.monotonic() - started < 1
         assert code == 0
         result = json.loads(out)["result"]
         assert result["certificate"]["kind"] == "contraction"
         assert result["certificate"]["connector_k"] == 0
-        assert result["stats"] == {"tree_nodes": 12, "depth_explored": 5}
+        assert result["verified"] is True
+        assert result["stats"] == {"tree_nodes": 1, "depth_explored": 0}
 
     def test_exact_tail_stats_cover_the_root(self, capsys, f5_path):
         code, out = run(capsys, "certify", f5_path, "--point", "0", "--target", "0")
@@ -436,6 +440,15 @@ class TestCorpus:
         assert (tmp_path / "f5.json").exists()
         assert (tmp_path / "f5.expectations.json").exists()
 
+    def test_export_into_an_unwritable_dir_is_an_input_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["corpus", "export", "f5", "--dir", str(blocker / "sub")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot export to {blocker / 'sub'}: ")
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [["export", "f5", "--dir", "EX", "--json", "EX/r.json"],
@@ -471,7 +484,8 @@ class TestTreeBudget:
         "argv, point",
         [
             (["analyze", "OVERLAP", "--point", "1/2", "--depth", "100000"], "1/2"),
-            (["certify", "F5", "--point", "3", "--target", "2", "--depth", "1000000"], "3"),
+            (["certify", "OVERLAP", "--point", "1/2", "--target", "1/9", "--depth", "1000000"],
+             "1/2"),
             (["plot", "F5", "--samples", "3", "--tree", "3,1000000", "--out", "OUT"], "3"),
         ],
         ids=["analyze", "certify", "plot"],

@@ -44,7 +44,6 @@ from backlim.backlimits import (
     PreconditionError,
     SalphaEnclosure,
     _contraction_words,
-    _structure,
     analyze_map,
     avoided_region,
     beta_upper,
@@ -493,7 +492,7 @@ def reference_cell_rows(f, cuts):
 def reference_seed_candidates(f, max_period):
     """The seeds of `analyze_map`, building the full image of the ball set
     at every radius."""
-    structure = _structure(f, max_period)
+    structure = periodic_orbits(f, max_period)
     candidates = [Interval(a, b) for a, b in combinations(f._xs, 2)]
     for _, iset in structure.fixed_intervals:
         for part in iset.parts:
@@ -582,7 +581,7 @@ def cycle_candidates(f, max_period):
     """The base intervals `analyze_map` tries: every pair of dots, then the
     parts of the periodic continua."""
     candidates = [Interval(a, b) for a, b in combinations(f._xs, 2)]
-    for _, iset in _structure(f, max_period).fixed_intervals:
+    for _, iset in periodic_orbits(f, max_period).fixed_intervals:
         for part in iset.parts:
             if part not in candidates:
                 candidates.append(part)
@@ -895,7 +894,7 @@ def assert_pull_back_matches_walk(f, n_max=6):
     assert got == list(reference_walked_powers(f, n_max)), f
     walked_pairs = lambda f, n: map(as_pairs, reference_walked_powers(f, n))
     with mock.patch.object(orbits, "powers", walked_pairs):
-        want = periodic_orbits(f, n_max)
+        want = periodic_orbits.__wrapped__(f, n_max)  # past the memo on f
     assert periodic_orbits(f, n_max) == want, f
     g = iterate(f, 2)
     for outer, inner in ((f, g), (g, f), (f, f)):
