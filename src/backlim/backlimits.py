@@ -50,7 +50,7 @@ from .orbits import (
     image_after,
     periodic_orbits,
 )
-from .plmap import PLMap, _affine, _per_map, image, point_preimages, preimage
+from .plmap import PLMap, _affine, _pair, _per_map, image, point_preimages, preimage
 
 DEFAULT_DEPTH = 12
 DEFAULT_WIDTH_CAP = 10_000
@@ -426,9 +426,7 @@ def cycle_membership(
     bad = set(report.exceptional)
 
     def good(z: Fraction) -> bool:
-        if z in bad:
-            return False
-        return any(p.strictly_contains(z) for p in cycle.components.parts)
+        return z not in bad and any(p.strictly_contains(z) for p in cycle.components.parts)
 
     # the components are sorted and disjoint, so the least good value of
     # their hull is the least good value of the first component holding one
@@ -576,7 +574,7 @@ def verify_certificate(f: PLMap, y: Fraction, cert) -> Verification:
 @dataclass(frozen=True)
 class MapAnalysis:
     orbit_targets: tuple[PeriodicOrbit, ...]
-    # every target's points in increasing order, each with its target's index
+    # every target's points, sorted by int keys over one denominator, each with its target's index
     target_points: tuple[tuple[Fraction, int], ...]
     markov: MarkovSystem | None
     transitive_cycles: tuple[ExceptionalReport, ...]
@@ -636,41 +634,76 @@ def certified_period_set(
 
 
 class _BallTable(NamedTuple):
-    """An orbit's one-sided slopes, read in one walk. r* is the least of each
-    point's distance to its nearest other dot and half the least gap between
-    points: for r < r* each ball lies in the pieces next to its point, apart
-    from the others, so all such r pass iff no side is steep. A steep side
-    (f(p), s, d) has |s| > 1, and f maps p ± r, in B_r for r <= d, to f(p) + s*r."""
+    """An orbit's one-sided slopes, read in one walk, in ints over one scale L,
+    the lcm of the dots' x grid, 2^10 and the points' denominators. r* is the
+    least of each point's distance d to its nearest other dot and half the least
+    gap between points: for r < r* each ball lies in the pieces next to its point,
+    apart from the others, so all such r pass iff no side is steep; `r2` = 2r*. A
+    steep side (f(p), n, m, d) has slope s = n/m, |s| > 1, and f maps p ± r, in B_r
+    for r <= d, to f(p) + s*r. Fractions are made only for `r_star` and a seed."""
 
-    r_star: Fraction
-    sides: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    ordered: tuple[Fraction, ...]  # the points, sorted
+    scale: int
+    r2: int
+    sides: tuple[tuple[int, int, int, int], ...]
+    ordered: tuple[int, ...]  # the points, sorted
+    xs: tuple[int, ...]  # the dots' x
+
+    @property
+    def r_star(self) -> Fraction:
+        return Fraction(self.r2, 2 * self.scale)
 
     def rejects(self, r: Fraction) -> bool:
         """Whether a side maps its point of B_r farther than r from the orbit, out of B_r."""
-        for v, s, d in self.sides:
-            if r > d:
+        rl = r.numerator * (self.scale // r.denominator)  # r * L, an int
+        for v, n, m, d in self.sides:
+            if rl > d:
                 continue
-            w = v + s * r
-            k = bisect_left(self.ordered, w - r)  # the first point at or above w - r
-            if k == len(self.ordered) or self.ordered[k] > w + r:
+            # w = v + s*r: the points within r of it lie in [v - r + ceil(s*r), v + r + floor(s*r)]
+            k = bisect_left(self.ordered, v - rl - (-n * rl // m))
+            if k == len(self.ordered) or self.ordered[k] > v + rl + n * rl // m:
                 return True
         return False
 
 
 def _ball_table(f: PLMap, points: tuple[Fraction, ...]) -> _BallTable:
-    """The table of an orbit given in orbit order, so f(p) is the next point."""
-    xs, pieces, r_star, sides = f._xs, f.pieces, f.domain.length, []
-    for pt, value in zip(points, points[1:] + points[:1]):
+    """The table, in ints, of an orbit given in orbit order, so f(p) is the next point."""
+    grid, dots = f._grid
+    scale = lcm(grid, _BALL_RADII[-1].denominator, *(p.denominator for p in points))
+    xs = [x * (scale // grid) for x in dots]
+    pts = [p.numerator * (scale // p.denominator) for p in points]
+    slopes, r2, sides = [s for _, _, s, _ in f._segments], 2 * (xs[-1] - xs[0]), []
+    for pt, value in zip(pts, pts[1:] + pts[:1]):
         i, j = bisect_left(xs, pt), bisect_right(xs, pt)  # xs[i - 1] < pt < xs[j]
-        # (d, s) of the piece just left of pt, walked leftwards, and of the one right
-        near = [(pt - xs[i - 1], -pieces[i - 1].slope)] if i else []
-        near += [(xs[j] - pt, pieces[j - 1].slope)] if j < len(xs) else []
-        r_star = min([r_star] + [d for d, _ in near])
-        sides += [(value, s, d) for d, s in near if abs(s) > 1]
-    ordered = tuple(sorted(points))
-    r_star = min([r_star, *((b - a) / 2 for a, b in zip(ordered, ordered[1:]))])
-    return _BallTable(r_star, tuple(sides), ordered)
+        # (d, n, m) of the piece just left of pt, walked leftwards, and of the one right
+        near = [(pt - xs[i - 1], -slopes[i - 1][0], slopes[i - 1][1])] if i else []
+        near += [(xs[j] - pt, *slopes[j - 1])] if j < len(xs) else []
+        r2 = min([r2] + [2 * d for d, _, _ in near])
+        sides += [(value, n, m, d) for d, n, m in near if abs(n) > m]
+    ordered = sorted(pts)
+    r2 = min([r2, *(b - a for a, b in zip(ordered, ordered[1:]))])
+    return _BallTable(scale, r2, tuple(sides), tuple(ordered), tuple(xs))
+
+
+def _ball_seed(f: PLMap, table: _BallTable, r: Fraction) -> IntervalSet | None:
+    """The balls of radius r about the points, clipped to the domain and merged
+    where they touch, if f maps them into themselves, else None. In ints over L:
+    f of each part [a, b], the hull of f(a), f(b) and the dot values strictly
+    inside, must lie in the last part to start at or below its floor."""
+    scale, xs, parts = table.scale, table.xs, []
+    rl = r.numerator * (scale // r.denominator)
+    for p in table.ordered:
+        if parts and p - rl <= parts[-1][1]:
+            parts[-1][1] = min(xs[-1], p + rl)
+        else:
+            parts.append([max(xs[0], p - rl), min(xs[-1], p + rl)])
+    starts = [a for a, _ in parts]
+    for a, b in parts:
+        inner = [y.as_integer_ratio() for _, y in f.dots[bisect_right(xs, a):bisect_left(xs, b)]]
+        ys = [f._at(_pair(a, scale)), f._at(_pair(b, scale)), *inner]
+        k = bisect_right(starts, min(n * scale // d for n, d in ys)) - 1
+        if k < 0 or parts[k][1] < max(-(-n * scale // d) for n, d in ys):
+            return None
+    return IntervalSet(tuple(Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in parts))
 
 
 @_per_map
@@ -712,30 +745,20 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
             closure = orbit_closure(f, part, cap=32)
             if closure.stabilized:  # S = S ∪ f(S), so f(S) ⊆ S
                 propose(closure.set)
-    widest = max(piece.span.length for piece in f.pieces)
     for orbit in targets:
-        table = None
+        table = _ball_table(f, orbit.points)
         for r in _BALL_RADII:
-            # r* and each side's d are at most the widest piece: above it no table decides
-            if r <= widest:
-                table = table or _ball_table(f, orbit.points)
-                if table.sides and r < table.r_star:
-                    break  # below r* the slopes decide, and a steep side fails
-                if table.rejects(r):
-                    continue
-            balls = []
-            for pt in orbit.points:
-                lo = max(f.domain.lo, pt - r)
-                hi = min(f.domain.hi, pt + r)
-                balls.append(Interval(lo, hi))
-            ball_set = IntervalSet.of(balls)
-            if ball_set.contains_set(image(f, ball_set)):
-                propose(ball_set)
+            if table.sides and 2 * r.numerator * table.scale < table.r2 * r.denominator:
+                break  # below r* the slopes decide, and a steep side fails
+            if not table.rejects(r) and (seed := _ball_seed(f, table, r)) is not None:
+                propose(seed)
                 break
 
-    # distinct periodic orbits are disjoint, so no point appears twice
-    points = sorted((x, i) for i, orbit in enumerate(targets) for x in orbit.points)
-    return MapAnalysis(targets, tuple(points), ms, tuple(cycles), tuple(seeds))
+    # distinct periodic orbits are disjoint, so no point, and no int key, appears twice
+    points = [(x, i) for i, orbit in enumerate(targets) for x in orbit.points]
+    scale = lcm(*(x.denominator for x, _ in points))
+    ranked = sorted(zip([x.numerator * (scale // x.denominator) for x, _ in points], points))
+    return MapAnalysis(targets, tuple(p for _, p in ranked), ms, tuple(cycles), tuple(seeds))
 
 
 @dataclass(frozen=True)
@@ -774,13 +797,11 @@ class SalphaEnclosure:
         return not self.upper.contains(x)
 
     def certified_periods(self, f: PLMap) -> set[int]:
-        periods = set()
-        for cert in self.orbit_certs:
-            if isinstance(cert, ExactTailCert):
-                periods.add(cert.orbit.least_period)
-            else:
-                periods.add(PeriodicOrbit.from_point(f, cert.target, cert.period).least_period)
-        return periods
+        return {
+            cert.orbit.least_period if isinstance(cert, ExactTailCert)
+            else PeriodicOrbit.from_point(f, cert.target, cert.period).least_period
+            for cert in self.orbit_certs
+        }
 
 
 @_per_map

@@ -42,7 +42,6 @@ from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .exactnum import (
-    EMPTY,
     Interval,
     IntervalSet,
     parse_pair,

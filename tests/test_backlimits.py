@@ -518,6 +518,14 @@ class TestBudget:
             Budget(**{field: least - 1})
 
 
+def _ball_tests(f):
+    """(table, radius) of each ball set `analyze_map(f, 6)` images: the
+    calls of the int image test, which no steep side or r* rules out."""
+    with mock.patch.object(backlimits, "_ball_seed", wraps=backlimits._ball_seed) as spy:
+        analyze_map(f, 6)
+    return [call.args[1:] for call in spy.call_args_list]
+
+
 class TestBallSeeds:
     def test_ends_inside_do_not_make_a_seed(self):
         # every end of [3/2,5/2] u [7/2,4] maps into it, but the dot (2,4)
@@ -533,12 +541,11 @@ class TestBallSeeds:
         # the orbit {2, 4} has r* = 1, so every radius tried lies below it,
         # and the slope 3 left of 2 fails them all before any is imaged
         f = make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 4), (4, 2)])
-        assert backlimits._ball_table(f, (Q(2), Q(4))).r_star == 1
-        below = {iset((2 - r, 2 + r), (4 - r, 4)) for r in backlimits._BALL_RADII}
-        with mock.patch.object(backlimits, "image", wraps=image) as spy:
-            analyze_map(f, 6)
-        assert spy.call_count > 0
-        assert not below & {call.args[1] for call in spy.call_args_list}
+        table = backlimits._ball_table(f, (Q(2), Q(4)))
+        assert table.r_star == 1
+        tried = _ball_tests(f)
+        assert tried  # the fixed points 0 and 3 are imaged at radius 1/2
+        assert not [r for t, r in tried if t == table]
 
     def test_seed_is_the_first_radius_below_r_star(self):
         # the orbit {2/3, 10/3} has r* = 1/3: at radius 1/2 the ball about
@@ -561,14 +568,9 @@ class TestBallSeeds:
         table = backlimits._ball_table(f, points)
         assert table.r_star == Q(1, 7)
         assert table.rejects(Q(1, 2)) and table.rejects(Q(1, 4))
-        balls = [
-            [Interval(max(p - r, 0), min(p + r, 4)) for p in points]
-            for r in backlimits._BALL_RADII
-        ]
-        with mock.patch.object(IntervalSet, "of", wraps=IntervalSet.of) as spy:
-            analyze_map(f, 6)
-        assert spy.call_count > 0
-        assert not [call for call in spy.call_args_list if call.args[0] in balls]
+        tried = _ball_tests(f)
+        assert tried  # the fixed point 0 is imaged at radius 1/2
+        assert not [r for t, r in tried if t == table]
 
 
 class TestBetaUpper:

@@ -14,8 +14,9 @@ fixed points, `image` and `markov_partition`'s cell rows and slopes,
 read off f at the ends, `avoided_region`'s chain of y-free layers, and the
 one reachability rule behind G(y), `is_transitive` and `exceptional_set`, the
 backward layer on the value table and int-keyed tree levels against the
-Fraction `point_preimages`, `preimage` and `BackwardTree`, and the merge walk
-of `IntervalSet.intersect` and bisecting `contains`, against the plain
+Fraction `point_preimages`, `preimage` and `BackwardTree`, the merge walk
+of `IntervalSet.intersect` and bisecting `contains`, and the int ball
+search and int-keyed `target_points` of `analyze_map`, against the plain
 algorithms, Fraction walks and node-based tree they replaced, kept here as
 references."""
 
@@ -1485,6 +1486,21 @@ PINNED_SIDES_MAP = make_plmap(interval(0, 4), [(0, 0), (2, 1), (3, 4), (4, 2)])
 # the dot 3, and the seed is the first radius below r*, 1/4
 @example(make_plmap(interval(0, 4), [(0, 3), (2, 4), (3, 1), (4, 0)]), 6)
 @example(PINNED_SIDES_MAP, 6)
+# the ball search runs in ints over L = lcm(dot x grid, 2^10, point
+# denominators); integer maps on [0, n] keep L = 2^10 or a point's multiple:
+# a domain [1/2, 7/2] with balls clipped at 1/2 about 1/2 and at 7/2 about 19/6
+@example(make_plmap(interval(Q(1, 2), Q(7, 2)),
+                    [(Q(1, 2), Q(1, 2)), (Q(3, 2), 1), (Q(5, 2), Q(7, 2)), (Q(7, 2), 3)]), 2)
+# a dot x of 4/3, strictly inside the ball about the fixed point 1, whose
+# value 7/6 is the top of that ball's image
+@example(make_plmap(interval(0, 4), [(0, Q(1, 2)), (Q(4, 3), Q(7, 6)), (4, 0)]), 2)
+# the slope 4/3 is a steep side of the orbit {144/73, 192/73, 256/73} that
+# radius 1/2 does not reject, where (4/3) r is no int over L
+@example(make_plmap(interval(0, 4), [(0, 0), (3, 4), (4, 0)]), 3)
+# the orbit {0, 4}: its balls clip at both domain ends, and radius 1/2 passes
+@example(make_plmap(interval(0, 4), [(0, 4), (1, Q(7, 2)), (3, Q(1, 2)), (4, 0)]), 2)
+# the fixed point 10/7, whose 7 divides no 2^10 times the dots' grid
+@example(make_plmap(interval(0, 4), [(0, 2), (4, Q(2, 5))]), 2)
 def test_seed_candidates_match_full_image_search(f, max_period):
     assert analyze_map(f, max_period).seed_candidates == reference_seed_candidates(
         f, max_period
@@ -1522,6 +1538,24 @@ def test_rejected_radii_fail_the_full_image_test_on_the_corpus():
         for max_period in (4, 6)  # period 8 would add about 5 s of full images
     ]
     assert [sum(c) for c in zip(*counts)] == [2147, 1257]
+
+
+def assert_target_points_match_sorted_fractions(f, max_period):
+    targets = orbit_targets(f, max_period)
+    expected = tuple(sorted((x, i) for i, o in enumerate(targets) for x in o.points))
+    assert analyze_map(f, max_period).target_points == expected
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps), st.integers(1, 6))
+def test_target_points_match_sorted_fractions(f, max_period):
+    assert_target_points_match_sorted_fractions(f, max_period)
+
+
+def test_target_points_match_sorted_fractions_on_the_corpus():
+    for entry in all_entries():
+        for max_period in (4, 6, 8):
+            assert_target_points_match_sorted_fractions(entry.map, max_period)
 
 
 def test_seed_candidates_match_full_image_search_on_the_corpus():
