@@ -348,7 +348,9 @@ def avoided_region(
     layers: int = DEFAULT_AVOID_LAYERS,
 ) -> AvoidanceCert | RejectedSeed:
     """Grow a forward-invariant region that the whole backward tree of y must
-    avoid, starting from an invariant seed not containing y.
+    avoid, starting from an invariant seed not containing y. Every region is
+    forward-invariant and misses y, so it lies inside its preimage, each of its
+    parts inside one preimage part on one side of y.
 
     Each layer adds maximal intervals whose image lies in the current region;
     an interval containing y is split there, pulling the touching endpoint
@@ -365,51 +367,42 @@ def avoided_region(
         return RejectedSeed(chain)
 
     def split_at_point(part: Interval, region: IntervalSet) -> list[Interval]:
-        pieces = []
-        if part.lo < y:
-            anchor = part.lo
-            for q in region.parts:
-                if part.lo <= q.hi < y:
-                    anchor = max(anchor, q.hi)
-            pieces.append(Interval(part.lo, (anchor + y) / 2))
-        if y < part.hi:
-            anchor = part.hi
-            for q in region.parts:
-                if y < q.lo <= part.hi:
-                    anchor = min(anchor, q.lo)
-            pieces.append(Interval((y + anchor) / 2, part.hi))
-        return pieces
+        # the region parts next to y, if they lie in `part`, bound its two sound ends
+        parts, k = region.parts, bisect_right(region.parts, Interval(y, y))  # parts[:k] lie below y
+        below = max(part.lo, parts[k - 1].hi) if k else part.lo
+        above = min(part.hi, parts[k].lo) if k < len(parts) else part.hi
+        ends = ((part.lo, (below + y) / 2), ((y + above) / 2, part.hi))
+        return [Interval(a, b) for a, b in ends if a < b]
 
-    def fresh_parts(region: IntervalSet, pre: IntervalSet) -> list[Interval]:
-        # both are sorted, so one merge walk finds the part of region that could hold q
-        parts, i, fresh = region.parts, 0, []
+    def grown(region: IntervalSet, pre: IntervalSet) -> IntervalSet:
+        # region ∪ pre's parts split at y, less its single points: a region part lies in
+        # one of those pieces or is one of those points, so all come disjoint and in order
+        parts = []
         for part in pre.parts:
-            for q in split_at_point(part, region) if part.contains(y) else [part]:
-                while i < len(parts) and parts[i].hi < q.lo:
-                    i += 1
-                if not q.is_point and (i == len(parts) or not parts[i].contains_interval(q)):
-                    fresh.append(q)
-        return fresh
+            if part.contains(y):
+                parts += split_at_point(part, region)
+            elif not part.is_point or region.contains(part.lo):
+                parts.append(part)
+        return IntervalSet(tuple(parts))
 
     # the step after the last layer is probed too, so `stabilized` is honest when the budget
     # runs out; layers before the first whose preimage holds y are read off the seed's chain
     (region, pre), used, y_free = chain[0], 0, True
-    fresh = fresh_parts(region, pre)
-    while fresh and used < layers:
+    nxt = grown(region, pre)
+    while nxt != region and used < layers:
         used += 1
         y_free = y_free and not pre.contains(y)
         if y_free and used < len(chain):
             region, pre = chain[used]
-        else:  # a preimage distributes over unions
-            new = IntervalSet.of(fresh)
-            region, pre = region.union(new), pre.union(preimage(f, new))
+        else:
+            region, pre = nxt, preimage(f, nxt)
             if len(region.parts) > AVOID_CAP:
                 raise RegionBudgetExceeded(
                     f"avoidance region of seed {seed} passes {AVOID_CAP} parts at layer {used}")
             if y_free:
                 chain.append((region, pre))
-        fresh = fresh_parts(region, pre)
-    return AvoidanceCert(seed, used, region, not fresh)
+        nxt = grown(region, pre)
+    return AvoidanceCert(seed, used, region, nxt == region)
 
 
 def cycle_membership(

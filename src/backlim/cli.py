@@ -13,6 +13,7 @@ import itertools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from heapq import merge
 from pathlib import Path
@@ -281,22 +282,17 @@ def _cmd_corpus_export(args) -> tuple[None, int]:
     return None, EXIT_OK
 
 
-def enumerate_scan_maps(dots: int, upper: int, limit: int) -> list[PLMap]:
-    """Integer connect-the-dots maps on [0, upper]: x-tuples span the domain,
-    values are pairwise distinct and include both 0 and upper (so the map is
-    onto). Order: value-tuple-major, x-tuple-minor, lexicographic."""
-    inner = list(itertools.combinations(range(1, upper), dots - 2))
-    xss = [(0, *mid, upper) for mid in inner]
-    out: list[PLMap] = []
+def enumerate_scan_maps(dots: int, upper: int, limit: int) -> Iterator[PLMap]:
+    """The first `limit` integer connect-the-dots maps on [0, upper], made one
+    at a time: x-tuples span the domain, values are pairwise distinct and
+    include both 0 and upper (so the map is onto). Order: value-tuple-major,
+    x-tuple-minor, lexicographic."""
+    xss = [(0, *mid, upper) for mid in itertools.combinations(range(1, upper), dots - 2)]
     domain = Interval(Fraction(0), Fraction(upper))
-    for ys in itertools.permutations(range(upper + 1), dots):
-        if 0 not in ys or upper not in ys:
-            continue
-        for xs in xss:
-            if len(out) >= limit:
-                return out
-            out.append(make_plmap(domain, list(zip(xs, ys))))
-    return out
+    maps = (make_plmap(domain, list(zip(xs, ys)))
+            for ys in itertools.permutations(range(upper + 1), dots) if 0 in ys and upper in ys
+            for xs in xss)
+    return itertools.islice(maps, limit)
 
 
 def _cmd_scan(args) -> tuple[dict, int]:
@@ -309,10 +305,9 @@ def _cmd_scan(args) -> tuple[dict, int]:
         raise _InputError(f"malformed domain {args.domain!r}") from e
     if lo != 0 or hi < 1 or hi > 10:
         raise _InputError("domain must be 0..D with 1 <= D <= 10")
-    maps = enumerate_scan_maps(args.dots, hi, args.limit)
-    reports = []
+    reports, scanned = [], 0
     skipped = []  # points with no answer, kept out of `result`
-    for f in maps:
+    for scanned, f in enumerate(enumerate_scan_maps(args.dots, hi, args.limit), 1):
         points = {}
         verdict = None
         for k in range(hi + 1):
@@ -355,7 +350,7 @@ def _cmd_scan(args) -> tuple[dict, int]:
                 }
             )
     result = {
-        "maps_scanned": len(maps),
+        "maps_scanned": scanned,
         "period3_maps": len(reports),
         "candidates": sum(1 for r in reports if r["verdict"] == "candidate"),
         "reports": reports,

@@ -3,6 +3,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -571,7 +572,7 @@ class TestScan:
         assert calls.call_count == 3
         # the first map is the identity; the other two pass 4 pieces in f^3
         # at their first point
-        digests = [map_digest(f) for f in enumerate_scan_maps(4, 4, 3)[1:]]
+        digests = [map_digest(f) for f in list(enumerate_scan_maps(4, 4, 3))[1:]]
         points = ["0", "1", "2", "3", "4"]
         assert report["skipped"] == self.skipped(digests, points, "more than 4 pieces in f^3")
 
@@ -601,6 +602,12 @@ class TestScan:
         a = [map_digest(f) for f in enumerate_scan_maps(4, 5, 40)]
         b = [map_digest(f) for f in enumerate_scan_maps(4, 5, 40)]
         assert a == b
+
+    def test_enumeration_makes_maps_one_at_a_time(self):
+        # the whole family of 6-dot maps on [0, 10] has 11,430,720 maps
+        first = islice(enumerate_scan_maps(6, 10, 10**8), 3)
+        assert [map_digest(f) for f in first] == [
+            map_digest(f) for f in enumerate_scan_maps(6, 10, 3)]
 
     def test_f5_inside_limit(self):
         digests = {map_digest(f) for f in enumerate_scan_maps(4, 5, 500)}

@@ -1970,6 +1970,9 @@ F5_SEED = IntervalSet.single(2, 4)  # P_0 = [1/4,3/4] ∪ [2,4], P_1 adds [37/8,
 @example((F5, [(Q(3), F5_SEED, 2)]))  # point inside seed
 @example((F5, [(Q(3, 2), IntervalSet.single(1, 2), 2)]))  # holds y and is not invariant
 @example((F5, [(Q(0), IntervalSet.single(1, 2), 2)]))  # not invariant
+@example((F5, [(Q(0), IntervalSet.single(3, 3), 3)]))  # a single-point seed, kept every layer
+@example((F5, [(Q(5, 16), F5_SEED, 4)]))  # y in a preimage part, region parts on both sides
+@example((F5, [(Q(1, 4), F5_SEED, 2)]))  # y at a preimage part's end: one piece
 def test_avoidance_chain_matches_reference(case):
     f, queries = case
     assert_avoidance_matches_reference(make_plmap(f.domain, f.dots), queries)

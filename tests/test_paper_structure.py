@@ -36,7 +36,7 @@ def populations():
         for k in range(1, d):
             if Q(k, d).denominator == d:
                 yield overlap, Q(k, d), GRID_BUDGET
-    for f in enumerate_scan_maps(4, 4, 216)[::3]:
+    for f in list(enumerate_scan_maps(4, 4, 216))[::3]:
         for k in range(4):
             yield f, Q(2 * k + 1, 2), SCAN_BUDGET
 
