@@ -598,8 +598,8 @@ def orbit_targets(f: PLMap, max_period: int) -> tuple[PeriodicOrbit, ...]:
 
 @_per_map
 def _inside_bound(f: PLMap, bound: IntervalSet, max_period: int) -> tuple[bool, ...]:
-    """For each orbit target, whether it lies inside `bound`. Kept per
-    bound, since many points share one `graph_bound`."""
+    """For each orbit target, whether it lies inside `bound`. Kept per bound:
+    G(y) for the gate, an enclosure's `upper` for its self-check."""
     return tuple(all(map(bound.contains, o.points)) for o in orbit_targets(f, max_period))
 
 
@@ -712,46 +712,36 @@ def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
         *(part for _, iset in structure.fixed_intervals for part in iset.parts),
     ])
 
-    cycles: list[ExceptionalReport] = []
-    if ms is not None:
-        seen_cycles = set()
-        for k_int in candidates:
-            got = check_cycle_of_intervals(f, k_int, _CYCLE_PERIOD_CAP)
-            if not isinstance(got, CycleOfIntervals) or got.components in seen_cycles:
-                continue
-            if is_transitive(ms, got) is Verdict.YES:
-                seen_cycles.add(got.components)
-                cycles.append(exceptional_set(f, ms, got))
+    # the first cycle on each set of components; transitivity reads only those
+    cycles: dict[IntervalSet, CycleOfIntervals] = {}
+    for k_int in candidates if ms is not None else ():
+        got = check_cycle_of_intervals(f, k_int, _CYCLE_PERIOD_CAP)
+        if isinstance(got, CycleOfIntervals):
+            cycles.setdefault(got.components, got)
+    transitive = [exceptional_set(f, ms, c) for c in cycles.values()
+                  if is_transitive(ms, c) is Verdict.YES]
 
-    seeds: list[IntervalSet] = []
-
-    def propose(s: IntervalSet) -> None:
-        if not s.is_empty and s not in seeds and len(seeds) < _SEED_CAP:
-            seeds.append(s)
-
-    for k_int in candidates:
-        as_set = IntervalSet((k_int,))
-        if as_set.contains_set(image(f, as_set)):
-            propose(as_set)
+    seeds = [s for k_int in candidates if (s := IntervalSet((k_int,))).contains_set(image(f, s))]
     for _, iset in structure.fixed_intervals:
         for part in iset.parts:
             closure = orbit_closure(f, part, cap=32)
             if closure.stabilized:  # S = S ∪ f(S), so f(S) ⊆ S
-                propose(closure.set)
+                seeds.append(closure.set)
     for orbit in targets:
         table = _ball_table(f, orbit.points)
         for r in _BALL_RADII:
             if table.sides and 2 * r.numerator * table.scale < table.r2 * r.denominator:
                 break  # below r* the slopes decide, and a steep side fails
             if not table.rejects(r) and (seed := _ball_seed(f, table, r)) is not None:
-                propose(seed)
+                seeds.append(seed)
                 break
 
     # distinct periodic orbits are disjoint, so no point, and no int key, appears twice
     points = [(x, i) for i, orbit in enumerate(targets) for x in orbit.points]
     scale = lcm(*(x.denominator for x, _ in points))
     ranked = sorted(zip([x.numerator * (scale // x.denominator) for x, _ in points], points))
-    return MapAnalysis(targets, tuple(p for _, p in ranked), ms, tuple(cycles), tuple(seeds))
+    return MapAnalysis(targets, tuple(p for _, p in ranked), ms, tuple(transitive),
+                       tuple(dict.fromkeys(seeds))[:_SEED_CAP])
 
 
 @dataclass(frozen=True)
@@ -838,7 +828,12 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
             avoidance_certs.append(got)
             upper = upper.intersect(got.final.complement(f.domain))
 
-    enc = SalphaEnclosure(
+    # the lower set is exactly the certified targets' points and the cycles'
+    # components, so its closure, their union, lies in `upper` iff each does
+    in_upper = _inside_bound(f, upper, budget.max_period)
+    if not (all(in_upper[i] for i in certified) and upper.contains_set(lower_intervals)):
+        raise RuntimeError("soundness violation: certified lower set escapes the upper bound")
+    return SalphaEnclosure(
         y,
         tuple(x for x, i in analysis.target_points if i in certified),
         lower_intervals,
@@ -848,9 +843,6 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
         tuple(avoidance_certs),
         tree.degraded,
     )
-    if not upper.contains_set(enc.lower_closure):
-        raise RuntimeError("soundness violation: certified lower set escapes the upper bound")
-    return enc
 
 
 # ---------------------------------------------------------------------------

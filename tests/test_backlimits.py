@@ -507,6 +507,32 @@ class TestEnclosure:
         with pytest.raises(ValueError):
             salpha_enclosure(f5(), Q(6))
 
+    @staticmethod
+    def escapes(f, y, budget, hole):
+        """An enclosure whose every avoidance certificate claims `hole`, so
+        `upper` drops its relative interior: the self-check must refuse it."""
+        def claim(f, y, seed, layers):
+            return AvoidanceCert(seed, 0, hole, True)
+
+        with mock.patch.object(backlimits, "avoided_region", claim), \
+                pytest.raises(RuntimeError, match="soundness violation"):
+            salpha_enclosure(f, y, budget)
+
+    def test_an_orbit_point_outside_upper_is_a_soundness_violation(self):
+        # 1 is certified at 0, which has no certified cycle
+        enc = salpha_enclosure(f5(), Q(0))
+        assert Q(1) in enc.lower_points and enc.lower_intervals.is_empty
+        self.escapes(f5(), Q(0), Budget(), iset((Q(1, 2), Q(3, 2))))
+
+    def test_a_cycle_component_outside_upper_is_a_soundness_violation(self):
+        # the hole lies in the certified cycle [1/3, 2/3] between certified points
+        budget = Budget(depth=8, avoid_layers=2)
+        lo, hi = Q(1, 2) + Q(1, 10**6), Q(1, 2) + Q(2, 10**6)
+        enc = salpha_enclosure(overlap(), Q(1, 2), budget)
+        assert enc.lower_intervals == iset((Q(1, 3), Q(2, 3)))
+        assert not any(lo <= x <= hi for x in enc.lower_points)
+        self.escapes(overlap(), Q(1, 2), budget, iset((lo, hi)))
+
 
 class TestBudget:
     @pytest.mark.parametrize(
@@ -811,7 +837,9 @@ class TestGraphGate:
 
     def test_one_gate_table_per_distinct_bound(self):
         # the 95 grid points share 5 bounds; every enclosure reads its lower
-        # points, already sorted, off the map's table of target points
+        # points, already sorted, off the map's table of target points. The
+        # self-check's tables, one per distinct `upper`, add none: every
+        # grid `upper` is one of the 5 G(y)
         f = overlap()
         points = [Q(k, d) for d in range(2, 18) for k in range(1, d) if Q(k, d).denominator == d]
         budget = Budget(depth=4, width_cap=2_000, max_period=6, avoid_layers=2)

@@ -67,18 +67,20 @@ def test_exact_enclosures_have_the_paper_structure():
 def ungated_enclosure(f, y, budget):
     """`salpha_enclosure` with every orbit and cycle searched: its gate is
     handed the whole domain as the bound, and its memo is bypassed. The gate
-    table it reads, kept on the map per bound, must pass every target."""
+    table it reads, kept on the map per bound, must pass every target; the
+    second table read is the self-check's, on `upper`."""
     whole = IntervalSet((f.domain,))
     inside_bound, tables = backlimits._inside_bound, []
 
-    def gate(*args):
-        tables.append(inside_bound(*args))
-        return tables[-1]
+    def gate(f, bound, max_period):
+        tables.append((bound, inside_bound(f, bound, max_period)))
+        return tables[-1][1]
 
     with mock.patch.object(backlimits, "graph_bound", lambda f, y: whole), \
             mock.patch.object(backlimits, "_inside_bound", gate):
         enc = salpha_enclosure.__wrapped__(f, y, budget)
-    assert len(tables) == 1 and all(tables[0]), (f, y)
+    (bound, table), (upper, _) = tables
+    assert bound == whole and all(table) and upper == enc.upper, (f, y)
     return enc
 
 
