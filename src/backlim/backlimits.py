@@ -31,7 +31,7 @@ from itertools import combinations, islice
 from math import lcm, prod
 from typing import NamedTuple
 
-from .exactnum import EMPTY, Interval, IntervalSet, parse_pair, parse_rational
+from .exactnum import EMPTY, Interval, IntervalSet, closed_complement, parse_pair, parse_rational
 from .markov import (
     CycleOfIntervals,
     ExceptionalReport,
@@ -809,24 +809,22 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
             certified.add(i)
 
     cycle_certs: list[CycleMembershipCert] = []
-    lower_intervals = EMPTY
     for report in analysis.transitive_cycles:
         if not bound.contains_set(report.cycle.components):
             continue
         got = cycle_membership(tree, analysis.markov, report, budget.depth)
         if got is not None:
             cycle_certs.append(got)
-            lower_intervals = lower_intervals.union(report.cycle.components)
+    lower_intervals = IntervalSet.of(p for c in cycle_certs for p in c.cycle.components.parts)
 
     avoidance_certs: list[AvoidanceCert] = []
-    upper = IntervalSet((f.domain,))
     for seed in analysis.seed_candidates:
         if seed.contains(y):
             continue
         got = avoided_region(f, y, seed, budget.avoid_layers)
         if isinstance(got, AvoidanceCert):
             avoidance_certs.append(got)
-            upper = upper.intersect(got.final.complement(f.domain))
+    upper = closed_complement(f.domain, [c.final for c in avoidance_certs])
 
     # the lower set is exactly the certified targets' points and the cycles'
     # components, so its closure, their union, lies in `upper` iff each does

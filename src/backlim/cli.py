@@ -43,6 +43,7 @@ from .corpus import CorpusEntry, all_entries, entry_by_name, verify_entry
 from .exactnum import (
     Interval,
     RationalParseError,
+    closed_complement,
     parse_interval_set,
     parse_rational,
 )
@@ -199,7 +200,7 @@ def _cmd_exclude(args) -> tuple[dict, int]:
         "accepted": True,
         "certificate": cert_to_obj(got),
         "verified": bool(check),
-        "limit_set_upper_bound": _set_obj(got.final.complement(f.domain)),
+        "limit_set_upper_bound": _set_obj(closed_complement(f.domain, [got.final])),
     }
     return _report("exclude", f, inputs, result), EXIT_OK if check else EXIT_FAIL
 
@@ -414,8 +415,15 @@ def nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end with one `error:` line, as every other input error does."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="backlim",
         description="exact analysis of piecewise-linear interval maps and "
         "certified bounds on backward limit sets",

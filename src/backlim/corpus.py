@@ -23,7 +23,7 @@ from .backlimits import (
     salpha_enclosure,
     verify_certificate,
 )
-from .exactnum import Interval, IntervalSet
+from .exactnum import Interval, IntervalSet, closed_complement
 from .markov import CycleOfIntervals, check_cycle_of_intervals
 from .orbits import PeriodicOrbit
 from .plmap import PLMap, image, iterate, make_plmap
@@ -519,7 +519,7 @@ def _run_excluded(entry: CorpusEntry, p: dict) -> _Outcome:
     check = verify_certificate(f, y, got)
     if not check:
         return False, f"verifier: {check.reason}", ()
-    if got.final.complement(f.domain).contains(point):
+    if closed_complement(f.domain, [got.final]).contains(point):
         return False, f"{point} not interior to the avoided region", ()
     return True, "exclusion certified", ((y, got),)
 

@@ -3,6 +3,8 @@
 Every coordinate in this package is a `fractions.Fraction`; nothing is ever
 rounded. Interval sets are kept canonical (parts sorted, pairwise disjoint,
 non-touching) so that equal point sets compare equal structurally.
+`closed_complement` is the one closed-complement rule: the domain minus the
+union of the sets' relative interiors.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
@@ -153,36 +155,6 @@ class IntervalSet:
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.of(self.parts + other.parts)
 
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """One merge walk: the part that ends first meets no later part of the
-        other set. Results touch only within one pair of parts: canonical."""
-        out: list[Interval] = []
-        a, b, i, j = self.parts, other.parts, 0, 0
-        while i < len(a) and j < len(b):
-            got = a[i].intersection(b[j])
-            if got is not None:
-                out.append(got)
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
-
-    def complement(self, domain: Interval) -> "IntervalSet":
-        """Closure of domain minus this set (boundary points are shared)."""
-        if not self.within(domain):
-            raise ValueError("set not contained in domain")
-        out: list[Interval] = []
-        cursor = domain.lo
-        for p in self.parts:
-            if p.lo > cursor:
-                out.append(Interval(cursor, p.lo))
-            cursor = p.hi
-        if cursor < domain.hi:
-            out.append(Interval(cursor, domain.hi))
-        # a degenerate part leaves touching gaps whose closures merge
-        return IntervalSet.of(out)
-
     def within(self, domain: Interval) -> bool:
         return all(domain.contains_interval(p) for p in self.parts)
 
@@ -191,6 +163,26 @@ class IntervalSet:
 
 
 EMPTY = IntervalSet()
+
+
+def closed_complement(domain: Interval, sets: Sequence[IntervalSet]) -> IntervalSet:
+    """Closure of domain minus the union of sets. Parts join a run only where
+    they overlap, so sets that touch keep their shared point, and a single
+    point, which has no interior, removes nothing."""
+    if not all(s.within(domain) for s in sets):
+        raise ValueError("set not contained in domain")
+    out: list[Interval] = []
+    cursor = domain.lo  # the end of the last run
+    for p in sorted(p for s in sets for p in s.parts if not p.is_point):
+        if p.lo < cursor:
+            cursor = max(cursor, p.hi)
+            continue
+        if p.lo > domain.lo:  # a run at the domain's start takes it
+            out.append(Interval(cursor, p.lo))
+        cursor = p.hi
+    if cursor < domain.hi:
+        out.append(Interval(cursor, domain.hi))
+    return IntervalSet(tuple(out))
 
 
 def parse_interval(text: str) -> Interval:

@@ -267,7 +267,7 @@ def exceptional_set(f: PLMap, ms: MarkovSystem, cycle: CycleOfIntervals) -> Exce
         succ[u] = []
         for _, hit in point_preimages(f, u):
             if isinstance(hit, Interval):
-                if any(not p.is_point for p in m.intersect(IntervalSet((hit,))).parts):
+                if any(max(p.lo, hit.lo) < min(p.hi, hit.hi) for p in m.parts):
                     marked.add(u)
             elif m.contains(hit):
                 if hit in cutset:

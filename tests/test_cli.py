@@ -290,6 +290,25 @@ class TestInputErrors:
         assert captured.out == "" and captured.err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["analyze", "F5", "--point", "1/2", "--depth", "-1"],
+             "error: argument --depth: must be at least 0, got -1"),
+            (["nosuch"], "error: argument cmd: invalid choice: "),
+            (["scan", "--dots", "4", "--domain", "0..4"],
+             "error: the following arguments are required: --limit"),
+        ],
+        ids=["bad-value", "unknown-command", "missing-option"],
+    )
+    def test_argument_errors_are_one_line(self, capsys, f5_path, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([f5_path if a == "F5" else a for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(message)
+
     def test_plot_into_a_missing_directory(self, capsys, f5_path, tmp_path):
         out = tmp_path / "missing" / "x.tsv"
         code = main(["plot", f5_path, "--samples", "4", "--out", str(out)])
@@ -463,8 +482,8 @@ class TestCorpus:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: ")
-        assert "unrecognized arguments" in captured.err.splitlines()[-1]
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: unrecognized arguments: ")
         assert not (tmp_path / "ex").exists()
 
 

@@ -14,8 +14,9 @@ fixed points, `image` and `markov_partition`'s cell rows and slopes,
 read off f at the ends, `avoided_region`'s chain of y-free layers, and the
 one reachability rule behind G(y), `is_transitive` and `exceptional_set`, the
 backward layer on the value table and int-keyed tree levels against the
-Fraction `point_preimages`, `preimage` and `BackwardTree`, the merge walk
-of `IntervalSet.intersect` and bisecting `contains`, and the int ball
+Fraction `point_preimages`, `preimage` and `BackwardTree`, the one-pass
+`closed_complement` against a fold of gap walks and intersections, the
+flat-span test of `exceptional_set`, bisecting `contains`, and the int ball
 search and int-keyed `target_points` of `analyze_map`, against the plain
 algorithms, Fraction walks and node-based tree they replaced, kept here as
 references."""
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction as Q
 from math import gcd, prod
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -57,7 +59,7 @@ from backlim.backlimits import (
 )
 from backlim.cli import enumerate_scan_maps
 from backlim.corpus import all_entries, build_chuxiong, build_overlap
-from backlim.exactnum import EMPTY, Interval, IntervalSet, interval
+from backlim.exactnum import EMPTY, Interval, IntervalSet, closed_complement, interval
 from backlim.markov import (
     CycleFailure,
     CycleOfIntervals,
@@ -1155,13 +1157,12 @@ def reference_enclosure(f, y, budget):
             cycle_certs.append(got)
             lower_intervals = lower_intervals.union(report.cycle.components)
     avoidance_certs = []
-    upper = IntervalSet((f.domain,))
     for seed in analysis.seed_candidates:
         if not seed.contains(y):
             got = avoided_region(f, y, seed, budget.avoid_layers)
             if isinstance(got, AvoidanceCert):
                 avoidance_certs.append(got)
-                upper = upper.intersect(got.final.complement(f.domain))
+    upper = reference_upper(f.domain, [cert.final for cert in avoidance_certs])
     return SalphaEnclosure(
         y, tuple(sorted(certified)), lower_intervals, upper, tuple(orbit_certs),
         tuple(cycle_certs), tuple(avoidance_certs), tree.degraded,
@@ -1386,6 +1387,58 @@ def reference_intersect(a, b):
     return IntervalSet.of(out)
 
 
+def reference_complement(s, domain):
+    """Closure of domain minus s: the gaps between s's parts, merged where a
+    point part leaves two of them touching."""
+    if not s.within(domain):
+        raise ValueError("set not contained in domain")
+    out = []
+    cursor = domain.lo
+    for p in s.parts:
+        if p.lo > cursor:
+            out.append(Interval(cursor, p.lo))
+        cursor = p.hi
+    if cursor < domain.hi:
+        out.append(Interval(cursor, domain.hi))
+    return IntervalSet.of(out)
+
+
+def reference_upper(domain, finals):
+    """The domain cut down by each final's closed complement in turn."""
+    upper = IntervalSet((domain,))
+    for final in finals:
+        upper = reference_intersect(upper, reference_complement(final, domain))
+    return upper
+
+
+def flat_span_marks(m, hit):
+    """Whether `exceptional_set` marks the endpoints of m accessible when
+    each one's only preimage is the flat span hit."""
+    ms = SimpleNamespace(cuts=(), periodic_cuts=())
+    with mock.patch.object(markov, "point_preimages", lambda f, u: [(0, hit)]):
+        return not exceptional_set(None, ms, SimpleNamespace(components=m)).exceptional
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(lambda u: st.tuples(
+    st.just(u), st.lists(interval_sets(u), max_size=4),
+    st.tuples(*[st.fractions(-1, u + 1, max_denominator=6)] * 2).map(sorted))))
+@example((3, [IntervalSet.single(0, 1), IntervalSet.single(1, 2)], [1, 2]))  # touching finals
+@example((3, [IntervalSet.single(1, 1), IntervalSet.single(0, 2)], [2, 2]))  # a point final
+@example((3, [IntervalSet.single(0, 1), IntervalSet.single(2, 3)], [3, 4]))  # at both ends
+@example((3, [], [0, 3]))  # no finals
+@example((3, [IntervalSet.single(0, 3)], [-1, 0]))  # the whole domain
+def test_closed_complement_matches_reference_fold(case):
+    u, finals, (a, b) = case
+    domain = interval(0, u)
+    assert closed_complement(domain, finals) == reference_upper(domain, finals)
+    hit = Interval(a, b)
+    for m in finals:
+        if not m.is_empty:
+            meets = any(not p.is_point for p in reference_intersect(m, IntervalSet((hit,))).parts)
+            assert flat_span_marks(m, hit) == meets, (m, hit)
+
+
 def reference_contains(s, x):
     """The parts in order, up to the first that starts past x."""
     for p in s.parts:
@@ -1398,13 +1451,13 @@ def reference_contains(s, x):
 
 @settings(deadline=None, derandomize=True)
 @given(uppers.flatmap(lambda u: st.tuples(
-    sets_around(u), sets_around(u), st.fractions(-1, u + 1, max_denominator=6))))
-# parts touching at 1, a point part inside another, a point past every part
-@example((IntervalSet.single(0, 1), IntervalSet.of([interval(1, 2), interval(3, 3)]), Q(1)))
-@example((IntervalSet.of([interval(0, 1), interval(2, 4)]), IntervalSet.single(3, 3), Q(5)))
-def test_intersect_and_contains_match_reference(case):
-    a, b, x = case
-    assert a.intersect(b) == reference_intersect(a, b) == b.intersect(a)
+    sets_around(u), st.fractions(-1, u + 1, max_denominator=6))))
+# a part's end, a point part, a point past every part
+@example((IntervalSet.single(0, 1), Q(1)))
+@example((IntervalSet.of([interval(1, 2), interval(3, 3)]), Q(3)))
+@example((IntervalSet.of([interval(0, 1), interval(2, 4)]), Q(5)))
+def test_contains_matches_reference(case):
+    a, x = case
     assert a.contains(x) == reference_contains(a, x)
     assert hash(a) == hash((a.parts,)) and {a: 1}[IntervalSet(a.parts)] == 1
 
@@ -2065,7 +2118,7 @@ def reference_accessibility_witness(f, ms, m, cutset, cand):
         for u in frontier:
             for _, hit in point_preimages(f, u):
                 if isinstance(hit, Interval):
-                    for part in m.intersect(IntervalSet((hit,))).parts:
+                    for part in reference_intersect(m, IntervalSet((hit,))).parts:
                         for cell in ms.cells:
                             ov = part.intersection(cell)
                             if ov is not None and not ov.is_point:

@@ -8,6 +8,7 @@ from backlim.exactnum import (
     Interval,
     IntervalSet,
     RationalParseError,
+    closed_complement,
     interval,
     parse_interval_set,
     parse_rational,
@@ -68,30 +69,29 @@ class TestIntervalSetAlgebra:
         mid = iset((Q(1, 3), Q(2, 3)))
         assert left.union(mid) == iset((0, 1))
 
-    def test_intersect(self):
-        assert iset((0, 2)).intersect(iset((1, 3))) == iset((1, 2))
-        assert iset((0, 1)).intersect(iset((2, 3))) == EMPTY
-        assert iset((2, 4)).intersect(iset((3, 3))) == iset((3, 3))
-
     def test_complement_closed(self):
         dom = interval(0, 5)
-        assert iset((2, 4)).complement(dom) == iset((0, 2), (4, 5))
-        assert EMPTY.complement(interval(0, 1)) == iset((0, 1))
-        assert iset((0, 1)).complement(interval(0, 1)) == EMPTY
+        assert closed_complement(dom, [iset((2, 4))]) == iset((0, 2), (4, 5))
+        assert closed_complement(interval(0, 1), [EMPTY]) == iset((0, 1))
+        assert closed_complement(interval(0, 1), [iset((0, 1))]) == EMPTY
+        # closed sets that touch keep their shared point
+        assert closed_complement(dom, [iset((0, 2)), iset((2, 4))]) == iset((2, 2), (4, 5))
 
     def test_complement_requires_containment(self):
         with pytest.raises(ValueError):
-            iset((2, 4)).complement(interval(0, 3))
+            closed_complement(interval(0, 3), [iset((2, 4))])
+        with pytest.raises(ValueError):
+            closed_complement(interval(0, 3), [iset((1, 2)), iset((4, 4))])
 
     def test_relative_interior(self):
         # x is interior to s relative to the domain iff the closed complement misses it
         dom01 = interval(0, 1)
-        assert not iset((0, Q(1, 4))).complement(dom01).contains(Q(0))
+        assert not closed_complement(dom01, [iset((0, Q(1, 4)))]).contains(Q(0))
         dom05 = interval(0, 5)
-        assert not iset((2, 4)).complement(dom05).contains(Q(3))
-        assert iset((2, 4)).complement(dom05).contains(Q(2))
+        assert not closed_complement(dom05, [iset((2, 4))]).contains(Q(3))
+        assert closed_complement(dom05, [iset((2, 4))]).contains(Q(2))
         # degenerate parts have empty relative interior
-        assert iset((0, 0)).complement(dom01).contains(Q(0))
+        assert closed_complement(dom01, [iset((0, 0))]).contains(Q(0))
 
     def test_canonicalization_idempotent(self):
         s = iset((0, 1), (Q(1, 2), 2), (3, 3))
@@ -129,15 +129,18 @@ def interval_sets(draw):
 @given(interval_sets(), interval_sets(), rationals)
 def test_union_intersect_membership(a, b, x):
     assert a.union(b).contains(x) == (a.contains(x) or b.contains(x))
-    assert a.intersect(b).contains(x) == (a.contains(x) and b.contains(x))
+    # the closed complement of several sets is the intersection of theirs
+    dom = interval(-5, 5)
+    each = [closed_complement(dom, [s]).contains(x) for s in (a, b)]
+    assert closed_complement(dom, [a, b]).contains(x) == all(each)
 
 
 @given(interval_sets(), interval_sets(), rationals)
 def test_de_morgan_pointwise(a, b, x):
     dom = interval(-5, 5)
-    lhs = a.union(b).complement(dom)
-    rhs = a.complement(dom).intersect(b.complement(dom))
-    # closed complements agree away from the finitely many part boundaries
+    lhs = closed_complement(dom, [a.union(b)])
+    rhs = closed_complement(dom, [a, b])
+    # they differ only where a and b touch: away from the part boundaries
     boundary = {p.lo for p in a.parts} | {p.hi for p in a.parts}
     boundary |= {p.lo for p in b.parts} | {p.hi for p in b.parts}
     if x not in boundary:
@@ -146,5 +149,6 @@ def test_de_morgan_pointwise(a, b, x):
 
 @given(interval_sets(), interval_sets())
 def test_subset_via_intersection(a, b):
-    assert a.contains_set(a.intersect(b))
+    dom = interval(-5, 5)
+    assert closed_complement(dom, [a]).contains_set(closed_complement(dom, [a, b]))
     assert a.union(b).contains_set(a)
