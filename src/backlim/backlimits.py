@@ -24,7 +24,7 @@ certificate can be re-checked without trusting the search that found it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -50,7 +50,7 @@ from .orbits import (
     image_after,
     periodic_orbits,
 )
-from .plmap import PLMap, _affine, _pair, _per_map, image, point_preimages, preimage
+from .plmap import Pair, PLMap, _affine, _pair, _per_map, image, point_preimages, preimage
 
 DEFAULT_DEPTH = 12
 DEFAULT_WIDTH_CAP = 10_000
@@ -157,20 +157,24 @@ class BackwardTree:
             self._keys.append((scale, [k for k, _ in ranked]))
             self.truncated.append(truncated)
 
-    def first_hit(
-        self, depth: int, window: Interval, ok: Callable[[Fraction], bool]
-    ) -> tuple[Fraction, int] | None:
-        """(value, level) for the least level d <= depth holding a value in
-        `window` that passes `ok`, and the least such value there; None if no
-        level does. Levels are expanded one at a time, as far as the hit."""
-        (ln, ld), (hn, hd) = window.lo.as_integer_ratio(), window.hi.as_integer_ratio()
+    def first_hit(self, depth: int, windows: Sequence[tuple[Pair, Pair, tuple[Pair, ...]]]
+                  ) -> tuple[int, Fraction, int] | None:
+        """(i, value, level) for the least level d <= depth at which a window holds
+        a value other than its excluded points: the first such window i, and its
+        least such value. A window is (lo, hi, skip): its ends and the excluded
+        points as reduced int pairs, so every level, the root too, is searched in
+        ints. Levels are expanded one at a time, as far as the hit."""
         for d in range(depth + 1):
             self.ensure_depth(d)
             scale, keys = self._keys[d]  # value = key / L: bisect ceil(lo * L) and floor(hi * L)
-            least, most = -(-ln * scale // ld), hn * scale // hd
-            for i in range(bisect_left(keys, least), bisect_right(keys, most)):
-                if ok(self.levels[d][i]):
-                    return self.levels[d][i], d
+            for i, ((ln, ld), (hn, hd), skip) in enumerate(windows):
+                least, most = -(-ln * scale // ld), hn * scale // hd
+                for j in range(bisect_left(keys, least), bisect_right(keys, most)):
+                    for m, n in skip:
+                        if keys[j] * n == m * scale:
+                            break
+                    else:
+                        return i, self.levels[d][j], d
         return None
 
     def point_values(self, depth: int) -> list[tuple[int, Fraction]]:
@@ -244,6 +248,7 @@ def find_exact_tail(y: Fraction, orbit: PeriodicOrbit) -> ExactTailCert | None:
 class _Word:
     pieces: tuple[int, ...]
     basin: Interval
+    window: tuple[Pair, Pair, tuple[Pair]]  # the basin's ends and its target, for `first_hit`
 
 
 @_per_map
@@ -299,33 +304,42 @@ def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
             r = min(t - lo, hi - t)
             lo, hi = t - r, t + r
         if lo < hi:
-            results.append(_Word(word, Interval(lo, hi)))
+            window = (lo.as_integer_ratio(), hi.as_integer_ratio(), (orbit[0],))
+            results.append(_Word(word, Interval(lo, hi), window))
     return tuple(results)
 
 
-def find_contraction(
-    tree: BackwardTree, t: Fraction, p: int, depth: int
-) -> ContractionCert | None:
-    """First word (lexicographic) admitting a connector from the tree, within
-    `depth` levels of its root, into the basin minus the target itself."""
-    for word in _contraction_words(tree.f, t, p):
-        hit = tree.first_hit(depth, word.basin, lambda z: z != t)
-        if hit is not None:
-            return ContractionCert(t, p, word.pieces, word.basin, *hit)
+@_per_map
+def _target_table(f: PLMap, max_period: int) -> tuple[dict[Pair, int], tuple[list, ...]]:
+    """Each target point's pair mapped to its target's index (distinct orbits are
+    disjoint), and per target, each point's words, None until a search reads them."""
+    targets = orbit_targets(f, max_period)
+    index = {x.as_integer_ratio(): i for i, o in enumerate(targets) for x in o.points}
+    return index, tuple([None] * o.least_period for o in targets)
+
+
+def _contraction(tree: BackwardTree, points: Sequence[Fraction], p: int, words: list,
+                 depth: int) -> ContractionCert | None:
+    """The first contraction at a point of an orbit, in orbit order: at t, the least
+    level within `depth` holding a connector into a word's basin minus t, the first
+    such word there (lexicographic), and its least connector; `words` caches words."""
+    for j, t in enumerate(points):
+        row = words[j] = _contraction_words(tree.f, t, p) if words[j] is None else words[j]
+        if row and (hit := tree.first_hit(depth, [w.window for w in row])):
+            return ContractionCert(t, p, row[hit[0]].pieces, row[hit[0]].basin, *hit[1:])
     return None
+
+
+def find_contraction(tree: BackwardTree, t: Fraction, p: int, depth: int) -> ContractionCert | None:
+    """The contraction at t alone, searched level by level as `_contraction` does."""
+    return _contraction(tree, (t,), p, [None], depth)
 
 
 def certify_orbit(tree: BackwardTree, orbit: PeriodicOrbit, depth: int) -> OrbitCert | None:
-    """An exact tail of the tree's root on the orbit, else the first
-    contraction found at any point of the orbit, taken in orbit order."""
-    cert = find_exact_tail(tree.root, orbit)
-    if cert is not None:
-        return cert
-    for t in orbit.points:
-        cert = find_contraction(tree, t, orbit.least_period, depth)
-        if cert is not None:
-            return cert
-    return None
+    """An exact tail of the tree's root on the orbit, else `_contraction` over its
+    points, as the enclosure and the period set search their `_target_table`."""
+    return find_exact_tail(tree.root, orbit) or _contraction(
+        tree, orbit.points, orbit.least_period, [None] * orbit.least_period, depth)
 
 
 @_per_map
@@ -416,16 +430,12 @@ def cycle_membership(
     cycle = report.cycle
     if is_transitive(ms, cycle) is not Verdict.YES:
         raise PreconditionError("cycle is not a certified transitive cycle")
-    bad = set(report.exceptional)
-
-    def good(z: Fraction) -> bool:
-        return z not in bad and any(p.strictly_contains(z) for p in cycle.components.parts)
-
-    # the components are sorted and disjoint, so the least good value of
-    # their hull is the least good value of the first component holding one
-    parts = cycle.components.parts
-    hit = tree.first_hit(depth, Interval(parts[0].lo, parts[-1].hi), good)
-    return None if hit is None else CycleMembershipCert(cycle, *hit, report)
+    bad = [x.as_integer_ratio() for x in report.exceptional]
+    # a window per component without its ends and exceptional points: the components
+    # are sorted and disjoint, so the first window to hit holds the least good value
+    ends = [(p.lo.as_integer_ratio(), p.hi.as_integer_ratio()) for p in cycle.components.parts]
+    hit = tree.first_hit(depth, [(lo, hi, (lo, hi, *bad)) for lo, hi in ends])
+    return None if hit is None else CycleMembershipCert(cycle, *hit[1:], report)
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +614,7 @@ def _inside_bound(f: PLMap, bound: IntervalSet, max_period: int) -> tuple[bool, 
 
 
 def certified_period_set(
-    f: PLMap,
-    y: Fraction,
-    max_period: int,
-    depth: int,
-    width_cap: int = 2_000,
+    f: PLMap, y: Fraction, max_period: int, depth: int, width_cap: int = 2_000
 ) -> set[int]:
     """Least periods of orbits certified inside the limit set of y using the
     membership mechanisms only (no outer bounds); a gap is not an absence.
@@ -616,12 +622,13 @@ def certified_period_set(
     not searched."""
     tree = BackwardTree(f, y, width_cap)
     inside = _inside_bound(f, graph_bound(f, y), max_period)
+    index, words = _target_table(f, max_period)
+    on = index.get(y.as_integer_ratio())
     periods: set[int] = set()
-    for orbit, ok in zip(orbit_targets(f, max_period), inside):
+    for i, (orbit, ok) in enumerate(zip(orbit_targets(f, max_period), inside)):
         p = orbit.least_period
-        if p in periods or not ok:
-            continue
-        if certify_orbit(tree, orbit, depth) is not None:
+        if ok and p not in periods and (
+                i == on or _contraction(tree, orbit.points, p, words[i], depth)):
             periods.add(p)
     return periods
 
@@ -797,13 +804,16 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     analysis = analyze_map(f, budget.max_period)
     bound = graph_bound(f, y)
     inside = _inside_bound(f, bound, budget.max_period)
+    index, words = _target_table(f, budget.max_period)
+    on = index.get(y.as_integer_ratio())  # the one target y may lie on
 
     orbit_certs: list[OrbitCert] = []
     certified: set[int] = set()
     for i, orbit in enumerate(analysis.orbit_targets):
         if not inside[i]:
             continue
-        cert = certify_orbit(tree, orbit, budget.depth)
+        cert = ExactTailCert(orbit, y, 0) if i == on else _contraction(
+            tree, orbit.points, orbit.least_period, words[i], budget.depth)
         if cert is not None:
             orbit_certs.append(cert)
             certified.add(i)

@@ -75,8 +75,10 @@ def iset(*pairs):
     return IntervalSet.of(interval(lo, hi) for lo, hi in pairs)
 
 
-def anything(z):
-    return True
+def window(lo, hi, *skip):
+    """A `first_hit` window: its ends and excluded points as reduced int pairs."""
+    pair = Q.as_integer_ratio
+    return pair(Q(lo)), pair(Q(hi)), tuple(pair(Q(x)) for x in skip)
 
 
 def overlap_hop():
@@ -178,43 +180,76 @@ class TestBackwardTree:
 
     def test_first_hit_expands_only_to_the_hit(self):
         tree = BackwardTree(f5(), Q(0))  # levels [0], [5], [1], [0, 9/2]
-        assert tree.first_hit(3, interval(4, 5), anything) == (Q(5), 1)
+        assert tree.first_hit(3, [window(4, 5)]) == (0, Q(5), 1)
         assert len(tree.levels) == 2
         # a shallow tree is expanded before a miss is settled
-        assert tree.first_hit(3, interval(2, Q(23, 5)), anything) == (Q(9, 2), 3)
-        assert tree.first_hit(3, interval(2, 4), anything) is None
+        assert tree.first_hit(3, [window(2, Q(23, 5))]) == (0, Q(9, 2), 3)
+        assert tree.first_hit(3, [window(2, 4)]) is None
         assert len(tree.levels) == 4
 
     def test_first_hit_misses_by_every_expanded_level(self):
         tree = expanded(f5(), Q(0), 3)  # levels [0], [5], [1], [0, 9/2]
         with mock.patch.object(backlimits, "bisect_left", wraps=backlimits.bisect_left) as spy:
-            assert tree.first_hit(3, interval(2, 4), anything) is None
+            assert tree.first_hit(3, [window(2, 4)]) is None
         # one bisection of each level's keys, in level order
         assert [c.args[0] for c in spy.call_args_list] == [keys for _, keys in tree._keys]
-        assert tree.first_hit(3, interval(0, 0), lambda z: z != 0) is None
-        assert tree.first_hit(3, interval(4, 5), anything) == (Q(5), 1)
+        assert tree.first_hit(3, [window(0, 0, 0)]) is None
+        assert tree.first_hit(3, [window(4, 5)]) == (0, Q(5), 1)
         # level 2 is expanded, but a hit must lie within depth
-        assert tree.first_hit(1, interval(1, 1), anything) is None
-        assert tree.first_hit(2, interval(1, 1), anything) == (Q(1), 2)
+        assert tree.first_hit(1, [window(1, 1)]) is None
+        assert tree.first_hit(2, [window(1, 1)]) == (0, Q(1), 2)
 
     def test_first_hit_searches_each_level_up_to_the_hit(self):
         tree = expanded(f5(), Q(0), 2)  # levels [0], [5], [1]; level 3 is [0, 9/2]
         with mock.patch.object(backlimits, "bisect_left", wraps=backlimits.bisect_left) as spy:
-            assert tree.first_hit(3, interval(4, Q(19, 4)), anything) == (Q(9, 2), 3)
+            assert tree.first_hit(3, [window(4, Q(19, 4))]) == (0, Q(9, 2), 3)
         # the expanded levels one by one, then level 3 once it is built
         assert [c.args[0] for c in spy.call_args_list] == [keys for _, keys in tree._keys]
         assert len(tree.levels) == 4
 
     def test_first_hit_sees_levels_added_later(self):
         tree = expanded(f5(), Q(0), 1)
-        assert tree.first_hit(1, interval(1, 1), anything) is None
+        assert tree.first_hit(1, [window(1, 1)]) is None
         tree.ensure_depth(2)
-        assert tree.first_hit(2, interval(1, 1), anything) == (Q(1), 2)
+        assert tree.first_hit(2, [window(1, 1)]) == (0, Q(1), 2)
 
     def test_first_hit_takes_the_least_value_of_the_least_level(self):
         tree = BackwardTree(f8(), Q(0))  # level 3 is [0, 24/5]
-        assert tree.first_hit(3, interval(0, 5), lambda z: z != 0) == (Q(4), 2)
-        assert tree.first_hit(3, interval(0, 5), lambda z: z not in (0, 4)) == (Q(24, 5), 3)
+        assert tree.first_hit(3, [window(0, 5, 0)]) == (0, Q(4), 2)
+        assert tree.first_hit(3, [window(0, 5, 0, 4)]) == (0, Q(24, 5), 3)
+
+    def test_first_hit_takes_a_hit_at_the_root_without_expanding(self):
+        tree = BackwardTree(f5(), Q(0))
+        assert tree.first_hit(3, [window(4, 5), window(0, 1)]) == (1, Q(0), 0)
+        assert len(tree.levels) == 1
+
+    def test_first_hit_skips_the_excluded_points_in_ints(self):
+        tree = BackwardTree(f5(), Q(0))  # 0 is at levels 0 and 3
+        # a window holding only its excluded point never hits, at any level
+        assert tree.first_hit(3, [window(0, 0, 0)]) is None
+        assert len(tree.levels) == 4
+        # past the excluded root, the least other value of the least level
+        assert tree.first_hit(3, [window(0, 5, 0)]) == (0, Q(5), 1)
+        assert tree.first_hit(3, [window(0, Q(9, 2), 0)]) == (0, Q(1), 2)
+        # an excluded point outside the window, or not on the level's grid, excludes nothing
+        assert tree.first_hit(3, [window(4, 5, 0, Q(1, 3))]) == (0, Q(5), 1)
+        assert tree.first_hit(3, [window(0, 5, 0, 5, 1)]) == (0, Q(9, 2), 3)
+
+    def test_first_hit_misses_at_every_level_of_every_window(self):
+        tree = BackwardTree(f5(), Q(0))  # levels [0], [5], [1], [0, 9/2]
+        windows = [window(2, 4), window(Q(9, 2), 5, Q(9, 2), 5), window(0, 0, 0)]
+        assert tree.first_hit(3, windows) is None
+        assert len(tree.levels) == 4
+
+    def test_first_hit_returns_the_first_window_of_the_least_level(self):
+        tree = BackwardTree(f8(), Q(0))  # levels [0], [8], [4], [0, 24/5], [4/5, 116/25, 8]
+        # the second window hits a level before the first does
+        assert tree.first_hit(4, [window(Q(24, 5), 5), window(4, 4)]) == (1, Q(4), 2)
+        # both hit level 4 first: the first window in the order given wins,
+        # though the other holds the lesser value
+        wide, low = window(Q(116, 25), Q(47, 10)), window(Q(1, 2), 1)
+        assert tree.first_hit(4, [wide, low]) == (0, Q(116, 25), 4)
+        assert tree.first_hit(4, [low, wide]) == (0, Q(4, 5), 4)
 
 
 class TestExactTail:

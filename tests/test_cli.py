@@ -158,6 +158,20 @@ class TestCertify:
         assert result["verified"] is True
         assert result["stats"] == {"tree_nodes": 1, "depth_explored": 0}
 
+    def test_a_later_word_hitting_at_the_root_ends_the_search(self, capsys, overlap_path):
+        # the fixed point 1/3 has two words: no tree value of 1/2 reaches the
+        # first's basin [0, 1/3] before the tree cap, the second's holds 1/2
+        started = time.monotonic()
+        code, out = run(capsys, "certify", overlap_path, "--point", "1/2", "--target", "1/3",
+                        "--depth", "150")
+        assert time.monotonic() - started < 1
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["certificate"]["piece_word"] == [2]
+        assert result["certificate"]["connector_z"] == "1/2"
+        assert result["verified"] is True
+        assert result["stats"] == {"tree_nodes": 1, "depth_explored": 0}
+
     def test_exact_tail_stats_cover_the_root(self, capsys, f5_path):
         code, out = run(capsys, "certify", f5_path, "--point", "0", "--target", "0")
         assert code == 0

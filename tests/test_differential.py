@@ -16,10 +16,12 @@ one reachability rule behind G(y), `is_transitive` and `exceptional_set`, the
 backward layer on the value table and int-keyed tree levels against the
 Fraction `point_preimages`, `preimage` and `BackwardTree`, the one-pass
 `closed_complement` against a fold of gap walks and intersections, the
-flat-span test of `exceptional_set`, bisecting `contains`, and the int ball
-search and int-keyed `target_points` of `analyze_map`, against the plain
-algorithms, Fraction walks and node-based tree they replaced, kept here as
-references."""
+flat-span test of `exceptional_set`, bisecting `contains`, the int ball
+search and int-keyed `target_points` of `analyze_map`, and the per-map target
+table and level-by-level contraction search behind `salpha_enclosure`,
+`certified_period_set`, `certify_orbit` and `find_contraction`, against the
+plain algorithms, Fraction walks, node-based tree and per-target, word-by-word
+searches they replaced, kept here as references."""
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -53,6 +55,7 @@ from backlim.backlimits import (
     certified_period_set,
     certify_orbit,
     cycle_membership,
+    find_contraction,
     find_exact_tail,
     orbit_targets,
     salpha_enclosure,
@@ -193,16 +196,59 @@ def reference_exact_tail(level_sets, orbit):
     return None
 
 
-def reference_find_contraction(tree, t, p, depth):
-    """First word admitting a connector, searched level by level per word."""
-    for word in _contraction_words(tree.f, t, p):
-        lo, hi = word.basin.lo, word.basin.hi
-        for d in range(depth + 1):
-            tree.ensure_depth(d)
-            inside = [z for z in tree.levels[d] if lo <= z <= hi and z != t]
-            if inside:
-                return ContractionCert(t, p, word.pieces, word.basin, min(inside), d)
+def reference_find_exact_tail(y, orbit):
+    """y on the orbit, by a hash of y for every target."""
+    return ExactTailCert(orbit, y, 0) if y in orbit.point_set else None
+
+
+def reference_word_hit(tree, t, p, word, depth):
+    """The word's least level within `depth` holding a connector into its
+    basin minus t, and the least connector there, as a certificate."""
+    lo, hi = word.basin.lo, word.basin.hi
+    for d in range(depth + 1):
+        tree.ensure_depth(d)
+        level = tree.levels[d]  # sorted
+        inside = [z for z in level[bisect_left(level, lo):bisect_right(level, hi)] if z != t]
+        if inside:
+            return ContractionCert(t, p, word.pieces, word.basin, inside[0], d)
     return None
+
+
+def reference_find_contraction(tree, t, p, depth):
+    """First word admitting a connector, each searched to the full depth
+    before the next."""
+    for word in _contraction_words(tree.f, t, p):
+        cert = reference_word_hit(tree, t, p, word, depth)
+        if cert is not None:
+            return cert
+    return None
+
+
+def reference_certify_orbit(tree, orbit, depth):
+    """An exact tail, else the first contraction at a point of the orbit, in
+    orbit order, through the references above."""
+    cert = reference_find_exact_tail(tree.root, orbit)
+    for t in orbit.points if cert is None else ():
+        cert = reference_find_contraction(tree, t, orbit.least_period, depth)
+        if cert is not None:
+            break
+    return cert
+
+
+def assert_same_orbit_cert(got, want, tree, depth):
+    """`got`, from the level-by-level search, against `want`, from the
+    reference. The facts always agree: found or not, the kind, the target and
+    the period. So does the witness, unless a later word hits at a lower level
+    than the first word's least hit; then it is the later word's least hit."""
+    if not isinstance(want, ContractionCert):
+        assert got == want
+        return
+    t, p = want.target, want.period
+    hits = [reference_word_hit(tree, t, p, w, depth) for w in _contraction_words(tree.f, t, p)]
+    least = min((h for h in hits if h is not None), key=lambda h: h.connector_k)
+    assert got == least, (tree.root, t)
+    if hits[0] is not None and hits[0].connector_k <= least.connector_k:
+        assert got == want, (tree.root, t)
 
 
 def reference_cycle_membership(tree, ms, report, depth):
@@ -233,23 +279,53 @@ def assert_searches_match_reference(f, y, budget):
     """Every orbit and cycle search of `salpha_enclosure` at y, in its order
     and with none skipped, on one tree through `first_hit` and on another
     through the references; returns the number of cycle searches and of hops
-    found."""
+    found. The level-by-level search grows the tree no deeper."""
     analysis = analyze_map(f, budget.max_period)
     tree = BackwardTree(f, y, budget.width_cap)
     ref = BackwardTree(f, y, budget.width_cap)
-    got = [certify_orbit(tree, orbit, budget.depth) for orbit in analysis.orbit_targets]
-    with mock.patch.object(backlimits, "find_contraction", reference_find_contraction):
-        want = [certify_orbit(ref, orbit, budget.depth) for orbit in analysis.orbit_targets]
+    for orbit in analysis.orbit_targets:
+        got = certify_orbit(tree, orbit, budget.depth)
+        assert_same_orbit_cert(got, reference_certify_orbit(ref, orbit, budget.depth), ref, budget.depth)
     hops = [
         (cycle_membership(tree, analysis.markov, report, budget.depth),
          reference_cycle_membership(ref, analysis.markov, report, budget.depth))
         for report in analysis.transitive_cycles
     ]
-    assert got == want, (f, y)
     assert all(a == b for a, b in hops), (f, y)
-    assert len(tree.levels) == len(ref.levels), (f, y)
-    assert tree.degraded == ref.degraded, (f, y)
+    assert len(tree.levels) <= len(ref.levels), (f, y)
+    assert ref.degraded or not tree.degraded, (f, y)
     return len(hops), sum(a is not None for a, _ in hops)
+
+
+def assert_table_matches_reference(f, y, budget, g):
+    """The orbit targets at y, searched from the per-map target table of the
+    enclosure and the period set, against the per-target references: with
+    the G(y) skip on f, and with every target searched on g, an equal map
+    whose table earlier queries may have filled. `find_exact_tail` of each
+    target and `find_contraction` at each target point are checked too.
+    Returns the number of contraction certificates."""
+    targets = orbit_targets(f, budget.max_period)
+    tree, ref = BackwardTree(f, y, budget.width_cap), BackwardTree(f, y, budget.width_cap)
+    for orbit in targets:
+        assert find_exact_tail(y, orbit) == reference_find_exact_tail(y, orbit)
+        for t in orbit.points:
+            got = find_contraction(tree, t, orbit.least_period, budget.depth)
+            want = reference_find_contraction(ref, t, orbit.least_period, budget.depth)
+            assert_same_orbit_cert(got, want, ref, budget.depth)
+    want = [reference_certify_orbit(ref, orbit, budget.depth) for orbit in targets]
+    bound = graph_bound(f, y)
+    admitted = [(o, c) for o, c in zip(targets, want) if all(map(bound.contains, o.points))]
+    args = (budget.max_period, budget.depth, budget.width_cap)
+    with mock.patch.object(backlimits, "_inside_bound", lambda h, b, n: (True,) * len(targets)):
+        every = salpha_enclosure(g, y, budget).orbit_certs, certified_period_set(g, y, *args)
+    gated = salpha_enclosure(f, y, budget).orbit_certs, certified_period_set(f, y, *args)
+    for (certs, periods), searched in ((gated, admitted), (every, list(zip(targets, want)))):
+        found = [(o, c) for o, c in searched if c is not None]
+        assert len(certs) == len(found), (f, y)
+        for got, (_, c) in zip(certs, found):
+            assert_same_orbit_cert(got, c, ref, budget.depth)
+        assert periods == {o.least_period for o, _ in found}, (f, y)
+    return sum(isinstance(c, ContractionCert) for c in want)
 
 
 _MAX_WORDS = 64
@@ -446,14 +522,18 @@ class FractionTree:
 def assert_backward_matches_fraction(f, y, sets, searches, depth, width_cap):
     """`point_preimages` at y, at the domain's ends and at every dot value;
     `preimage` of each set; and, on one tree each, `first_hit` for each
-    (window, ok) in turn, then the levels, flags and size at `depth`."""
+    (window, excluded points) in turn, then the levels, flags and size at
+    `depth`."""
     for point in (y, f.domain.lo, f.domain.hi, *(v for _, v in f.dots)):
         assert point_preimages(f, point) == fraction_point_preimages(f, point), (f, point)
     for s in sets:
         assert preimage(f, s) == fraction_preimage(f, s), (f, s)
     tree, ref = BackwardTree(f, y, width_cap), FractionTree(f, y, width_cap)
-    for window, ok in searches:
-        assert tree.first_hit(depth, window, ok) == ref.first_hit(depth, window, ok), (f, y, window)
+    for window, skip in searches:
+        ends = (window.lo.as_integer_ratio(), window.hi.as_integer_ratio())
+        want = ref.first_hit(depth, window, lambda z: z not in skip)
+        got = tree.first_hit(depth, [(*ends, tuple(x.as_integer_ratio() for x in skip))])
+        assert got == (None if want is None else (0, *want)), (f, y, window)
         assert len(tree.levels) == len(ref.levels)
     tree.ensure_depth(depth)
     ref.ensure_depth(depth)
@@ -1314,11 +1394,11 @@ IMAGE_MAP = make_plmap(interval(0, 4), [(0, 1), (1, 3), (2, 3), (3, 0), (4, 2)])
 
 
 def drawn_searches(f, y):
-    """Windows around y, each dot value and each piece, with a test that
-    refuses y and one that takes anything."""
+    """Windows around y, each dot value and each piece, excluding y, then
+    nothing, then y and the window's ends."""
     windows = [Interval(y / 2, y), f.domain, *(Interval(v, v) for _, v in f.dots)]
     windows += [p.span for p in f.pieces]
-    return [(w, ok) for w in windows for ok in (lambda z: z != y, lambda z: True)]
+    return [(w, skip) for w in windows for skip in ((y,), (), (y, w.lo, w.hi))]
 
 
 FLAT_END_MAP = make_plmap(interval(0, 3), [(0, 0), (1, 1), (2, 1), (3, 3)])
@@ -1359,7 +1439,7 @@ def test_backward_layer_matches_fraction_layer_on_the_corpus():
         f = entry.map
         sets = [IntervalSet((f.domain,)), *analyze_map(f, 4).seed_candidates]
         searches = [
-            (word.basin, lambda z, t=t: z != t)
+            (word.basin, (t,))
             for orbit in orbit_targets(f, 4)
             for t in orbit.points
             for word in _contraction_words(f, t, orbit.least_period)
@@ -1372,6 +1452,50 @@ def test_backward_layer_matches_fraction_layer_on_the_corpus():
                     f, exp.params["y"], sets, searches, depth, budget.width_cap)
                 count += 1
     assert count > 0
+
+
+# the fixed point 2 has two words: the second's basin holds y = 3 at level 0,
+# the first's only a value of level 1, so the level-by-level witness differs
+TWO_WORD_MAP = make_plmap(interval(0, 5), [(0, 3), (1, 0), (2, 2), (3, 4), (5, 5)])
+
+
+@settings(deadline=None, derandomize=True)
+@given(maps_and_points, st.integers(0, 6), st.integers(1, 200))
+# y = 2 on the target orbit {2, 4}: an exact tail by the table's lookup
+@example((TENT5, Q(2)), 6, 200)
+# y = 4 is the target t = 4 of a word whose basin holds it: level 0 skips it
+@example((TENT5, Q(4)), 6, 200)
+# the fixed point 1/3 has two words, and only the second's basin holds 1/2
+@example((build_overlap().map, Q(1, 2)), 6, 200)
+@example((TWO_WORD_MAP, Q(3)), 6, 200)
+def test_target_table_matches_per_target_search(case, depth, width_cap):
+    f, y = case
+    budget = Budget(depth=depth, width_cap=width_cap, max_period=4)
+    assert_table_matches_reference(f, y, budget, PLMap(f.domain, f.dots))
+
+
+def test_target_table_matches_per_target_search_on_the_corpus():
+    """Every corpus point an expectation names, at the expectation's budget,
+    with every target searched on one equal map per entry, whose table the
+    entry's points fill one after another."""
+    count = 0
+    for entry in all_entries():
+        g = PLMap(entry.map.domain, entry.map.dots)
+        for exp in entry.expectations:
+            if "y" in exp.params:
+                budget = exp.params.get("budget", entry.budget)
+                count += assert_table_matches_reference(entry.map, exp.params["y"], budget, g)
+    assert count > 0
+
+
+def test_a_later_word_below_the_first_words_least_hit_is_the_witness():
+    f, t = TWO_WORD_MAP, Q(2)
+    first, second = _contraction_words(f, t, 1)
+    assert (first.pieces, second.pieces) == ((1,), (2,))
+    cert = find_contraction(BackwardTree(f, Q(3)), t, 1, 6)
+    assert (cert.piece_word, cert.connector_z, cert.connector_k) == ((2,), Q(3), 0)
+    want = reference_find_contraction(BackwardTree(f, Q(3)), t, 1, 6)
+    assert (want.piece_word, want.connector_k) == ((1,), 1)
 
 
 def reference_intersect(a, b):
