@@ -159,11 +159,10 @@ class BackwardTree:
 
     def first_hit(self, depth: int, windows: Sequence[tuple[Pair, Pair, tuple[Pair, ...]]]
                   ) -> tuple[int, Fraction, int] | None:
-        """(i, value, level) for the least level d <= depth at which a window holds
-        a value other than its excluded points: the first such window i, and its
-        least such value. A window is (lo, hi, skip): its ends and the excluded
-        points as reduced int pairs, so every level, the root too, is searched in
-        ints. Levels are expanded one at a time, as far as the hit."""
+        """(i, value, level) for the least level d <= depth at which a window (lo, hi,
+        skip) holds a value other than its excluded points, the first such window i
+        and its least such value. Ends and excluded points are reduced int pairs, so
+        every level, the root too, is searched in ints, and expanded as far as the hit."""
         for d in range(depth + 1):
             self.ensure_depth(d)
             scale, keys = self._keys[d]  # value = key / L: bisect ceil(lo * L) and floor(hi * L)
@@ -251,7 +250,6 @@ class _Word:
     window: tuple[Pair, Pair, tuple[Pair]]  # the basin's ends and its target, for `first_hit`
 
 
-@_per_map
 def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
     """Inverse piece-words of length p around the orbit of t composing to a
     strict contraction fixing t, with the largest valid basin interval, in
@@ -311,8 +309,7 @@ def _contraction_words(f: PLMap, t: Fraction, p: int) -> tuple[_Word, ...]:
 
 @_per_map
 def _target_table(f: PLMap, max_period: int) -> tuple[dict[Pair, int], tuple[list, ...]]:
-    """Each target point's pair mapped to its target's index (distinct orbits are
-    disjoint), and per target, each point's words, None until a search reads them."""
+    """Target points' pairs to their (disjoint) targets' indices; a row per point, None unread."""
     targets = orbit_targets(f, max_period)
     index = {x.as_integer_ratio(): i for i, o in enumerate(targets) for x in o.points}
     return index, tuple([None] * o.least_period for o in targets)
@@ -320,9 +317,8 @@ def _target_table(f: PLMap, max_period: int) -> tuple[dict[Pair, int], tuple[lis
 
 def _contraction(tree: BackwardTree, points: Sequence[Fraction], p: int, words: list,
                  depth: int) -> ContractionCert | None:
-    """The first contraction at a point of an orbit, in orbit order: at t, the least
-    level within `depth` holding a connector into a word's basin minus t, the first
-    such word there (lexicographic), and its least connector; `words` caches words."""
+    """At the first point t with one, in order: the least level within `depth` with a connector
+    into a word's basin minus t, the first such word (lexicographic) and its least connector."""
     for j, t in enumerate(points):
         row = words[j] = _contraction_words(tree.f, t, p) if words[j] is None else words[j]
         if row and (hit := tree.first_hit(depth, [w.window for w in row])):
@@ -335,9 +331,16 @@ def find_contraction(tree: BackwardTree, t: Fraction, p: int, depth: int) -> Con
     return _contraction(tree, (t,), p, [None], depth)
 
 
+def _certify_target(tree: BackwardTree, orbit: PeriodicOrbit, on: bool, words: list,
+                    depth: int) -> OrbitCert | None:
+    """An exact tail if the tree's root lies `on` the orbit, else `_contraction` over its
+    points with `words` as their rows: the enclosure's and the period set's one step."""
+    return ExactTailCert(orbit, tree.root, 0) if on else _contraction(
+        tree, orbit.points, orbit.least_period, words, depth)
+
+
 def certify_orbit(tree: BackwardTree, orbit: PeriodicOrbit, depth: int) -> OrbitCert | None:
-    """An exact tail of the tree's root on the orbit, else `_contraction` over its
-    points, as the enclosure and the period set search their `_target_table`."""
+    """`find_exact_tail` of the root, else `_contraction` over the points on fresh rows."""
     return find_exact_tail(tree.root, orbit) or _contraction(
         tree, orbit.points, orbit.least_period, [None] * orbit.least_period, depth)
 
@@ -431,8 +434,7 @@ def cycle_membership(
     if is_transitive(ms, cycle) is not Verdict.YES:
         raise PreconditionError("cycle is not a certified transitive cycle")
     bad = [x.as_integer_ratio() for x in report.exceptional]
-    # a window per component without its ends and exceptional points: the components
-    # are sorted and disjoint, so the first window to hit holds the least good value
+    # a window per component minus its ends and exceptional points; sorted, the first hit is least
     ends = [(p.lo.as_integer_ratio(), p.hi.as_integer_ratio()) for p in cycle.components.parts]
     hit = tree.first_hit(depth, [(lo, hi, (lo, hi, *bad)) for lo, hi in ends])
     return None if hit is None else CycleMembershipCert(cycle, *hit[1:], report)
@@ -627,8 +629,7 @@ def certified_period_set(
     periods: set[int] = set()
     for i, (orbit, ok) in enumerate(zip(orbit_targets(f, max_period), inside)):
         p = orbit.least_period
-        if ok and p not in periods and (
-                i == on or _contraction(tree, orbit.points, p, words[i], depth)):
+        if ok and p not in periods and _certify_target(tree, orbit, i == on, words[i], depth):
             periods.add(p)
     return periods
 
@@ -812,8 +813,7 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
     for i, orbit in enumerate(analysis.orbit_targets):
         if not inside[i]:
             continue
-        cert = ExactTailCert(orbit, y, 0) if i == on else _contraction(
-            tree, orbit.points, orbit.least_period, words[i], budget.depth)
+        cert = _certify_target(tree, orbit, i == on, words[i], budget.depth)
         if cert is not None:
             orbit_certs.append(cert)
             certified.add(i)

@@ -201,17 +201,43 @@ def reference_find_exact_tail(y, orbit):
     return ExactTailCert(orbit, y, 0) if y in orbit.point_set else None
 
 
+def reference_window_hit(tree, t, word, d):
+    """The least value of level d in the word's basin other than t, or None."""
+    tree.ensure_depth(d)
+    level = tree.levels[d]  # sorted
+    lo, hi = word.basin.lo, word.basin.hi
+    return next((z for z in level[bisect_left(level, lo):bisect_right(level, hi)] if z != t), None)
+
+
 def reference_word_hit(tree, t, p, word, depth):
     """The word's least level within `depth` holding a connector into its
     basin minus t, and the least connector there, as a certificate."""
-    lo, hi = word.basin.lo, word.basin.hi
     for d in range(depth + 1):
-        tree.ensure_depth(d)
-        level = tree.levels[d]  # sorted
-        inside = [z for z in level[bisect_left(level, lo):bisect_right(level, hi)] if z != t]
-        if inside:
-            return ContractionCert(t, p, word.pieces, word.basin, inside[0], d)
+        z = reference_window_hit(tree, t, word, d)
+        if z is not None:
+            return ContractionCert(t, p, word.pieces, word.basin, z, d)
     return None
+
+
+def reference_level_contraction(tree, points, p, depth):
+    """The first contraction at the points in order: at each, level by
+    level, every word in turn (lexicographic) by `reference_window_hit`. A
+    point without words is passed over without growing the tree."""
+    for t in points:
+        words = _contraction_words(tree.f, t, p)
+        for d in range(depth + 1) if words else ():
+            for word in words:
+                z = reference_window_hit(tree, t, word, d)
+                if z is not None:
+                    return ContractionCert(t, p, word.pieces, word.basin, z, d)
+    return None
+
+
+def reference_level_certify_orbit(tree, orbit, depth):
+    """An exact tail by a hash of the root, else `reference_level_contraction`
+    over the orbit's points."""
+    cert = reference_find_exact_tail(tree.root, orbit)
+    return cert or reference_level_contraction(tree, orbit.points, orbit.least_period, depth)
 
 
 def reference_find_contraction(tree, t, p, depth):
@@ -226,7 +252,7 @@ def reference_find_contraction(tree, t, p, depth):
 
 def reference_certify_orbit(tree, orbit, depth):
     """An exact tail, else the first contraction at a point of the orbit, in
-    orbit order, through the references above."""
+    orbit order, each word searched to the full depth before the next."""
     cert = reference_find_exact_tail(tree.root, orbit)
     for t in orbit.points if cert is None else ():
         cert = reference_find_contraction(tree, t, orbit.least_period, depth)
@@ -236,10 +262,11 @@ def reference_certify_orbit(tree, orbit, depth):
 
 
 def assert_same_orbit_cert(got, want, tree, depth):
-    """`got`, from the level-by-level search, against `want`, from the
-    reference. The facts always agree: found or not, the kind, the target and
-    the period. So does the witness, unless a later word hits at a lower level
-    than the first word's least hit; then it is the later word's least hit."""
+    """`got`, from a level-by-level search, against `want`, from the
+    word-by-word one on `tree`. The facts always agree: found or not, the
+    kind, the target and the period. So does the witness, unless a later word
+    hits at a lower level than the first word's least hit; then it is the
+    later word's least hit."""
     if not isinstance(want, ContractionCert):
         assert got == want
         return
@@ -279,40 +306,53 @@ def assert_searches_match_reference(f, y, budget):
     """Every orbit and cycle search of `salpha_enclosure` at y, in its order
     and with none skipped, on one tree through `first_hit` and on another
     through the references; returns the number of cycle searches and of hops
-    found. The level-by-level search grows the tree no deeper."""
+    found. Both trees grow alike search by search, and the orbit certificates
+    are also held against the word-by-word search, on a third tree."""
     analysis = analyze_map(f, budget.max_period)
-    tree = BackwardTree(f, y, budget.width_cap)
-    ref = BackwardTree(f, y, budget.width_cap)
+    tree, ref, old = (BackwardTree(f, y, budget.width_cap) for _ in range(3))
+    depth, got, want = budget.depth, [], []
     for orbit in analysis.orbit_targets:
-        got = certify_orbit(tree, orbit, budget.depth)
-        assert_same_orbit_cert(got, reference_certify_orbit(ref, orbit, budget.depth), ref, budget.depth)
+        got.append(certify_orbit(tree, orbit, depth))
+        want.append(reference_level_certify_orbit(ref, orbit, depth))
+        assert len(tree.levels) == len(ref.levels), (f, y, orbit)
+        assert_same_orbit_cert(got[-1], reference_certify_orbit(old, orbit, depth), old, depth)
     hops = [
-        (cycle_membership(tree, analysis.markov, report, budget.depth),
-         reference_cycle_membership(ref, analysis.markov, report, budget.depth))
+        (cycle_membership(tree, analysis.markov, report, depth),
+         reference_cycle_membership(ref, analysis.markov, report, depth))
         for report in analysis.transitive_cycles
     ]
+    assert got == want, (f, y)
     assert all(a == b for a, b in hops), (f, y)
-    assert len(tree.levels) <= len(ref.levels), (f, y)
-    assert ref.degraded or not tree.degraded, (f, y)
+    assert len(tree.levels) == len(ref.levels), (f, y)
+    assert tree.degraded == ref.degraded, (f, y)
     return len(hops), sum(a is not None for a, _ in hops)
 
 
 def assert_table_matches_reference(f, y, budget, g):
     """The orbit targets at y, searched from the per-map target table of the
-    enclosure and the period set, against the per-target references: with
-    the G(y) skip on f, and with every target searched on g, an equal map
-    whose table earlier queries may have filled. `find_exact_tail` of each
-    target and `find_contraction` at each target point are checked too.
-    Returns the number of contraction certificates."""
+    enclosure and the period set, against the per-target level-by-level
+    reference: with the G(y) skip on f, and with every target searched on g,
+    an equal map whose table earlier queries may have filled.
+    `find_exact_tail` of each target and `find_contraction` at each target
+    point are checked too, each on fresh trees, which it grows as far as the
+    reference does. Every certificate is held against the word-by-word
+    search. Returns the number of contraction certificates."""
     targets = orbit_targets(f, budget.max_period)
-    tree, ref = BackwardTree(f, y, budget.width_cap), BackwardTree(f, y, budget.width_cap)
+    ref, old = BackwardTree(f, y, budget.width_cap), BackwardTree(f, y, budget.width_cap)
     for orbit in targets:
+        p = orbit.least_period
         assert find_exact_tail(y, orbit) == reference_find_exact_tail(y, orbit)
         for t in orbit.points:
-            got = find_contraction(tree, t, orbit.least_period, budget.depth)
-            want = reference_find_contraction(ref, t, orbit.least_period, budget.depth)
-            assert_same_orbit_cert(got, want, ref, budget.depth)
-    want = [reference_certify_orbit(ref, orbit, budget.depth) for orbit in targets]
+            tree, lone = BackwardTree(f, y, budget.width_cap), BackwardTree(f, y, budget.width_cap)
+            got = find_contraction(tree, t, p, budget.depth)
+            assert got == reference_level_contraction(lone, (t,), p, budget.depth), (f, y, t)
+            assert len(tree.levels) == len(lone.levels), (f, y, t)
+            want = reference_find_contraction(old, t, p, budget.depth)
+            assert_same_orbit_cert(got, want, old, budget.depth)
+    want = [reference_level_certify_orbit(ref, orbit, budget.depth) for orbit in targets]
+    for cert, orbit in zip(want, targets):
+        wordwise = reference_certify_orbit(old, orbit, budget.depth)
+        assert_same_orbit_cert(cert, wordwise, old, budget.depth)
     bound = graph_bound(f, y)
     admitted = [(o, c) for o, c in zip(targets, want) if all(map(bound.contains, o.points))]
     args = (budget.max_period, budget.depth, budget.width_cap)
@@ -321,9 +361,7 @@ def assert_table_matches_reference(f, y, budget, g):
     gated = salpha_enclosure(f, y, budget).orbit_certs, certified_period_set(f, y, *args)
     for (certs, periods), searched in ((gated, admitted), (every, list(zip(targets, want)))):
         found = [(o, c) for o, c in searched if c is not None]
-        assert len(certs) == len(found), (f, y)
-        for got, (_, c) in zip(certs, found):
-            assert_same_orbit_cert(got, c, ref, budget.depth)
+        assert list(certs) == [c for _, c in found], (f, y)
         assert periods == {o.least_period for o, _ in found}, (f, y)
     return sum(isinstance(c, ContractionCert) for c in want)
 
