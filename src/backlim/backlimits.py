@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -430,10 +430,14 @@ def cycle_membership(
     the cycle and outside its exceptional set."""
     if ms is None:
         raise PreconditionError("map has no finite Markov partition")
-    cycle = report.cycle
-    if is_transitive(ms, cycle) is not Verdict.YES:
+    if is_transitive(ms, report.cycle) is not Verdict.YES:
         raise PreconditionError("cycle is not a certified transitive cycle")
-    bad = [x.as_integer_ratio() for x in report.exceptional]
+    return _hop(tree, report, depth)
+
+
+def _hop(tree: BackwardTree, report: ExceptionalReport, depth: int) -> CycleMembershipCert | None:
+    """The search of `cycle_membership`, for a cycle known transitive, as `analyze_map`'s are."""
+    cycle, bad = report.cycle, [x.as_integer_ratio() for x in report.exceptional]
     # a window per component minus its ends and exceptional points; sorted, the first hit is least
     ends = [(p.lo.as_integer_ratio(), p.hi.as_integer_ratio()) for p in cycle.components.parts]
     hit = tree.first_hit(depth, [(lo, hi, (lo, hi, *bad)) for lo, hi in ends])
@@ -709,32 +713,44 @@ def _ball_seed(f: PLMap, table: _BallTable, r: Fraction) -> IntervalSet | None:
 
 @_per_map
 def analyze_map(f: PLMap, max_period: int = DEFAULT_MAX_PERIOD) -> MapAnalysis:
-    """Point-independent analysis shared by all enclosure queries on a map."""
+    """Point-independent analysis shared by all enclosure queries on a map. Seeds and
+    cycle bases are the dot pairs K = [x_i, x_j], then the continua's other parts. f(K)
+    is [min, max] of y_i ... y_j, swept in ints (x * E against y * D): K is a seed iff
+    f(K) ⊆ K, and walked only if f(K) = K or misses K, as a walk stops at the first
+    meeting. Once min < x_i and K is not walked, no later j passes either test."""
     structure = periodic_orbits(f, max_period)
     targets = orbit_targets(f, max_period)
 
     ms = markov_partition(f)
 
-    candidates = dict.fromkeys([
-        *(Interval(a, b) for a, b in combinations(f._xs, 2)),
-        *(part for _, iset in structure.fixed_intervals for part in iset.parts),
-    ])
+    (d, xs), (e, _) = f._grid, f._value_table
+    xs, ys = [x * e for x in xs], [y.numerator * (e // y.denominator) * d for _, y in f.dots]
+    seeds, walks = [], []
+    for i, xi in enumerate(xs):
+        lo = hi = ys[i]
+        for j in range(i + 1, len(xs)):
+            lo, hi = min(lo, ys[j]), max(hi, ys[j])
+            if xi <= lo and hi <= xs[j]:
+                seeds.append(IntervalSet((Interval(f._xs[i], f._xs[j]),)))
+            if ms is not None and (lo == xi and hi == xs[j] or hi < xi or xs[j] < lo):
+                walks.append(Interval(f._xs[i], f._xs[j]))
+            elif lo < xi:  # f(K) meets K, or nothing is walked; min only falls, max only grows
+                break
+    dots = set(f._xs)  # a part that is a dot pair keeps its place among the pairs
+    parts = dict.fromkeys(p for _, iset in structure.fixed_intervals for p in iset.parts)
+    walks += (others := [p for p in parts if not {p.lo, p.hi} <= dots])
+    seeds += [s for p in others if (s := IntervalSet((p,))).contains_set(image(f, s))]
 
     # the first cycle on each set of components; transitivity reads only those
     cycles: dict[IntervalSet, CycleOfIntervals] = {}
-    for k_int in candidates if ms is not None else ():
+    for k_int in walks if ms is not None else ():
         got = check_cycle_of_intervals(f, k_int, _CYCLE_PERIOD_CAP)
         if isinstance(got, CycleOfIntervals):
             cycles.setdefault(got.components, got)
     transitive = [exceptional_set(f, ms, c) for c in cycles.values()
                   if is_transitive(ms, c) is Verdict.YES]
 
-    seeds = [s for k_int in candidates if (s := IntervalSet((k_int,))).contains_set(image(f, s))]
-    for _, iset in structure.fixed_intervals:
-        for part in iset.parts:
-            closure = orbit_closure(f, part, cap=32)
-            if closure.stabilized:  # S = S ∪ f(S), so f(S) ⊆ S
-                seeds.append(closure.set)
+    seeds += [c.set for p in parts if (c := orbit_closure(f, p, cap=32)).stabilized]  # f(S) ⊆ S
     for orbit in targets:
         table = _ball_table(f, orbit.points)
         for r in _BALL_RADII:
@@ -818,13 +834,9 @@ def salpha_enclosure(f: PLMap, y: Fraction, budget: Budget = Budget()) -> Salpha
             orbit_certs.append(cert)
             certified.add(i)
 
-    cycle_certs: list[CycleMembershipCert] = []
-    for report in analysis.transitive_cycles:
-        if not bound.contains_set(report.cycle.components):
-            continue
-        got = cycle_membership(tree, analysis.markov, report, budget.depth)
-        if got is not None:
-            cycle_certs.append(got)
+    hops = (_hop(tree, report, budget.depth) for report in analysis.transitive_cycles
+            if bound.contains_set(report.cycle.components))
+    cycle_certs = [cert for cert in hops if cert is not None]
     lower_intervals = IntervalSet.of(p for c in cycle_certs for p in c.cycle.components.parts)
 
     avoidance_certs: list[AvoidanceCert] = []
@@ -966,12 +978,15 @@ def beta_upper(f: PLMap, y: Fraction, budget: Budget = Budget()) -> IntervalSet:
     """Closed superset of the backward attractor of y (closure of the special
     backward limit set); certified empty when y falls out of the iterated
     images of the whole domain within the depth budget."""
-    reach = IntervalSet((f.domain,))
-    for _ in range(budget.depth):
-        nxt = image(f, reach)
-        if not nxt.contains(y):
-            return EMPTY
-        if nxt == reach:  # every later step repeats this one
-            break
-        reach = nxt
+    if not all(s.contains(y) for s in _domain_images(f, budget.depth)):
+        return EMPTY
     return salpha_enclosure(f, y, budget).upper
+
+
+@_per_map
+def _domain_images(f: PLMap, depth: int) -> tuple[IntervalSet, ...]:
+    """f(D), f^2(D), ... for at most `depth` steps, to the first equal to the one before."""
+    images = [IntervalSet((f.domain,))]
+    while len(images) <= depth and images[-2:-1] != images[-1:]:
+        images.append(image(f, images[-1]))
+    return tuple(images[1:])

@@ -500,6 +500,18 @@ class TestCycleMembership:
         with pytest.raises(PreconditionError):
             cycle_membership(BackwardTree(f, Q(0)), ms, exceptional_set(f, ms, cyc), 6)
 
+    def test_enclosures_decide_transitivity_once_per_map(self):
+        # `analyze_map` keeps only transitive cycles, so the enclosure queries
+        # on a map search their hops without deciding transitivity again
+        f, budget = overlap(), Budget(depth=4, avoid_layers=2)
+        with mock.patch.object(backlimits, "is_transitive", wraps=backlimits.is_transitive) as spy:
+            first = salpha_enclosure(f, Q(1, 2), budget)
+            decided = spy.call_count  # one per cycle analyze_map found
+            encs = [salpha_enclosure(f, Q(k, 12), budget) for k in range(1, 12)]
+        assert len(first.cycle_certs) == 1 and sum(len(enc.cycle_certs) for enc in encs) > 1
+        assert decided >= len(analyze_map(f, budget.max_period).transitive_cycles) == 3
+        assert spy.call_count == decided
+
 
 class TestEnclosure:
     def test_f5_bounds(self):
@@ -653,6 +665,17 @@ class TestBetaUpper:
         with mock.patch.object(backlimits, "image", wraps=image) as spy:
             beta_upper(f, Q(0), budget)
         assert spy.call_count == 1
+
+    def test_domain_images_are_kept_per_map_and_depth(self):
+        # f(D) = [1/4, 3/4] and f^2(D) = [3/8, 5/8] hold 1/2, so each query
+        # reads both; only the first query at each depth images the domain
+        squash, budget = make_plmap(interval(0, 1), [(0, Q(1, 4)), (1, Q(3, 4))]), Budget(depth=2)
+        with mock.patch.object(backlimits, "image", wraps=image) as spy:
+            for y in (Q(1, 2), Q(1, 3), Q(1, 2)):
+                beta_upper(squash, y, budget)
+            assert spy.call_count == 2
+            beta_upper(squash, Q(1, 2), Budget(depth=3))
+            assert spy.call_count == 5
 
     def test_empty_outside_image(self):
         squash = make_plmap(interval(0, 1), [(0, Q(1, 4)), (1, Q(3, 4))])

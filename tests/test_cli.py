@@ -98,6 +98,39 @@ class TestAnalyze:
         a.pop("wall_time_ms"), b.pop("wall_time_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_many_dots_image_no_dot_pair(self, capsys, tmp_path):
+        """x -> x/2 with a dot at every integer of [0, 500]: `analyze_map`
+        decides its 125,250 dot pairs in one int sweep and calls `image` and
+        the cycle walk on none of them. Calls are counted, not timed."""
+        path = tmp_path / "half.json"
+        dots = [[str(k), str(Fraction(k, 2))] for k in range(501)]
+        path.write_text(json.dumps({"domain": ["0", "500"], "dots": dots}))
+        inside, calls = [], []
+        analyze_map = backlimits.analyze_map
+
+        def flagged(f, *args):
+            inside.append(True)
+            try:
+                return analyze_map(f, *args)
+            finally:
+                inside.pop()
+
+        def counted(fn):
+            def wrapper(*args):
+                if inside:
+                    calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        with mock.patch.object(backlimits, "analyze_map", flagged), \
+                mock.patch.object(backlimits, "image", counted(backlimits.image)), \
+                mock.patch.object(backlimits, "check_cycle_of_intervals",
+                                  counted(backlimits.check_cycle_of_intervals)):
+            code, out = run(capsys, "analyze", str(path), "--point", "1/3")
+        assert code == 0 and calls == []
+        result = json.dumps(json.loads(out)["result"], sort_keys=True)
+        assert hashlib.sha256(result.encode()).hexdigest()[:16] == "8c69349ad00de6cc"
+
 
 class TestReport:
     @pytest.mark.parametrize(

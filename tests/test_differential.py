@@ -3,8 +3,8 @@
 reduced int pairs against the Fraction walk, the
 forward basins of `_contraction_words`, `find_exact_tail`,
 `find_contraction`, `cycle_membership`, `_contraction_words`,
-`point_preimages`, `preimage`, the ball seeds and the cycle search of
-`analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
+`point_preimages`, `preimage`, the ball seeds, the dot-pair sweep and the
+cycle search of `analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the flat-list
 `BackwardTree`, the Markov-graph gate of `salpha_enclosure` and
 `certified_period_set`, the merge of `SalphaEnclosure.lower_closure`,
 `image_after` and `markov_partition`'s cuts on the walk to the first repeat,
@@ -1870,6 +1870,115 @@ def test_cycle_search_matches_period_by_period_check_on_the_corpus():
         cycles += len(got)
     assert periods == {1: 19, 2: 3, 4: 1}
     assert cycles == 3
+
+
+# the dot pair [0, 4] of the tent is its own image: a transitive cycle of period 1
+SELF_PAIR_MAP = make_plmap(interval(0, 4), [(0, 0), (2, 4), (4, 0)])
+# [0, 1] maps onto [3, 4], which misses it, and [3, 4] back onto [0, 1]: a
+# transitive cycle of period 2 through a walked dot pair
+MISSED_PAIR_MAP = make_plmap(
+    interval(0, 4), [(0, 3), (Q(1, 2), 4), (1, 3), (3, 0), (Q(7, 2), 1), (4, 0)])
+# f([1, 2]) = [2, 3] touches [1, 2] at 2: it meets it, so [1, 2] is no cycle
+# and is not walked; f([0, 1]) = [0, 2] holds 0, the pair's left end, and the
+# sweep goes on to the seed [0, 3]
+TOUCHING_PAIR_MAP = make_plmap(interval(0, 3), [(0, 0), (1, 2), (2, 3), (3, 1)])
+# the flat piece [2, 3] maps onto the point 0, which it misses
+FLAT_PIECE_MAP = make_plmap(interval(0, 3), [(0, 0), (1, 2), (2, 0), (3, 0)])
+# f is the identity on [1, 2]: a part of the periodic continua that is a dot pair
+FIXED_PAIR_MAP = make_plmap(interval(0, 3), [(0, 1), (1, 1), (2, 2), (3, 2)])
+
+
+def _many_dot_value(x):
+    if x <= 10:  # tents carry [0, 10] onto [30, 40] and [30, 40] onto [0, 10]
+        return 30 + 2 * x if x <= 5 else 50 - 2 * x
+    if x >= 30:
+        return 2 * (x - 30) if x <= 35 else 80 - 2 * x
+    return 30 - Q(3, 2) * (x - 10)
+
+
+# a dot at every integer of [0, 40]; [0, 10] is a transitive cycle of period 2
+MANY_DOT_MAP = make_plmap(interval(0, 40), [(x, _many_dot_value(x)) for x in range(41)])
+
+
+def reference_walks(f, max_period):
+    """The bases whose cycle walk can succeed: the dot pairs K whose image,
+    built piece by piece, equals K or misses it, in `combinations` order, then
+    the parts of the periodic continua that are no dot pair; none without a
+    Markov partition."""
+    if markov_partition(f) is None:
+        return []
+    walks = []
+    for a, b in combinations(f._xs, 2):
+        base = Interval(a, b)
+        (img,) = reference_image(f, IntervalSet((base,))).parts
+        if img == base or img.intersection(base) is None:
+            walks.append(base)
+    n = len(f._xs)
+    return walks + cycle_candidates(f, max_period)[n * (n - 1) // 2:]
+
+
+def assert_sweep_matches_references(f, max_period):
+    """`analyze_map` on a fresh copy of f finds the seeds and transitive cycles
+    of both references, walks exactly `reference_walks`, and images only the
+    parts of the periodic continua that are no dot pair."""
+    walked, imaged = [], []
+
+    def walk(g, base, cap):
+        walked.append(base)
+        return check_cycle_of_intervals(g, base, cap)
+
+    def image_of(g, s):
+        imaged.append(s)
+        return image(g, s)
+
+    with mock.patch.object(backlimits, "check_cycle_of_intervals", walk), \
+            mock.patch.object(backlimits, "image", image_of):
+        got = analyze_map(PLMap(f.domain, f.dots), max_period)
+    assert got.seed_candidates == reference_seed_candidates(f, max_period)
+    assert got.transitive_cycles == reference_transitive_cycles(f, max_period)
+    n = len(f._xs)
+    parts = cycle_candidates(f, max_period)[n * (n - 1) // 2:]
+    assert imaged == [IntervalSet((p,)) for p in parts]
+    assert walked == reference_walks(f, max_period)
+
+
+@settings(deadline=None, derandomize=True)
+@given(uppers.flatmap(integer_maps), st.integers(1, 6))
+@example(SELF_PAIR_MAP, 6)
+@example(MISSED_PAIR_MAP, 6)
+@example(TOUCHING_PAIR_MAP, 6)
+@example(FLAT_PIECE_MAP, 6)
+@example(FIXED_PAIR_MAP, 6)
+@example(MANY_DOT_MAP, 4)
+def test_dot_pair_sweep_matches_both_references(f, max_period):
+    assert_sweep_matches_references(f, max_period)
+
+
+def test_dot_pair_sweep_matches_both_references_on_the_corpus():
+    for entry in all_entries():
+        assert_sweep_matches_references(entry.map, entry.budget.max_period)
+
+
+def test_sweep_examples_show_their_cases():
+    def pair_images(f):
+        for a, b in combinations(f._xs, 2):
+            base = Interval(a, b)
+            yield base, reference_image(f, IntervalSet((base,))).parts[0]
+
+    def periods(f):
+        return [r.cycle.period for r in analyze_map(f, 6).transitive_cycles]
+
+    assert any(img == base for base, img in pair_images(SELF_PAIR_MAP))
+    assert periods(SELF_PAIR_MAP) == [1]
+    assert periods(MISSED_PAIR_MAP) == [2]
+    assert Interval(Q(1), Q(2)).intersection(
+        dict(pair_images(TOUCHING_PAIR_MAP))[Interval(Q(1), Q(2))]) == interval(2, 2)
+    assert any(p.slope == 0 for p in FLAT_PIECE_MAP.pieces)
+    assert any(img.is_point and img.intersection(base) is None
+               for base, img in pair_images(FLAT_PIECE_MAP))
+    (_, fixed), = periodic_orbits(FIXED_PAIR_MAP, 6).fixed_intervals
+    assert fixed.parts == (interval(1, 2),)
+    assert len(MANY_DOT_MAP.dots) == 41 and periods(MANY_DOT_MAP) == [2]
 
 
 @settings(deadline=None, derandomize=True)
