@@ -50,7 +50,20 @@ from .orbits import (
     image_after,
     periodic_orbits,
 )
-from .plmap import Pair, PLMap, _affine, _pair, _per_map, image, point_preimages, preimage
+from .plmap import (
+    Pair,
+    PLMap,
+    Span,
+    _affine,
+    _interval_set,
+    _pair,
+    _per_map,
+    _preimage,
+    _spans,
+    _starts_past,
+    image,
+    point_preimages,
+)
 
 DEFAULT_DEPTH = 12
 DEFAULT_WIDTH_CAP = 10_000
@@ -346,16 +359,18 @@ def certify_orbit(tree: BackwardTree, orbit: PeriodicOrbit, depth: int) -> Orbit
 
 
 @_per_map
-def _avoidance_chain(f: PLMap, seed: IntervalSet) -> str | list[tuple[IntervalSet, IntervalSet]]:
+def _avoidance_chain(f: PLMap, seed: IntervalSet) -> str | list[tuple]:
     """The refusal of `seed` that does not depend on y, or the y-free layers
-    (R_k, preimage(f, R_k)) grown from it so far, which hold no reference to f."""
+    (R_k, preimage(f, R_k), R_k as a set) grown from it so far, R_k and its
+    preimage as spans of int pairs, which hold no reference to f."""
     if seed.is_empty:
         return "empty seed"
     if not seed.within(f.domain):
         return "seed escapes the domain"
     if not seed.contains_set(image(f, seed)):
         return "seed is not forward-invariant"
-    return [(seed, preimage(f, seed))]
+    spans = _spans(seed)
+    return [(spans, _preimage(f, spans), seed)]
 
 
 def avoided_region(
@@ -375,51 +390,74 @@ def avoided_region(
     single point exactly, so stabilization is then reported honestly as
     false). Degenerate candidates are dropped: they never affect the exported
     closed upper bound. A region of more than AVOID_CAP parts raises
-    RegionBudgetExceeded.
+    RegionBudgetExceeded before it is pulled back.
+
+    Regions and preimages stay sorted spans of reduced int pairs, so layers
+    compare as tuples; Fractions are made only for a final region, once for
+    a layer of the seed's chain.
     """
     chain = _avoidance_chain(f, seed)
     if seed.contains(y) and chain != "seed escapes the domain":
         chain = "point inside seed"
     if isinstance(chain, str):
         return RejectedSeed(chain)
+    point = y.as_integer_ratio()
 
-    def split_at_point(part: Interval, region: IntervalSet) -> list[Interval]:
-        # the region parts next to y, if they lie in `part`, bound its two sound ends
-        parts, k = region.parts, bisect_right(region.parts, Interval(y, y))  # parts[:k] lie below y
-        below = max(part.lo, parts[k - 1].hi) if k else part.lo
-        above = min(part.hi, parts[k].lo) if k < len(parts) else part.hi
-        ends = ((part.lo, (below + y) / 2), ((y + above) / 2, part.hi))
-        return [Interval(a, b) for a, b in ends if a < b]
+    def less(u: Pair, v: Pair) -> bool:
+        return u[0] * v[1] < v[0] * u[1]
 
-    def grown(region: IntervalSet, pre: IntervalSet) -> IntervalSet:
+    def last_from(spans: tuple[Span, ...], x: Pair) -> int:
+        """The index of the last span to start at or before x, or -1."""
+        return bisect_right(spans, 0, key=_starts_past(*x)) - 1
+
+    def holds(spans: tuple[Span, ...], x: Pair) -> bool:
+        k = last_from(spans, x)
+        return k >= 0 and not less(spans[k][1], x)
+
+    def halfway(u: Pair, v: Pair) -> Pair:
+        return _pair(u[0] * v[1] + v[0] * u[1], 2 * u[1] * v[1])
+
+    def split_at_point(a: Pair, b: Pair, region: tuple[Span, ...]) -> list[Span]:
+        # the region parts next to y, if they lie in [a, b], bound its two sound ends;
+        # the region misses y, so region[:j + 1] lie below it
+        j = last_from(region, point)
+        below = region[j][1] if j >= 0 and less(a, region[j][1]) else a
+        above = region[j + 1][0] if j + 1 < len(region) and less(region[j + 1][0], b) else b
+        ends = ((a, halfway(below, point)), (halfway(point, above), b))
+        return [(lo, hi) for lo, hi in ends if less(lo, hi)]
+
+    def grown(region: tuple[Span, ...], pre: tuple[Span, ...]) -> tuple[Span, ...]:
         # region ∪ pre's parts split at y, less its single points: a region part lies in
-        # one of those pieces or is one of those points, so all come disjoint and in order
-        parts = []
-        for part in pre.parts:
-            if part.contains(y):
-                parts += split_at_point(part, region)
-            elif not part.is_point or region.contains(part.lo):
-                parts.append(part)
-        return IntervalSet(tuple(parts))
+        # one of those pieces or is one of those points, so all come disjoint and in order.
+        # Parts are disjoint, so only the last to start at or before y can hold it
+        k, parts = last_from(pre, point), []
+        for i, (a, b) in enumerate(pre):
+            if i == k and not less(b, point):
+                parts += split_at_point(a, b, region)
+            elif a != b or holds(region, a):
+                parts.append((a, b))
+        return tuple(parts)
 
     # the step after the last layer is probed too, so `stabilized` is honest when the budget
     # runs out; layers before the first whose preimage holds y are read off the seed's chain
-    (region, pre), used, y_free = chain[0], 0, True
+    (region, pre, final), used, y_free = chain[0], 0, True
     nxt = grown(region, pre)
     while nxt != region and used < layers:
         used += 1
-        y_free = y_free and not pre.contains(y)
+        y_free = y_free and not holds(pre, point)
         if y_free and used < len(chain):
-            region, pre = chain[used]
+            region, pre, final = chain[used]
         else:
-            region, pre = nxt, preimage(f, nxt)
-            if len(region.parts) > AVOID_CAP:
+            if len(nxt) > AVOID_CAP:
                 raise RegionBudgetExceeded(
                     f"avoidance region of seed {seed} passes {AVOID_CAP} parts at layer {used}")
-            if y_free:
-                chain.append((region, pre))
+            region, pre, final = nxt, _preimage(f, nxt), None
+            if y_free:  # made once, for every later query that ends at this layer
+                final = _interval_set(region)
+                chain.append((region, pre, final))
         nxt = grown(region, pre)
-    return AvoidanceCert(seed, used, region, nxt == region)
+    final = _interval_set(region) if final is None else final
+    return AvoidanceCert(seed, used, final, nxt == region)
 
 
 def cycle_membership(

@@ -26,7 +26,9 @@ Images go through it too: f is affine between dots, so f of an interval
 The backward layer, `point_preimages`, `preimage` and `_runs`, reads one
 value table of ints: each piece's least and greatest dot value over their
 common denominator. It solves x = (y - c)/s in pairs, and makes Fractions
-only for what it returns.
+only for what it returns. A set's preimage comes out in x order piece by
+piece, so one ordered pass merges it, with no sort; `_preimage` takes and
+gives sets as spans of pairs, for callers that stay in pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .exactnum import (
     Interval,
@@ -196,6 +198,7 @@ def make_plmap(domain: Interval, dots: Iterable) -> PLMap:
 
 
 Pair = tuple[int, int]  # n/d as (n, d), reduced, with d > 0: equal values, equal pairs
+Span = tuple[Pair, Pair]  # the closed interval [lo, hi], lo <= hi
 Segment = tuple[Pair, Pair, Pair, Pair]  # x0, x1, slope, intercept
 
 
@@ -314,29 +317,49 @@ def image(f: PLMap, s: IntervalSet) -> IntervalSet:
     return IntervalSet.of(out)
 
 
-def preimage(f: PLMap, s: IntervalSet) -> IntervalSet:
-    """f^-1(s): on a piece with values [lo, hi], each part of s that meets
-    them, clipped to them and solved for x in int pairs; a constant piece
-    whose value s holds gives its whole span."""
+def _preimage(f: PLMap, parts: Sequence[Span]) -> tuple[Span, ...]:
+    """f^-1 of the sorted, disjoint, non-touching `parts`, in x order: on a
+    piece with values [lo, hi], each part that meets them, clipped to them and
+    solved for x in int pairs; a constant piece whose value a part holds gives
+    its whole span. A piece's parts lie in its span, rising with it, so only a
+    falling piece's list is reversed, and parts meet only at a shared dot,
+    where they merge."""
     scale, table = f._value_table
-    ends = [(p.lo.as_integer_ratio(), p.hi.as_integer_ratio()) for p in s.parts]
-    out = []
-    for piece, ((_, _, sl, c), lo, hi) in zip(f.pieces, table):
-        x_lo, x_hi = piece.span.lo, piece.span.hi  # where f is lo and hi
-        if sl[0] < 0:
-            x_lo, x_hi = x_hi, x_lo
-        for (an, ad), (bn, bd) in ends:  # sorted, so the parts that meet [lo, hi] are consecutive
+    out: list[Span] = []
+    for (x0, x1, sl, c), lo, hi in table:
+        x_lo, x_hi = (x0, x1) if sl[0] >= 0 else (x1, x0)  # where f is lo and hi
+        got = []
+        for (an, ad), (bn, bd) in parts:  # sorted, so the parts that meet [lo, hi] are consecutive
             if an * scale > hi * ad:
                 break
             if bn * scale < lo * bd:
                 continue
             if lo == hi:
-                out.append(piece.span)
+                got.append((x0, x1))
                 break
-            a = Fraction(*_solve(sl, c, (an, ad))) if an * scale > lo * ad else x_lo
-            b = Fraction(*_solve(sl, c, (bn, bd))) if bn * scale < hi * bd else x_hi
-            out.append(Interval(a, b) if sl[0] > 0 else Interval(b, a))
-    return IntervalSet.of(out)
+            a = _solve(sl, c, (an, ad)) if an * scale > lo * ad else x_lo
+            b = _solve(sl, c, (bn, bd)) if bn * scale < hi * bd else x_hi
+            got.append((a, b) if sl[0] > 0 else (b, a))
+        for a, b in got if sl[0] >= 0 else reversed(got):
+            if out and out[-1][1] == a:
+                out[-1] = (out[-1][0], b)
+            else:
+                out.append((a, b))
+    return tuple(out)
+
+
+def _spans(s: IntervalSet) -> tuple[Span, ...]:
+    return tuple((p.lo.as_integer_ratio(), p.hi.as_integer_ratio()) for p in s.parts)
+
+
+def _interval_set(spans: Iterable[Span]) -> IntervalSet:
+    """The canonical set of sorted, non-touching spans: where pairs become Fractions."""
+    return IntervalSet(tuple(Interval(Fraction(*a), Fraction(*b)) for a, b in spans))
+
+
+def preimage(f: PLMap, s: IntervalSet) -> IntervalSet:
+    """f^-1(s), pulled back in int pairs by `_preimage`."""
+    return _interval_set(_preimage(f, _spans(s)))
 
 
 def point_preimages(f: PLMap, y: Fraction) -> list[tuple[int, Fraction | Interval]]:

@@ -460,6 +460,22 @@ class TestAvoidance:
         for d, value in BackwardTree(f, Q(0)).point_values(12):
             assert not got.final.contains(value)
 
+    def test_an_oversized_region_is_refused_before_it_is_pulled_back(self):
+        # layer 1 of f5's seed [2, 4] at y = 0 is its preimage [1/4, 3/4] ∪ [2, 4]: two
+        # parts pass a cap of one, so only the seed is pulled back before the refusal
+        pulls, pull = [], backlimits._preimage
+
+        def counted(f, parts):
+            pulls.append(parts)
+            return pull(f, parts)
+
+        with mock.patch.object(backlimits, "AVOID_CAP", 1), \
+                mock.patch.object(backlimits, "_preimage", counted):
+            with pytest.raises(backlimits.RegionBudgetExceeded) as refused:
+                avoided_region(f5(), Q(0), iset((2, 4)), 4)
+        assert str(refused.value) == "avoidance region of seed {[2,4]} passes 1 parts at layer 1"
+        assert len(pulls) == 1
+
     def test_regions_outside_the_domain_are_refused(self):
         seed = iset((-3, -1), (2, 4))
         assert avoided_region(f5(), Q(0), seed) == RejectedSeed("seed escapes the domain")

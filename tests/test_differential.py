@@ -11,7 +11,8 @@ cycle search of `analyze_map`, `beta_upper`, `PeriodicOrbit.from_point`, the fla
 the forward walks and contraction words in reduced int pairs, the pair
 fixed points and orbits of `periodic_orbits` against its loop over Fraction
 fixed points, `image` and `markov_partition`'s cell rows and slopes,
-read off f at the ends, `avoided_region`'s chain of y-free layers, and the
+read off f at the ends, `avoided_region`'s chain of y-free layers in int
+pairs, the ordered merge of `preimage`, and the
 one reachability rule behind G(y), `is_transitive` and `exceptional_set`, the
 backward layer on the value table and int-keyed tree levels against the
 Fraction `point_preimages`, `preimage` and `BackwardTree`, the one-pass
@@ -1413,11 +1414,36 @@ def test_point_preimages_match_reference(case):
         assert point_preimages(f, point) == reference_point_preimages(f, point)
 
 
+FALLING_MAP = make_plmap(interval(0, 4), [(0, 4), (4, 0)])
+TENT4 = make_plmap(interval(0, 4), [(0, 0), (2, 4), (4, 0)])
+PLATEAU_MAP = make_plmap(interval(0, 3), [(0, 0), (1, 2), (2, 2), (3, 0)])
+END_POINT_MAP = make_plmap(interval(0, 3), [(0, 1), (1, 3), (3, 0)])
+
+
 @settings(deadline=None, derandomize=True)
 @given(uppers.flatmap(lambda u: st.tuples(integer_maps(u), interval_sets(u))))
+# a falling piece holding two parts: {[3,4]; [1,2]} in piece order
+@example((FALLING_MAP, IntervalSet.of([interval(0, 1), interval(2, 3)])))
+# parts of the two pieces touching at the shared dot 2: [3/2, 2] and [2, 5/2]
+@example((TENT4, IntervalSet.single(3, 4)))
+# the constant piece's span [1, 2] touching its neighbours' [1/2, 1] and [2, 5/2]
+@example((PLATEAU_MAP, IntervalSet.single(1, 2)))
+# [0, 1] meets the first piece's values [1, 3] only at 1: the one-point part [0, 0]
+@example((END_POINT_MAP, IntervalSet.single(0, 1)))
 def test_preimage_matches_reference(case):
     f, s = case
     assert preimage(f, s) == reference_preimage(f, s)
+
+
+def test_preimage_examples_show_their_cases():
+    assert preimage(FALLING_MAP, IntervalSet.of([interval(0, 1), interval(2, 3)])) == \
+        IntervalSet.of([interval(1, 2), interval(3, 4)])
+    for f, s, want in ((TENT4, (3, 4), (Q(3, 2), Q(5, 2))), (PLATEAU_MAP, (1, 2), (Q(1, 2), Q(5, 2)))):
+        assert preimage(f, IntervalSet.single(*s)) == IntervalSet.single(*want)
+    assert preimage(END_POINT_MAP, IntervalSet.single(0, 1)) == \
+        IntervalSet.of([interval(0, 0), interval(Q(7, 3), 3)])
+    assert preimage(POINT_PART_MAP, POINT_PART_SEED) == \
+        IntervalSet.of([interval(0, 1), interval(3, 3)])
 
 
 @st.composite
@@ -2241,7 +2267,7 @@ def reference_avoided_region(f, y, seed, layers=4):
 
     def fresh_parts(region):
         fresh = []
-        for part in preimage(f, region).parts:
+        for part in reference_preimage(f, region).parts:
             chunks = split_at_point(part, region) if part.contains(y) else [part]
             for q in chunks:
                 if not q.is_point and not region.contains_set(IntervalSet((q,))):
@@ -2281,6 +2307,8 @@ def avoidance_queries(draw):
 
 F5 = make_plmap(interval(0, 5), [(0, 1), (1, 5), (4, 2), (5, 0)])
 F5_SEED = IntervalSet.single(2, 4)  # P_0 = [1/4,3/4] ∪ [2,4], P_1 adds [37/8,39/8]
+POINT_PART_MAP = make_plmap(interval(0, 4), [(0, 0), (1, 1), (2, 4), (3, 1), (4, 4)])
+POINT_PART_SEED = IntervalSet.single(0, 1)  # P_0 = [0,1] ∪ [3,3]
 
 
 @settings(deadline=None, derandomize=True)
@@ -2297,6 +2325,8 @@ F5_SEED = IntervalSet.single(2, 4)  # P_0 = [1/4,3/4] ∪ [2,4], P_1 adds [37/8,
 @example((F5, [(Q(0), IntervalSet.single(3, 3), 3)]))  # a single-point seed, kept every layer
 @example((F5, [(Q(5, 16), F5_SEED, 4)]))  # y in a preimage part, region parts on both sides
 @example((F5, [(Q(1, 4), F5_SEED, 2)]))  # y at a preimage part's end: one piece
+@example((POINT_PART_MAP, [(Q(2), POINT_PART_SEED, 3)]))  # a point part the region misses
+@example((POINT_PART_MAP, [(Q(3), POINT_PART_SEED, 3)]))  # y on a point part
 def test_avoidance_chain_matches_reference(case):
     f, queries = case
     assert_avoidance_matches_reference(make_plmap(f.domain, f.dots), queries)
